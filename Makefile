@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race sim fuzz-smoke proc-smoke query-smoke churn-smoke bench bench-json bench-check metrics-smoke watch-demo examples clean
+.PHONY: check fmt vet build test race sim fuzz-smoke proc-smoke query-smoke churn-smoke bench bench-ab metrics-smoke watch-demo examples clean
 
 check: fmt vet build test race
 
@@ -67,29 +67,20 @@ query-smoke:
 churn-smoke:
 	./scripts/churn_smoke.sh
 
+# The repository's benchmark (bench/, see bench/README.md): every workload,
+# each in a fresh child process, checked against a static oracle. ARGS go to
+# igbench, e.g. make bench ARGS='-workload sssp-r2 -trace 1'.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+	sh bench/igbench.sh $(ARGS)
 
-# Machine-readable Figure 5 sweep (quick sizes), the artifact CI uploads
-# so the perf trajectory — ev/s plus self-delivery, coalescing, and now
-# sampled latency percentiles — is diffable across PRs.
-# Median-of-3 per cell: quick cells run in milliseconds, so single runs
-# are scheduler luck. The committed baseline records typical capability
-# (median) while the bench-check gate measures best effort (best-of-3),
-# so the gate's ratio centers above 1.0 with the tolerance as real margin.
-bench-json:
-	$(GO) run ./cmd/paperbench bench -quick -repeat 3 -agg median -json BENCH_PR9.json
-
-# Bench-regression gate: regenerate the quick sweep (best-of-3) into a
-# scratch file and fail on any cell regressing more than BENCH_TOL against
-# the committed baseline (ingest ev/s and p99 latency per cell — see
-# harness.CompareBenchReports). The mixed read/write cell is gated on an
-# absolute 1M lookups/s floor instead.
-BENCH_TOL ?= 0.15
-bench-check:
-	$(GO) run ./cmd/paperbench bench -quick -repeat 3 -json bench-current.json
-	$(GO) run ./cmd/paperbench benchcmp -baseline BENCH_PR9.json \
-		-current bench-current.json -tol $(BENCH_TOL) -min-lookups 1000000
+# A/B of the working tree against BASE on workload W: igbench built on both
+# sides, PAIRS runs each in alternating order, then igbench -compare. See
+# scripts/bench_ab.sh.
+BASE ?= HEAD
+W ?= con-r1
+PAIRS ?= 10
+bench-ab:
+	BASE=$(BASE) W=$(W) PAIRS=$(PAIRS) ./scripts/bench_ab.sh $(ARGS)
 
 # Telemetry-pipeline smoke: the exposition golden/lint tests — including
 # the federated /cluster/metrics golden — plus the debug-endpoint suite

@@ -50,18 +50,14 @@ func DirectedWidestPath() Program { return algo.Widest{Directed: true} }
 // vertex state is its current degree, handy for threshold triggers.
 func DegreeTracker() Program { return algo.Degree{} }
 
-// GenBFS returns the generational, deletion-tolerant BFS of §VI-B. Use
-// GenBFSLevel to decode its state values. Decremental streams must keep a
-// delete on the same stream, and with the same orientation, as the add it
-// revokes.
-func GenBFS() Program { return algo.NewGenBFS() }
-
-// GenBFSLevel extracts the BFS level from a GenBFS state value (Infinity
-// when unknown/unreachable).
-func GenBFSLevel(val uint64) uint64 { return algo.GenLevel(val) }
-
-// DeleteAware reports whether a program supports decremental edge events.
+// DeleteAware reports whether a program supports decremental edge events:
+// either through its own delete callbacks (DegreeTracker) or through the
+// engine's parent-witness protocol (BFS, SSSP, CC, MultiST, WidestPath),
+// which handles deletes on undirected graphs.
 func DeleteAware(p Program) bool {
-	_, ok := p.(core.DeleteAware)
-	return ok
+	switch p.(type) {
+	case core.DeleteAware, core.WitnessProgram:
+		return true
+	}
+	return false
 }

@@ -55,7 +55,7 @@ func main() {
 		scale   = flag.Int("rmat", 0, "generate an RMAT stream of this scale instead of reading a file")
 		ef      = flag.Int("ef", 16, "rmat edge factor")
 		ranks   = flag.Int("ranks", runtime.GOMAXPROCS(0), "shared-nothing rank count")
-		algoN   = flag.String("algo", "con", "live algorithm: con | bfs | sssp | cc | st | degree | genbfs")
+		algoN   = flag.String("algo", "con", "live algorithm: con | bfs | sssp | cc | st | degree")
 		sources = flag.Int("sources", 1, "st: number of connectivity sources")
 		src     = flag.Uint64("source", 0, "bfs/sssp source vertex (default: largest component)")
 		verify  = flag.Bool("verify", false, "check converged state against the static baseline")
@@ -347,9 +347,6 @@ func buildAlgo(name string, edges []graph.Edge, sources int, src graph.VertexID,
 		return incregraph.SSSP(), []graph.VertexID{s}, nil
 	case "cc":
 		return incregraph.CC(), nil, nil
-	case "genbfs":
-		s := pickSrc()
-		return incregraph.GenBFS(), []graph.VertexID{s}, nil
 	case "st":
 		if sources < 1 || sources > 64 {
 			return nil, nil, fmt.Errorf("st: sources must be in [1,64]")
@@ -370,13 +367,9 @@ func buildAlgo(name string, edges []graph.Edge, sources int, src graph.VertexID,
 func verifyResult(g *incregraph.Graph, algoN string, inits []graph.VertexID) error {
 	topo := g.Topology()
 	var want []uint64
-	translate := func(v uint64) uint64 { return v }
 	switch algoN {
 	case "bfs":
 		want = incregraph.StaticBFS(topo, inits[0])
-	case "genbfs":
-		want = incregraph.StaticBFS(topo, inits[0])
-		translate = incregraph.GenBFSLevel
 	case "sssp":
 		want = incregraph.StaticSSSP(topo, inits[0])
 	case "cc":
@@ -387,8 +380,8 @@ func verifyResult(g *incregraph.Graph, algoN string, inits []graph.VertexID) err
 		return nil // nothing static to compare cheaply
 	}
 	for _, p := range g.Collect(0) {
-		if got := translate(p.Val); got != want[p.ID] {
-			return fmt.Errorf("vertex %d: dynamic %d, static %d", p.ID, got, want[p.ID])
+		if p.Val != want[p.ID] {
+			return fmt.Errorf("vertex %d: dynamic %d, static %d", p.ID, p.Val, want[p.ID])
 		}
 	}
 	return nil

@@ -8,15 +8,14 @@
 //	paperbench all
 //	paperbench fig5 -scale 15 -ranks 1,2,4,8
 //	paperbench fig7 -quick
-//	paperbench bench -quick -json BENCH_PR9.json
 //
 // Absolute rates will not match the authors' 3,072-core Catalyst cluster;
 // the reproduction target is the shape of each comparison, which every
-// table's footnote restates.
+// table's footnote restates. Performance measurement — saturation rates and
+// open-loop latency with oracle-checked runs — lives in bench/ (make bench).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -50,13 +49,8 @@ func main() {
 	ef := fs.Int("ef", 0, "edge factor (0 = default 16)")
 	ranksFlag := fs.String("ranks", "", "comma-separated rank sweep (default 1,2,4,...,NumCPU)")
 	quickFlag := fs.Bool("quick", false, "tiny sizes (smoke test)")
-	jsonOut := fs.String("json", "", "bench only: write the machine-readable report to this file (default stdout)")
-	repeat := fs.Int("repeat", 1, "bench only: run every cell N times and keep the run -agg selects")
-	agg := fs.String("agg", "best", "bench only: which repeated run to record, best or median (baseline uses median, the bench-check gate best)")
-	noHybrid := fs.Bool("no-hybrid", false, "disable the hybrid CSR-delta storage tier (A/B ablation)")
-	autotune := fs.Bool("autotune", false, "enable the per-rank auto-tune controller (A/B ablation)")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: paperbench {all|bench|benchcmp|%s} [flags]\n", strings.Join(order, "|"))
+		fmt.Fprintf(os.Stderr, "usage: paperbench {all|scaling|%s} [flags]\n", strings.Join(order, "|"))
 		fs.PrintDefaults()
 	}
 	if len(os.Args) < 2 {
@@ -64,15 +58,11 @@ func main() {
 		os.Exit(2)
 	}
 	which := os.Args[1]
-	if which == "benchcmp" {
-		benchcmp(os.Args[2:])
-		return
-	}
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
 
-	cfg := harness.Config{Scale: *scale, EdgeFactor: *ef, Quick: *quickFlag, NoHybrid: *noHybrid, AutoTune: *autotune}
+	cfg := harness.Config{Scale: *scale, EdgeFactor: *ef, Quick: *quickFlag}
 	if *ranksFlag != "" {
 		for _, part := range strings.Split(*ranksFlag, ",") {
 			r, err := strconv.Atoi(strings.TrimSpace(part))
@@ -82,33 +72,6 @@ func main() {
 			}
 			cfg.Ranks = append(cfg.Ranks, r)
 		}
-	}
-
-	// `bench` is the machine-readable counterpart of fig5: the same sweep,
-	// emitted as JSON (BENCH_PR9.json in CI) so the perf trajectory — event
-	// rates plus the self-delivery and coalescing counters — is diffable
-	// across PRs instead of locked in prose tables.
-	if which == "bench" {
-		if *agg != string(harness.AggBest) && *agg != string(harness.AggMedian) {
-			fmt.Fprintf(os.Stderr, "paperbench: -agg must be best or median, got %q\n", *agg)
-			os.Exit(2)
-		}
-		data, err := json.MarshalIndent(harness.BenchJSON(cfg, *repeat, harness.Aggregate(*agg)), "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if *jsonOut == "" {
-			os.Stdout.Write(data)
-			return
-		}
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d results)\n", *jsonOut, strings.Count(string(data), `"dataset"`))
-		return
 	}
 
 	run := func(name string) {
@@ -126,50 +89,4 @@ func main() {
 		return
 	}
 	run(which)
-}
-
-// benchcmp is the CI bench-regression gate: it diffs a fresh schema-3
-// bench report against the committed baseline and exits 1 on any
-// regression beyond tolerance (see harness.CompareBenchReports for the
-// exact rules).
-func benchcmp(args []string) {
-	fs := flag.NewFlagSet("paperbench benchcmp", flag.ExitOnError)
-	baseline := fs.String("baseline", "BENCH_PR9.json", "committed baseline report")
-	current := fs.String("current", "", "freshly generated report to check (required)")
-	tol := fs.Float64("tol", 0.15, "allowed fractional throughput regression")
-	minLookups := fs.Float64("min-lookups", 0, "absolute lookups/sec floor for the mixed cell (0 = off)")
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	if *current == "" {
-		fmt.Fprintln(os.Stderr, "paperbench benchcmp: -current is required")
-		os.Exit(2)
-	}
-	load := func(path string) *harness.BenchReport {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench benchcmp: %v\n", err)
-			os.Exit(1)
-		}
-		var rep harness.BenchReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench benchcmp: %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		return &rep
-	}
-	fails := harness.CompareBenchReports(load(*baseline), load(*current), harness.CompareOptions{
-		Tolerance:         *tol,
-		MinLookupsPerSec:  *minLookups,
-		MinLatencySamples: 8,
-	})
-	if len(fails) == 0 {
-		fmt.Printf("benchcmp: %s vs %s: no regressions (geomean %.1f%% of baseline, tol %.0f%%)\n",
-			*current, *baseline, harness.BenchGeomean(load(*baseline), load(*current))*100, *tol*100)
-		return
-	}
-	for _, f := range fails {
-		fmt.Fprintf(os.Stderr, "benchcmp: REGRESSION: %s\n", f)
-	}
-	os.Exit(1)
 }

@@ -38,6 +38,7 @@
 //	live.Close()
 //	stats := g.Wait()
 //
-// See examples/ for complete programs and cmd/paperbench for the harness
-// that regenerates the paper's tables and figures.
+// See examples/ for complete programs, cmd/paperbench for the harness that
+// regenerates the paper's tables and figures, and bench/ for the benchmark
+// that measures event rates and update latency (make bench).
 package incregraph

@@ -3,9 +3,10 @@
 // The paper's World Wide Web example (§I): pages and hyperlinks appear
 // continuously. This example streams a synthetic preferential-attachment
 // web graph — new pages linking to popular old ones — while a live BFS
-// maintains every page's minimum click distance from a seed page, and a
-// deletion-tolerant generational BFS (the paper's §VI-B extension) handles
-// link rot: a fraction of links are later removed, and depths re-converge.
+// maintains every page's minimum click distance from a seed page. The same
+// BFS then handles link rot (the paper's §VI-B extension, here through the
+// engine's parent-witness deletion protocol): a fraction of links are later
+// removed, and depths re-converge.
 //
 // Run: go run ./examples/webcrawl
 package main
@@ -50,10 +51,10 @@ func main() {
 	stats := g.Wait()
 	fmt.Printf("crawl ingested %d links at %.0f events/sec\n\n", stats.TopoEvents, stats.EventsPerSec)
 
-	// Phase 2: link rot. Re-play the same crawl through the generational
-	// BFS, deleting 10% of links afterwards, and verify depths re-converge
-	// to the static answer on the final topology.
-	g2 := incregraph.New(incregraph.Config{Ranks: 8}, incregraph.GenBFS())
+	// Phase 2: link rot. Re-play the same crawl, deleting 10% of links
+	// afterwards, and verify depths re-converge to the static answer on the
+	// final topology.
+	g2 := incregraph.New(incregraph.Config{Ranks: 8}, incregraph.BFS())
 	g2.InitVertex(bfsAlgo, seed)
 	var events []incregraph.EdgeEvent
 	for _, l := range links {
@@ -68,10 +69,7 @@ func main() {
 	if _, err := g2.Run(incregraph.StreamEvents(events)); err != nil {
 		panic(err)
 	}
-	depths := map[incregraph.VertexID]uint64{}
-	for v, raw := range g2.CollectMap(bfsAlgo) {
-		depths[v] = incregraph.GenBFSLevel(raw)
-	}
+	depths := g2.CollectMap(bfsAlgo)
 	fmt.Printf("after link rot: depth histogram %v\n", depthHistogram(depths))
 
 	// Cross-check against a static BFS over the final dynamic topology.
@@ -82,7 +80,7 @@ func main() {
 			panic(fmt.Sprintf("divergence at page %d: live %d static %d", v, d, w))
 		}
 	}
-	fmt.Println("generational BFS matches static BFS on the post-rot topology")
+	fmt.Println("live BFS matches static BFS on the post-rot topology")
 }
 
 // depthHistogram buckets pages by click distance (levels are hops+1).

@@ -3,12 +3,15 @@ package incregraph_test
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"incregraph"
 	"incregraph/internal/gen"
+	"incregraph/internal/graph"
+	"incregraph/internal/rmat"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -91,19 +94,19 @@ func TestFacadeTriggers(t *testing.T) {
 	}
 }
 
-func TestFacadeGenBFSDeletes(t *testing.T) {
+func TestFacadeBFSDeletes(t *testing.T) {
 	events := []incregraph.EdgeEvent{
 		{Edge: incregraph.Edge{Src: 0, Dst: 1, W: 1}},
 		{Edge: incregraph.Edge{Src: 1, Dst: 2, W: 1}},
 		{Edge: incregraph.Edge{Src: 0, Dst: 2, W: 1}},
 		{Edge: incregraph.Edge{Src: 0, Dst: 2, W: 1}, Delete: true},
 	}
-	p := incregraph.GenBFS()
+	p := incregraph.BFS()
 	if !incregraph.DeleteAware(p) {
-		t.Fatal("GenBFS should be delete-aware")
+		t.Fatal("BFS handles deletes through witnesses and should be delete-aware")
 	}
-	if incregraph.DeleteAware(incregraph.BFS()) {
-		t.Fatal("plain BFS should not be delete-aware")
+	if !incregraph.DeleteAware(incregraph.DegreeTracker()) {
+		t.Fatal("DegreeTracker should be delete-aware")
 	}
 	g := incregraph.New(incregraph.Config{Ranks: 2}, p)
 	g.InitVertex(0, 0)
@@ -111,7 +114,7 @@ func TestFacadeGenBFSDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := g.CollectMap(0)
-	if lvl := incregraph.GenBFSLevel(m[2]); lvl != 3 {
+	if lvl := m[2]; lvl != 3 {
 		t.Fatalf("vertex 2 level = %d after delete, want 3", lvl)
 	}
 }
@@ -180,6 +183,70 @@ func TestFacadeCheckpointResume(t *testing.T) {
 	if _, err := incregraph.LoadCheckpoint(bytes.NewReader([]byte("junk")), incregraph.Config{}); err == nil {
 		t.Fatal("junk checkpoint should fail")
 	}
+}
+
+// TestFacadeLoadCheckpointKeepsConfig: a restored graph honours every
+// engine knob of the Config it is loaded with, and its read plane serves
+// the restored values and adjacency without any new event.
+func TestFacadeLoadCheckpointKeepsConfig(t *testing.T) {
+	g := incregraph.New(incregraph.Config{Ranks: 2, Serve: true}, incregraph.BFS())
+	g.InitVertex(0, 0)
+	if _, err := g.Run(incregraph.StreamEdges(gen.Grid(8, 8))); err != nil {
+		t.Fatal(err)
+	}
+	topo := g.Topology()
+	var buf bytes.Buffer
+	if err := g.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := incregraph.Config{Serve: true, SampleEvery: 7, LineageKeep: 3}
+	g2, err := incregraph.LoadCheckpoint(&buf, cfg, incregraph.BFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g2.Start(incregraph.StreamEdges(nil)); err != nil {
+		t.Fatal(err)
+	}
+	g2.Wait()
+
+	if got := g2.Stats().Latency.SampleEvery; got != 7 {
+		t.Fatalf("restored SampleEvery = %d, want 7", got)
+	}
+	want := g2.Collect(0)
+	ids := make([]incregraph.VertexID, len(want))
+	for i, p := range want {
+		ids[i] = p.ID
+	}
+	got, _ := g2.ReadBatch(0, ids, nil)
+	for i, p := range want {
+		if !got[i].Found || got[i].Val != p.Val {
+			t.Fatalf("ReadBatch(%d) = %+v, Collect has %d", p.ID, got[i], p.Val)
+		}
+	}
+	topo.ForEachVertex(func(v incregraph.VertexID) bool {
+		nbrs := map[incregraph.VertexID]bool{}
+		topo.Neighbors(v, func(n incregraph.VertexID, _ incregraph.Weight) bool {
+			nbrs[n] = true
+			return true
+		})
+		nodes, _ := g2.ReadNeighborhood(0, v, 1, 1<<10)
+		served := map[incregraph.VertexID]bool{}
+		for _, n := range nodes {
+			if n.Depth == 1 {
+				served[n.Vertex] = true
+			}
+		}
+		if len(served) != len(nbrs) {
+			t.Fatalf("vertex %d: read plane serves %d neighbours, topology has %d", v, len(served), len(nbrs))
+		}
+		for n := range nbrs {
+			if !served[n] {
+				t.Fatalf("vertex %d: neighbour %d missing from the read plane", v, n)
+			}
+		}
+		return true
+	})
 }
 
 func TestFacadeSignalAndDrain(t *testing.T) {
@@ -341,6 +408,30 @@ func TestFacadeDrainPrompt(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("100 idle Drains took %v", d)
 	}
+	live.Close()
+	g.Wait()
+}
+
+// BenchmarkQueryLocal measures the constant-time local-state observation
+// the paper guarantees during runs (§VI-A).
+func BenchmarkQueryLocal(b *testing.B) {
+	g := incregraph.New(incregraph.Config{Ranks: runtime.GOMAXPROCS(0)}, incregraph.BFS())
+	g.InitVertex(0, 0)
+	live := incregraph.NewLiveStream()
+	if err := g.Start(live); err != nil {
+		b.Fatal(err)
+	}
+	edges := rmat.Generate(rmat.Config{Scale: 12, EdgeFactor: 8, Seed: 3})
+	for _, e := range edges {
+		live.PushEdge(e)
+	}
+	for g.Ingested() != uint64(len(edges)) || !g.Quiescent() {
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Query(0, graph.VertexID(i)%4096)
+	}
+	b.StopTimer()
 	live.Close()
 	g.Wait()
 }

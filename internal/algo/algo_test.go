@@ -2,7 +2,6 @@ package algo
 
 import (
 	"testing"
-	"testing/quick"
 
 	"incregraph/internal/core"
 	"incregraph/internal/graph"
@@ -15,7 +14,6 @@ func TestNames(t *testing.T) {
 		"cc":     CC{},
 		"st":     NewMultiST(nil),
 		"degree": Degree{},
-		"genbfs": NewGenBFS(),
 		"widest": Widest{},
 	}
 	for want, p := range cases {
@@ -38,53 +36,6 @@ func TestNorm(t *testing.T) {
 	}
 	if norm(core.Infinity) != core.Infinity {
 		t.Fatal("norm(Infinity) != Infinity")
-	}
-}
-
-func TestGenPackUnpack(t *testing.T) {
-	cases := []struct {
-		src      bool
-		gen, lvl uint64
-	}{
-		{false, 0, 0},
-		{true, 0, 1},
-		{false, 1, 42},
-		{true, (1 << 23) - 1, (1 << 40) - 1},
-	}
-	for _, c := range cases {
-		v := genPack(c.src, c.gen, c.lvl)
-		src, gen, lvl := genUnpack(v)
-		if src != c.src || gen != c.gen || lvl != c.lvl {
-			t.Fatalf("pack/unpack(%v,%d,%d) = (%v,%d,%d)", c.src, c.gen, c.lvl, src, gen, lvl)
-		}
-	}
-	// Unset decodes as gen 0, unknown level, not source.
-	if src, gen, lvl := genUnpack(core.Unset); src || gen != 0 || lvl != genInfLevel {
-		t.Fatalf("Unset unpacks to (%v,%d,%d)", src, gen, lvl)
-	}
-}
-
-func TestGenPackRoundTripQuick(t *testing.T) {
-	f := func(src bool, gen, lvl uint64) bool {
-		gen &= (1 << 23) - 1
-		lvl &= (1 << 40) - 1
-		s, g, l := genUnpack(genPack(src, gen, lvl))
-		return s == src && g == gen && l == lvl
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGenLevel(t *testing.T) {
-	if GenLevel(genPack(false, 7, 0)) != core.Infinity {
-		t.Fatal("unknown level should map to Infinity")
-	}
-	if GenLevel(genPack(true, 3, 9)) != 9 {
-		t.Fatal("GenLevel lost the level")
-	}
-	if GenLevel(core.Unset) != core.Infinity {
-		t.Fatal("Unset should map to Infinity")
 	}
 }
 
@@ -111,14 +62,15 @@ func TestMultiSTConstruction(t *testing.T) {
 }
 
 func TestDeleteAwareness(t *testing.T) {
-	// Only Degree and GenBFS support decremental events.
-	var deleteAware = map[string]bool{"degree": true, "genbfs": true}
-	progs := []core.Program{BFS{}, SSSP{}, CC{}, NewMultiST(nil), Degree{}, NewGenBFS(), Widest{}}
+	// Degree handles decremental events with its own callbacks; every other
+	// program goes through the engine's parent-witness protocol.
+	progs := []core.Program{BFS{}, SSSP{}, CC{}, NewMultiST(nil), Degree{}, Widest{}}
 	for _, p := range progs {
 		name := p.(core.Named).Name()
-		_, ok := p.(core.DeleteAware)
-		if ok != deleteAware[name] {
-			t.Fatalf("%s: DeleteAware = %v, want %v", name, ok, deleteAware[name])
+		_, da := p.(core.DeleteAware)
+		_, wit := p.(core.WitnessProgram)
+		if da != (name == "degree") || wit == da {
+			t.Fatalf("%s: DeleteAware = %v, WitnessProgram = %v", name, da, wit)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 // Package algo implements the paper's four incremental REMO algorithms
 // (§IV) — Breadth First Search, Single Source Shortest Path, Connected
 // Components, and Multi S-T Connectivity — plus the degree-tracking example
-// of §II-A and the generational, delete-tolerant BFS sketched in §VI-B.
+// of §II-A and widest path. Every REMO program here also takes edge
+// deletions (the §VI-B extension) through the engine's parent-witness
+// protocol, by implementing core.WitnessProgram.
 //
 // Each is a vertex program over the core engine's event callbacks. All
 // follow the REMO contract: the local state identified in §II-B evolves

@@ -145,7 +145,7 @@ func TestDegreeWithDeletes(t *testing.T) {
 	}
 }
 
-func TestGenBFSInitAndDeletes(t *testing.T) {
+func TestBFSInitAndDeletes(t *testing.T) {
 	events := []graph.EdgeEvent{
 		{Edge: graph.Edge{Src: 0, Dst: 1, W: 1}},
 		{Edge: graph.Edge{Src: 1, Dst: 2, W: 1}},
@@ -153,16 +153,12 @@ func TestGenBFSInitAndDeletes(t *testing.T) {
 		{Edge: graph.Edge{Src: 0, Dst: 3, W: 1}},               // shortcut: 3 at level 2
 		{Edge: graph.Edge{Src: 0, Dst: 3, W: 1}, Delete: true}, // cut it: 3 back to 4
 	}
-	e := core.New(core.Options{Ranks: 2, Undirected: true}, algo.NewGenBFS())
+	e := core.New(core.Options{Ranks: 2, Undirected: true}, algo.BFS{})
 	e.InitVertex(0, 0)
 	if _, err := e.Run([]stream.Stream{stream.FromEvents(events)}); err != nil {
 		t.Fatal(err)
 	}
-	got := e.CollectMap(0)
-	levels := map[graph.VertexID]uint64{}
-	for v, raw := range got {
-		levels[v] = algo.GenLevel(raw)
-	}
+	levels := e.CollectMap(0)
 	want := map[graph.VertexID]uint64{0: 1, 1: 2, 2: 3, 3: 4}
 	for v, w := range want {
 		if levels[v] != w {

@@ -282,8 +282,11 @@ func ReadCheckpoint(r io.Reader, opts Options, programs ...Program) (*Engine, er
 					return nil, err
 				}
 				// All checkpointed edges belong to "the past": sequence 0
-				// keeps them visible to every future snapshot marker.
-				rk.store.AddEdge(id, graph.VertexID(nbr), graph.Weight(w), 0)
+				// keeps them visible to every future snapshot marker. The
+				// serve plane's adjacency mirror is seeded alongside, or a
+				// restored graph's neighbourhood reads would miss them.
+				_, _, isNew := rk.store.AddEdge(id, graph.VertexID(nbr), graph.Weight(w), 0)
+				rk.mirrorAdd(slot, graph.VertexID(nbr), graph.Weight(w), isNew)
 			}
 		}
 	}

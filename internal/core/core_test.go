@@ -10,6 +10,7 @@ import (
 	"incregraph/internal/csr"
 	"incregraph/internal/gen"
 	"incregraph/internal/graph"
+	"incregraph/internal/rmat"
 	"incregraph/internal/static"
 	"incregraph/internal/stream"
 )
@@ -531,34 +532,6 @@ func TestSequentialSnapshots(t *testing.T) {
 		static.ConnectedComponents(csr.Build(edges, true)), nil)
 }
 
-func TestGenBFSWithDeletes(t *testing.T) {
-	// Build a graph, delete ~20% of its edges along the way, and verify
-	// GenBFS converges to the static BFS of the final topology. The
-	// workload generator honours the two delete-ordering invariants: a
-	// delete is causally ordered after its add (same stream) and reuses
-	// the add's orientation (same FIFO routing, §III-C).
-	events, finalEdges := genDeleteCase(21, 60, 400, 0.2)
-	for _, ranks := range []int{1, 4} {
-		e := core.New(core.Options{Ranks: ranks, Undirected: true}, algo.NewGenBFS())
-		e.InitVertex(0, 0)
-		// A delete is only ordered after its add within a single stream
-		// (events across streams are concurrent, §III-C), so decremental
-		// workloads use one stream; processing still fans out over ranks.
-		if _, err := e.Run([]stream.Stream{stream.FromEvents(events)}); err != nil {
-			t.Fatal(err)
-		}
-		want := static.BFS(csr.Build(finalEdges, true), 0)
-		checkAgainst(t, "genbfs", e.Collect(0), want, algo.GenLevel)
-	}
-}
-
-func TestGenBFSAddOnlyMatchesBFS(t *testing.T) {
-	edges := gen.ErdosRenyi(100, 700, 1, 15)
-	e := runDynamic(t, edges, 3, true, map[int]graph.VertexID{0: 0}, algo.NewGenBFS())
-	want := static.BFS(csr.Build(edges, true), 0)
-	checkAgainst(t, "genbfs-addonly", e.Collect(0), want, algo.GenLevel)
-}
-
 func TestEngineErrors(t *testing.T) {
 	e := core.New(core.Options{Ranks: 2, Undirected: true}, algo.BFS{})
 	if err := e.Start(make([]stream.Stream, 3)); err == nil {
@@ -685,4 +658,21 @@ func TestStatsString(t *testing.T) {
 	if s.String() == "" || s.EventsPerSec <= 0 {
 		t.Fatalf("stats = %+v", s)
 	}
+}
+
+// TestLoopbackTransportUnderStart: the loopback transport exists for
+// StartSim, but it is also legal under a normal Start, where every rank
+// calls Send concurrently. Run under -race, this pins the transport's
+// shared state as synchronised.
+func TestLoopbackTransportUnderStart(t *testing.T) {
+	edges := rmat.Generate(rmat.Config{Scale: 10, EdgeFactor: 8, Seed: 5})
+	e := core.New(core.Options{Ranks: 2, Undirected: true, Transport: core.NewLoopbackTransport(2)}, algo.BFS{})
+	e.InitVertex(0, 0)
+	if _, err := e.Run(stream.Split(edges, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if ts := e.EngineStats().Transport; ts.Kind != "loopback" {
+		t.Fatalf("transport kind = %q, want loopback", ts.Kind)
+	}
+	checkAgainst(t, "loopback-bfs", e.Collect(0), static.BFS(csr.Build(edges, true), 0), nil)
 }

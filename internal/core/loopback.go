@@ -32,8 +32,9 @@ type loopbackTransport struct {
 	procs    int
 	ranksPer int
 	// seq numbers the fake wire frames (cheap parity with the TCP codec's
-	// per-connection sequencing); frames/events count the crossings.
-	seq    uint64
+	// per-connection sequencing); frames/events count the crossings. All
+	// three are atomic: under Start every rank calls Send concurrently.
+	seq    atomic.Uint64
 	frames atomic.Uint64
 	events atomic.Uint64
 }
@@ -84,8 +85,7 @@ func (t *loopbackTransport) Send(from, dest int, batch []Event) {
 	}
 	// Cross-"process" path: a genuine codec round trip, so whatever the
 	// wire drops, the test plane drops too.
-	t.seq++
-	payload := appendEventsPayload(nil, t.seq, uint32(from), uint32(dest), batch)
+	payload := appendEventsPayload(nil, t.seq.Add(1), uint32(from), uint32(dest), batch)
 	f, err := parseEventsPayload(payload, wireVersion)
 	if err != nil {
 		panic(fmt.Sprintf("core: loopback codec round trip failed: %v", err))

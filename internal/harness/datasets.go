@@ -26,11 +26,6 @@ type Config struct {
 	Ranks []int
 	// Quick selects tiny sizes for test runs.
 	Quick bool
-	// NoHybrid disables the engine's hybrid CSR-delta storage tier and
-	// AutoTune enables its per-rank feedback controller — the two storage
-	// A/B knobs, passed straight through to core.Options.
-	NoHybrid bool
-	AutoTune bool
 }
 
 func (c Config) withDefaults() Config {
