@@ -93,9 +93,14 @@ metrics-smoke:
 watch-demo:
 	$(GO) run ./cmd/ingest -rmat 18 -ranks 4 -algo bfs -sample 64 -watch
 
+# Every example program; each panics on any divergence from its static
+# baseline, so a clean exit is a real check of the public API (CI test job).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/checkpoint
+	$(GO) run ./examples/fraud
+	$(GO) run ./examples/social
+	$(GO) run ./examples/webcrawl
 
 clean:
 	$(GO) clean ./...

@@ -388,6 +388,58 @@ func TestClusterLiveInitCrossesWire(t *testing.T) {
 	}
 }
 
+// TestClusterCleanTermination repeats a 2-process run and requires Err() ==
+// nil on both processes every time. The coordinator must queue its
+// parting stats and TERMINATE before it publishes the decision: a rank that
+// sees the decision first can finish the engine, and teardown then closes
+// the peer queues under the pending pushes, so the follower reads a bare
+// EOF instead of TERMINATE.
+func TestClusterCleanTermination(t *testing.T) {
+	runs := 40
+	if testing.Short() {
+		runs = 10
+	}
+	// Larger than clusterEdges: the race needs a run long enough for the
+	// coordinator's ranks to still be waking when the decision lands.
+	edges := gen.Shuffle(rmat.GenerateParallel(rmat.Config{Scale: 11, EdgeFactor: 8, Seed: 1, MaxWeight: 16}, 0), 11)
+	failed := 0
+	for run := 0; run < runs; run++ {
+		cfg := incregraph.Config{Ranks: 1}
+		cfg.Cluster = &incregraph.ClusterConfig{Proc: 0, Procs: 2, Listen: "127.0.0.1:0"}
+		g0, err := incregraph.NewCluster(cfg, incregraph.SSSP())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Cluster = &incregraph.ClusterConfig{Proc: 1, Procs: 2, Join: g0.ClusterAddr()}
+		g1, err := incregraph.NewCluster(cfg, incregraph.SSSP())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g0.InitVertex(0, edges[0].Src)
+		streams := incregraph.SplitEdges(edges, 2)
+		var wg sync.WaitGroup
+		for _, g := range []*incregraph.Graph{g0, g1} {
+			wg.Add(1)
+			go func(g *incregraph.Graph) {
+				defer wg.Done()
+				if _, err := g.Run(streams...); err != nil {
+					t.Errorf("run %d: %v", run, err)
+				}
+			}(g)
+		}
+		wg.Wait()
+		for i, g := range []*incregraph.Graph{g0, g1} {
+			if err := g.Err(); err != nil {
+				failed++
+				t.Errorf("run %d, process %d: Err() = %v", run, i, err)
+			}
+		}
+	}
+	if failed > 0 {
+		t.Errorf("%d of %d runs ended with a transport error", failed, runs)
+	}
+}
+
 // mergedTopology rebuilds a global topology from the two processes' local
 // shards — Topology is shard-local in a cluster, so the union is the
 // global graph. Reconstruction goes through a fresh single-process graph.

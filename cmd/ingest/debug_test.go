@@ -16,12 +16,7 @@ import (
 // so every endpoint has real data to serve.
 func runTelemetryGraph(t *testing.T) *incregraph.Graph {
 	t.Helper()
-	g := incregraph.NewGraph(
-		[]incregraph.Program{incregraph.CC()},
-		incregraph.WithRanks(2),
-		incregraph.WithSampleEvery(1),
-		incregraph.WithLineageKeep(8),
-	)
+	g := incregraph.New(incregraph.Config{Ranks: 2, SampleEvery: 1, LineageKeep: 8}, incregraph.CC())
 	if _, err := g.Run(incregraph.StreamEdges(gen.Path(64))); err != nil {
 		t.Fatal(err)
 	}

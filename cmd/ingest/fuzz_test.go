@@ -22,11 +22,7 @@ var (
 // keeps iterations at memory speed.
 func fuzzQueryMux() *http.ServeMux {
 	fuzzMuxOnce.Do(func() {
-		g := incregraph.NewGraph(
-			[]incregraph.Program{incregraph.BFS()},
-			incregraph.WithRanks(2),
-			incregraph.WithServeEvery(time.Millisecond),
-		)
+		g := incregraph.New(incregraph.Config{Ranks: 2, Serve: true, ServeEvery: time.Millisecond}, incregraph.BFS())
 		g.InitVertex(0, 0)
 		if _, err := g.Run(incregraph.StreamEdges(gen.Path(32))); err != nil {
 			panic(err)

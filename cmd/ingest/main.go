@@ -60,7 +60,6 @@ func main() {
 		src     = flag.Uint64("source", 0, "bfs/sssp source vertex (default: largest component)")
 		verify  = flag.Bool("verify", false, "check converged state against the static baseline")
 		dbgAddr = flag.String("debug.addr", "", "serve expvar (/debug/vars), pprof (/debug/pprof), Prometheus /metrics, /stats, and /lineage on this address (e.g. localhost:6060)")
-		traceN  = flag.Int("trace", 0, "keep a per-rank ring of the last N events for postmortem debugging")
 		sample  = flag.Int("sample", 0, "trace 1-in-N ingested events to cascade quiescence for latency histograms and lineage (0 = engine default 1024; negative disables)")
 		watch   = flag.Bool("watch", false, "render a live telemetry view (rates, lag, latency percentiles) while ingesting")
 		procs   = flag.Int("procs", 1, "total process count of a multi-process run (1 = single process)")
@@ -124,7 +123,6 @@ func main() {
 	}
 	cfg := incregraph.Config{
 		Ranks:       *ranks,
-		TraceDepth:  *traceN,
 		SampleEvery: *sample,
 		Serve:       *srvOn || *srvEvry > 0,
 		ServeEvery:  *srvEvry,

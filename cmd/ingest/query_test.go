@@ -19,11 +19,7 @@ import (
 // BFS encodes depth d as value d+1).
 func runServeGraph(t *testing.T) *incregraph.Graph {
 	t.Helper()
-	g := incregraph.NewGraph(
-		[]incregraph.Program{incregraph.BFS()},
-		incregraph.WithRanks(2),
-		incregraph.WithServeEvery(time.Millisecond),
-	)
+	g := incregraph.New(incregraph.Config{Ranks: 2, Serve: true, ServeEvery: time.Millisecond}, incregraph.BFS())
 	g.InitVertex(0, 0)
 	if _, err := g.Run(incregraph.StreamEdges(gen.Path(64))); err != nil {
 		t.Fatal(err)
@@ -134,10 +130,7 @@ func TestQueryMixedBatchMinEpoch(t *testing.T) {
 }
 
 func TestQueryEmptyGraph(t *testing.T) {
-	g := incregraph.NewGraph(
-		[]incregraph.Program{incregraph.BFS()},
-		incregraph.WithServe(),
-	)
+	g := incregraph.New(incregraph.Config{Serve: true}, incregraph.BFS())
 	mux := newDebugMux(g)
 	resp := postQuery(t, mux,
 		`{"algo":0,"queries":[{"op":"point","vertex":1},{"op":"topk"},{"op":"neighborhood","vertex":0}]}`,
@@ -155,7 +148,7 @@ func TestQueryEmptyGraph(t *testing.T) {
 }
 
 func TestQueryServeDisabled(t *testing.T) {
-	g := incregraph.NewGraph([]incregraph.Program{incregraph.BFS()})
+	g := incregraph.New(incregraph.Config{}, incregraph.BFS())
 	mux := newDebugMux(g)
 	postQuery(t, mux, `{"algo":0,"queries":[{"op":"point","vertex":1}]}`, http.StatusServiceUnavailable)
 }
@@ -207,11 +200,7 @@ func TestQueryRejectsBadRequests(t *testing.T) {
 // checks the echoed top-level epoch never regresses (each per-rank epoch is
 // non-decreasing, so the min over ranks is too).
 func TestQueryEpochMonotonic(t *testing.T) {
-	g := incregraph.NewGraph(
-		[]incregraph.Program{incregraph.BFS()},
-		incregraph.WithRanks(2),
-		incregraph.WithServeEvery(200*time.Microsecond),
-	)
+	g := incregraph.New(incregraph.Config{Ranks: 2, Serve: true, ServeEvery: 200 * time.Microsecond}, incregraph.BFS())
 	g.InitVertex(0, 0)
 	if err := g.Start(incregraph.StreamEdges(gen.Path(4096))); err != nil {
 		t.Fatal(err)
@@ -246,11 +235,7 @@ func TestQueryEpochMonotonic(t *testing.T) {
 // while the engine is paused and resumed — reads must stay lock-free and
 // consistent through barrier churn (run under -race).
 func TestQueryConcurrentWithPauseResume(t *testing.T) {
-	g := incregraph.NewGraph(
-		[]incregraph.Program{incregraph.BFS()},
-		incregraph.WithRanks(2),
-		incregraph.WithServeEvery(200*time.Microsecond),
-	)
+	g := incregraph.New(incregraph.Config{Ranks: 2, Serve: true, ServeEvery: 200 * time.Microsecond}, incregraph.BFS())
 	g.InitVertex(0, 0)
 	if err := g.Start(incregraph.StreamEdges(gen.Path(8192))); err != nil {
 		t.Fatal(err)

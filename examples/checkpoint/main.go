@@ -36,7 +36,7 @@ func main() {
 
 	// Phase 1: the "first process" is a live service over an unbounded
 	// stream.
-	g1 := incregraph.NewGraph(programs, incregraph.WithRanks(4))
+	g1 := incregraph.New(incregraph.Config{Ranks: 4}, programs...)
 	g1.InitVertex(0, 0)
 	live := incregraph.NewLiveStream()
 	if err := g1.Start(live); err != nil {
@@ -83,7 +83,7 @@ func main() {
 		meta.Ingested, stats.TopoEvents, stats.EventsPerSec)
 
 	// Reference: an uninterrupted run over the full stream.
-	ref := incregraph.NewGraph(programs, incregraph.WithRanks(4))
+	ref := incregraph.New(incregraph.Config{Ranks: 4}, programs...)
 	ref.InitVertex(0, 0)
 	if _, err := ref.Run(incregraph.StreamEdges(edges)); err != nil {
 		panic(err)

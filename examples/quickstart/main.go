@@ -18,8 +18,7 @@ import (
 
 func main() {
 	// A graph hosting one algorithm: incremental BFS. Program index 0.
-	// (NewGraph is the functional-options form of New + Config.)
-	g := incregraph.NewGraph([]incregraph.Program{incregraph.BFS()}, incregraph.WithRanks(4))
+	g := incregraph.New(incregraph.Config{Ranks: 4}, incregraph.BFS())
 
 	// The BFS source can be chosen at any time — before or during the run.
 	const alice = 0

@@ -2,6 +2,7 @@ package incregraph
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"time"
 
@@ -35,9 +36,6 @@ type (
 	RankEngineStats = core.RankEngineStats
 	// EventCounts breaks processed events down by kind.
 	EventCounts = core.EventCounts
-	// TraceEntry is one retained event of the postmortem trace ring (see
-	// WithTraceDepth and Graph.Trace).
-	TraceEntry = core.TraceEntry
 	// Lineage is the completed causal tree of one sampled edge event's
 	// cascade (see Graph.Lineage).
 	Lineage = core.Lineage
@@ -127,28 +125,18 @@ const (
 // Config configures a Graph.
 type Config struct {
 	// Ranks is the number of shared-nothing event-loop goroutines
-	// (default 1). Scaling figures in the paper scale this.
+	// (0 selects 1; negative is rejected). Scaling figures in the paper
+	// scale this.
 	Ranks int
 	// Directed disables the undirected-edge protocol. The default
 	// (false) matches the paper: every edge insertion also creates the
 	// reverse edge via a serialized REVERSE_ADD notification.
 	Directed bool
-	// BatchSize is the inter-rank message batching granularity
-	// (default 256).
-	BatchSize int
-	// SmallCap is the degree threshold at which a vertex's adjacency is
-	// promoted from the compact inline form to a Robin Hood hash table
-	// (default 16).
-	SmallCap int
 	// WeightPolicy selects how a re-inserted edge's weight merges with
 	// the stored one (default KeepMinWeight). Choose the policy that is
 	// monotone-compatible with the hooked algorithms: KeepMinWeight for
 	// SSSP, KeepMaxWeight for WidestPath.
 	WeightPolicy WeightPolicy
-	// TraceDepth, when positive, keeps a bounded per-rank ring of the last
-	// TraceDepth processed events for postmortem debugging (see
-	// Graph.Trace). Zero disables tracing.
-	TraceDepth int
 	// NoCoalesce disables monotone update coalescing (the Pregel-style
 	// combiner the engine applies to programs that support it). Converged
 	// results are identical either way; the knob exists for ablation and
@@ -171,8 +159,8 @@ type Config struct {
 	// are stale by at most one epoch but always a consistent committed
 	// prefix; every read reports the epoch it was current at.
 	Serve bool
-	// ServeEvery is the read plane's epoch cadence (default 50ms).
-	// Ignored unless Serve is set.
+	// ServeEvery is the read plane's epoch cadence (0 selects 50ms;
+	// negative is rejected). Ignored unless Serve is set.
 	ServeEvery time.Duration
 	// NoHybrid disables the hybrid CSR-delta storage tier, leaving the
 	// pure dynamic adjacency. The hybrid tier — immutable per-vertex
@@ -180,9 +168,6 @@ type Config struct {
 	// is on by default; results are identical either way (differentially
 	// tested). Ablation knob.
 	NoHybrid bool
-	// CompactCap is the delta size that queues a vertex for background
-	// compaction (default 16). Ignored under NoHybrid.
-	CompactCap int
 	// AutoTune enables the per-rank feedback controller that watches the
 	// mailbox-residency and flush-interval histograms and adjusts the
 	// effective batch size and compaction threshold online. Off by
@@ -257,7 +242,7 @@ const (
 
 // Graph is a dynamic graph with live algorithm state: the user-facing
 // handle over the event-centric engine, designed as a long-lived service.
-// Construct with New (or NewGraph with functional options), register
+// Construct with New (or NewCluster / LoadCheckpoint), register
 // triggers, Start ingestion, interact (Query / Snapshot / InitVertex),
 // and either Wait for the streams to end or drive the lifecycle
 // explicitly: Pause/Resume for consistent mid-run reads and checkpoints,
@@ -269,22 +254,29 @@ type Graph struct {
 	clusterAddr string
 }
 
+// validate rejects the Config values no default can stand in for.
+func validate(cfg Config) error {
+	if cfg.Ranks < 0 {
+		return fmt.Errorf("invalid Config: Ranks = %d, want >= 0", cfg.Ranks)
+	}
+	if cfg.ServeEvery < 0 {
+		return fmt.Errorf("invalid Config: ServeEvery = %v, want >= 0", cfg.ServeEvery)
+	}
+	return nil
+}
+
 // coreOptions maps a Config onto the engine's option struct (Ranks and
 // Transport are filled by the caller).
 func coreOptions(cfg Config) core.Options {
 	return core.Options{
 		Undirected:   !cfg.Directed,
-		BatchSize:    cfg.BatchSize,
-		SmallCap:     cfg.SmallCap,
 		WeightPolicy: cfg.WeightPolicy,
-		TraceDepth:   cfg.TraceDepth,
 		NoCoalesce:   cfg.NoCoalesce,
 		SampleEvery:  cfg.SampleEvery,
 		LineageKeep:  cfg.LineageKeep,
 		Serve:        cfg.Serve,
 		ServeEvery:   cfg.ServeEvery,
 		NoHybrid:     cfg.NoHybrid,
-		CompactCap:   cfg.CompactCap,
 		AutoTune:     cfg.AutoTune,
 	}
 }
@@ -302,12 +294,16 @@ func New(cfg Config, programs ...Program) *Graph {
 	return g
 }
 
-// NewCluster is New with the transport error surfaced: for a Config with
-// Cluster set it binds this process's listener and returns any
-// listen/validation failure instead of panicking. With a nil Cluster (or
+// NewCluster is New with the errors surfaced: it rejects an invalid
+// Config (negative Ranks or ServeEvery), and for a Config with Cluster set
+// it binds this process's listener and returns any listen/validation
+// failure instead of panicking. With a valid Config and a nil Cluster (or
 // Procs <= 1) it builds the ordinary in-process graph and never fails.
 func NewCluster(cfg Config, programs ...Program) (*Graph, error) {
-	if cfg.Ranks <= 0 {
+	if err := validate(cfg); err != nil {
+		return nil, err
+	}
+	if cfg.Ranks == 0 {
 		cfg.Ranks = 1
 	}
 	opts := coreOptions(cfg)
@@ -499,12 +495,6 @@ func (g *Graph) ReadNeighborhood(algo int, root VertexID, depth, limit int) ([]N
 // end-of-run summary; this is the live view.)
 func (g *Graph) Stats() EngineStats { return g.eng.EngineStats() }
 
-// Trace returns the retained entries of the per-rank postmortem event
-// rings (enable with Config.TraceDepth or WithTraceDepth; nil when
-// disabled). Like Collect it requires the graph to be paused, stopped, or
-// not yet started.
-func (g *Graph) Trace() []TraceEntry { return g.eng.Trace() }
-
 // Lineage returns the completed causal trees of the most recently sampled
 // edge-event cascades, oldest first: every event each sampled ingest
 // generated — including UPDATEs coalesced away before delivery — with
@@ -563,11 +553,15 @@ func (g *Graph) CheckpointMeta() CheckpointMeta { return g.eng.CheckpointMeta() 
 // LoadCheckpoint builds a fresh, not-yet-started Graph from a checkpoint
 // written by WriteCheckpoint. programs must match the writer's program set
 // in count and order; the checkpoint's rank count, directedness and weight
-// policy override cfg's, and every other engine knob is taken from cfg.
+// policy override cfg's, and every other engine knob is taken from cfg,
+// which is validated as by NewCluster.
 // For a checkpoint taken from a paused live run, re-attach the interrupted
 // streams from the offset CheckpointMeta reports and Start: the run
 // continues exactly where it paused.
 func LoadCheckpoint(r io.Reader, cfg Config, programs ...Program) (*Graph, error) {
+	if err := validate(cfg); err != nil {
+		return nil, err
+	}
 	eng, err := core.ReadCheckpoint(r, coreOptions(cfg), programs...)
 	if err != nil {
 		return nil, err

@@ -249,6 +249,54 @@ func TestFacadeLoadCheckpointKeepsConfig(t *testing.T) {
 	})
 }
 
+// TestConfigValidate: NewCluster and LoadCheckpoint reject the Config values
+// no default can stand in for, and New panics on them. A negative
+// ServeEvery used to reach time.NewTicker and kill the process at Start; a
+// negative Ranks used to be silently turned into 1.
+func TestConfigValidate(t *testing.T) {
+	var ckpt bytes.Buffer
+	if err := incregraph.New(incregraph.Config{}, incregraph.BFS()).WriteCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		cfg  incregraph.Config
+		ok   bool
+	}{
+		{"zero", incregraph.Config{}, true},
+		{"serve default cadence", incregraph.Config{Serve: true}, true},
+		{"negative ranks", incregraph.Config{Ranks: -1}, false},
+		{"negative serve cadence", incregraph.Config{Serve: true, ServeEvery: -1}, false},
+		{"negative cadence, serve off", incregraph.Config{ServeEvery: -time.Second}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := incregraph.NewCluster(tc.cfg, incregraph.BFS())
+			if g != nil {
+				// Whatever NewCluster accepts must run: without validation a
+				// negative ServeEvery panics in the epoch ticker at Start.
+				if _, err := g.Run(incregraph.StreamEdges(gen.Path(8))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if (err == nil) != tc.ok {
+				t.Fatalf("NewCluster: err = %v, want ok=%v", err, tc.ok)
+			}
+			if _, err := incregraph.LoadCheckpoint(bytes.NewReader(ckpt.Bytes()), tc.cfg, incregraph.BFS()); (err == nil) != tc.ok {
+				t.Fatalf("LoadCheckpoint: err = %v, want ok=%v", err, tc.ok)
+			}
+			if !tc.ok {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("New accepted an invalid Config")
+					}
+				}()
+				incregraph.New(tc.cfg, incregraph.BFS())
+			}
+		})
+	}
+}
+
 func TestFacadeSignalAndDrain(t *testing.T) {
 	g := incregraph.New(incregraph.Config{Ranks: 2}, incregraph.DegreeTracker())
 	live := incregraph.NewLiveStream()
@@ -305,16 +353,11 @@ func TestFacadeDirectedMode(t *testing.T) {
 	_ = incregraph.DirectedWidestPath()
 }
 
-// TestFacadeLifecycle drives the public lifecycle surface: the functional
-// options constructor, Pause making Collect/Topology/WriteCheckpoint legal
+// TestFacadeLifecycle drives the public lifecycle surface: Pause making Collect/Topology/WriteCheckpoint legal
 // mid-run, deferred events on Resume, and Stop as the graceful end of a
 // live run whose stream never closes.
 func TestFacadeLifecycle(t *testing.T) {
-	g := incregraph.NewGraph(
-		[]incregraph.Program{incregraph.BFS(), incregraph.CC()},
-		incregraph.WithRanks(3),
-		incregraph.WithBatchSize(64),
-	)
+	g := incregraph.New(incregraph.Config{Ranks: 3}, incregraph.BFS(), incregraph.CC())
 	g.InitVertex(0, 0)
 	if g.State() != incregraph.StateIdle {
 		t.Fatalf("fresh state = %v", g.State())
@@ -389,7 +432,7 @@ func TestFacadeLifecycle(t *testing.T) {
 // live stream: the condition-signalled wait must return without polling
 // delays (the old implementation spun on runtime.Gosched).
 func TestFacadeDrainPrompt(t *testing.T) {
-	g := incregraph.NewGraph([]incregraph.Program{incregraph.CC()}, incregraph.WithRanks(2))
+	g := incregraph.New(incregraph.Config{Ranks: 2}, incregraph.CC())
 	live := incregraph.NewLiveStream()
 	if err := g.Start(live); err != nil {
 		t.Fatal(err)

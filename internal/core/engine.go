@@ -42,10 +42,6 @@ type Options struct {
 	// algorithmic events over ingestion (the latency/ingest-rate tradeoff
 	// of §V-C). Kept as an ablation knob.
 	IngestFirst bool
-	// TraceDepth, when positive, keeps a bounded per-rank ring of the last
-	// TraceDepth processed events for postmortem debugging (see Trace).
-	// Zero (the default) disables tracing entirely.
-	TraceDepth int
 	// NoCoalesce disables monotone update coalescing (see coalesce.go)
 	// even for programs that implement Combiner. Converged results are
 	// identical either way (that equivalence is property-tested); the knob

@@ -86,7 +86,7 @@ func (t *loopbackTransport) Send(from, dest int, batch []Event) {
 	// Cross-"process" path: a genuine codec round trip, so whatever the
 	// wire drops, the test plane drops too.
 	payload := appendEventsPayload(nil, t.seq.Add(1), uint32(from), uint32(dest), batch)
-	f, err := parseEventsPayload(payload, wireVersion)
+	f, err := parseEventsPayload(payload)
 	if err != nil {
 		panic(fmt.Sprintf("core: loopback codec round trip failed: %v", err))
 	}

@@ -75,10 +75,8 @@ type rank struct {
 	pendingDec [4]int64
 
 	// counters is the rank's always-on instrumentation block (written only
-	// by this rank, read by EngineStats from anywhere); trace is the
-	// optional postmortem event ring (nil unless Options.TraceDepth > 0).
+	// by this rank, read by EngineStats from anywhere).
 	counters *rankCounters
-	trace    *traceRing
 
 	// lat is the rank's latency-histogram block (hist.go). sampleLeft
 	// counts ingests until the next traced cascade; curTrace is the Trace
@@ -124,7 +122,6 @@ func newRank(e *Engine, id int) *rank {
 		out:      make([][]Event, e.opts.Ranks),
 		coal:     newCoalescer(e.combine, e.opts.Ranks),
 		counters: newRankCounters(e.opts.Ranks),
-		trace:    newTraceRing(e.opts.TraceDepth),
 		lat:      &rankLats{},
 		// Both countdowns start at 1 so short runs still produce samples:
 		// the rank's first ingest opens a trace and its first batch is
@@ -797,9 +794,6 @@ func (r *rank) witnessDelete(wp WitnessProgram, algo uint8, slot graph.Slot, ev 
 // uncontended atomic add on a rank-owned cache line.
 func (r *rank) process(ev *Event) {
 	r.counters.events[ev.Kind].Add(1)
-	if r.trace != nil {
-		r.trace.record(r.id, ev)
-	}
 	// A traced event makes its lineage current for the duration of its
 	// callbacks, so every emit it performs is recorded as its child.
 	// process never nests (drains are sequential), so a plain field works.

@@ -248,81 +248,3 @@ func TestEngineStatsServiceCounters(t *testing.T) {
 		t.Fatalf("SnapshotParts = %d, want %d (one per rank)", es.SnapshotParts, ranks)
 	}
 }
-
-// TestTraceRing checks the opt-in postmortem ring: bounded retention per
-// rank, monotone per-rank order, and the nil default.
-func TestTraceRing(t *testing.T) {
-	const depth, ranks = 8, 2
-	e := core.New(core.Options{Ranks: ranks, Undirected: true, TraceDepth: depth}, algo.BFS{})
-	e.InitVertex(0, 0)
-	edges := chainEdges(200)
-	if _, err := e.Run(stream.Split(edges, ranks)); err != nil {
-		t.Fatal(err)
-	}
-	entries := e.Trace()
-	if len(entries) == 0 || len(entries) > depth*ranks {
-		t.Fatalf("Trace returned %d entries, want 1..%d", len(entries), depth*ranks)
-	}
-	lastOrder := map[int]uint64{}
-	perRank := map[int]int{}
-	for _, en := range entries {
-		if en.Rank < 0 || en.Rank >= ranks {
-			t.Fatalf("entry names rank %d", en.Rank)
-		}
-		if prev, seen := lastOrder[en.Rank]; seen && en.Order <= prev {
-			t.Fatalf("rank %d order not monotone: %d after %d", en.Rank, en.Order, prev)
-		}
-		lastOrder[en.Rank] = en.Order
-		perRank[en.Rank]++
-		if en.Kind.String() == "UNKNOWN" {
-			t.Fatalf("entry has unknown kind %d", en.Kind)
-		}
-	}
-	for r, n := range perRank {
-		if n > depth {
-			t.Fatalf("rank %d retained %d entries, ring depth is %d", r, n, depth)
-		}
-	}
-	// Each rank processed far more than depth events: every retained Order
-	// must come from the tail of its rank's history.
-	for r, last := range lastOrder {
-		if last < uint64(depth) {
-			t.Fatalf("rank %d's newest retained order %d is not from the tail", r, last)
-		}
-	}
-
-	// Tracing off (the default): no ring, no entries.
-	e2 := runDynamic(t, edges, ranks, true, nil)
-	if got := e2.Trace(); got != nil {
-		t.Fatalf("Trace with tracing disabled = %v, want nil", got)
-	}
-	if e2.TraceDepth() != 0 {
-		t.Fatalf("TraceDepth = %d, want 0", e2.TraceDepth())
-	}
-}
-
-// TestTraceRequiresInspectable: reading the lock-free rings mid-run must be
-// rejected, exactly like Collect.
-func TestTraceRequiresInspectable(t *testing.T) {
-	e := core.New(core.Options{Ranks: 1, Undirected: true, TraceDepth: 4})
-	live := stream.NewChan()
-	if err := e.Start([]stream.Stream{live}); err != nil {
-		t.Fatal(err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Trace during a run did not panic")
-			}
-		}()
-		e.Trace()
-	}()
-	if err := e.Pause(); err != nil {
-		t.Fatal(err)
-	}
-	_ = e.Trace() // legal while paused
-	live.Close()
-	if err := e.Stop(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}

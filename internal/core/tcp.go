@@ -68,10 +68,15 @@ type TCPTransport struct {
 	bootErr   error
 	preExt    []Event
 
-	// decided flips once the termination protocol concluded (TERMINATE
-	// sent or received); closing marks teardown.
-	decided atomic.Bool
-	closing atomic.Bool
+	// terminating flips just before this node queues TERMINATE (as the
+	// coordinator, or echoing one it received): from then on a peer's EOF
+	// is the expected end of the run, not a failure. decided flips only
+	// after those frames (and the parting stats) are queued, so no rank can
+	// finish — and stop close the queues — underneath them. closing marks
+	// teardown.
+	terminating atomic.Bool
+	decided     atomic.Bool
+	closing     atomic.Bool
 	// kick nudges the coordinator's detector when a local rank finds the
 	// node quiescent; reports carries probe answers to it.
 	kick     chan struct{}
@@ -551,7 +556,7 @@ func (t *TCPTransport) joinCoordinator() error {
 	// The roster is the first and only frame the coordinator sends before
 	// this node is attached, so a synchronous read here is safe.
 	conn.SetReadDeadline(time.Now().Add(t.cfg.BootTimeout))
-	_, ft, payload, _, err := readFrame(conn, nil)
+	ft, payload, _, err := readFrame(conn, nil)
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("core: tcp transport: waiting for roster: %w", err)
@@ -640,7 +645,7 @@ func (t *TCPTransport) acceptLoop() {
 func (t *TCPTransport) handshake(conn net.Conn) {
 	defer t.wg.Done()
 	conn.SetReadDeadline(time.Now().Add(t.cfg.BootTimeout))
-	_, ft, payload, _, err := readFrame(conn, nil)
+	ft, payload, _, err := readFrame(conn, nil)
 	if err != nil || ft != frameHello {
 		conn.Close()
 		return
@@ -776,7 +781,7 @@ func (t *TCPTransport) readLoop(p *tcpPeer, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 1<<16)
 	var buf []byte
 	for {
-		ver, ft, payload, nbuf, err := readFrame(br, buf)
+		ft, payload, nbuf, err := readFrame(br, buf)
 		buf = nbuf
 		if err != nil {
 			t.peerDropped(p, fmt.Errorf("read: %w", err))
@@ -785,7 +790,7 @@ func (t *TCPTransport) readLoop(p *tcpPeer, conn net.Conn) {
 		p.recvFrames.Add(1)
 		p.recvBytes.Add(uint64(frameHeaderSize + len(payload)))
 		t.e.flight.note("frame-recv", p.node, ft.String(), uint64(len(payload)), 0)
-		if err := t.handleFrame(p, ver, ft, payload); err != nil {
+		if err := t.handleFrame(p, ft, payload); err != nil {
 			t.peerDropped(p, err)
 			return
 		}
@@ -795,10 +800,10 @@ func (t *TCPTransport) readLoop(p *tcpPeer, conn net.Conn) {
 // handleFrame dispatches one inbound frame on the peer's reader
 // goroutine. Every count, rank index, and program index read from the
 // wire is validated before it touches engine state.
-func (t *TCPTransport) handleFrame(p *tcpPeer, ver uint8, ft frameType, payload []byte) error {
+func (t *TCPTransport) handleFrame(p *tcpPeer, ft frameType, payload []byte) error {
 	switch ft {
 	case frameEvents:
-		f, err := parseEventsPayload(payload, ver)
+		f, err := parseEventsPayload(payload)
 		if err != nil {
 			return err
 		}
@@ -826,7 +831,7 @@ func (t *TCPTransport) handleFrame(p *tcpPeer, ver uint8, ft frameType, payload 
 		p.recvEvents.Add(uint64(len(f.Events)))
 		p.q.push(frameAck, appendU64Payload(nil, p.recvEvents.Load()), false)
 	case frameExt:
-		f, err := parseEventsPayload(payload, ver)
+		f, err := parseEventsPayload(payload)
 		if err != nil {
 			return err
 		}
@@ -868,7 +873,7 @@ func (t *TCPTransport) handleFrame(p *tcpPeer, ver uint8, ft frameType, payload 
 		}
 		t.e.flight.note("terminate", p.node, "received", seq, 0)
 		t.pushFinalStats()
-		if !t.decided.Swap(true) {
+		if !t.terminating.Swap(true) {
 			// Echo the decision on every other connection before teardown
 			// begins. In a >=3-node mesh the coordinator's TERMINATE to a
 			// peer races this node's exit: the peer would otherwise see our
@@ -882,6 +887,7 @@ func (t *TCPTransport) handleFrame(p *tcpPeer, ver uint8, ft frameType, payload 
 				}
 			}
 		}
+		t.decided.Store(true)
 		t.e.finishFromTransport()
 	case frameAck:
 		cum, err := parseU64Payload(payload)
@@ -1030,7 +1036,9 @@ func (t *TCPTransport) detect() {
 		if !ok || !reportsConsistent(r2) || !reportsEqual(r1, r2) {
 			continue
 		}
-		t.decided.Store(true)
+		// Queue first, publish second: once decided is visible a local rank
+		// may finish the engine, and teardown closes the peer queues.
+		t.terminating.Store(true)
 		t.e.flight.note("terminate", -1, "decided", t.probeSeq, 0)
 		t.pushFinalStats()
 		for _, p := range t.peers {
@@ -1038,6 +1046,7 @@ func (t *TCPTransport) detect() {
 				p.q.push(frameTerminate, appendU64Payload(nil, t.probeSeq), false)
 			}
 		}
+		t.decided.Store(true)
 		t.e.finishFromTransport()
 		return
 	}
@@ -1120,11 +1129,11 @@ func reportsEqual(a, b []reportFrame) bool {
 }
 
 // peerDropped handles a connection failure: during bootstrap it fails the
-// bootstrap; after a decided termination or during teardown it is the
-// expected silence; otherwise it surfaces as Engine.Err and force-finishes
-// the engine.
+// bootstrap; once TERMINATE is queued or received, or during teardown, it
+// is the expected silence; otherwise it surfaces as Engine.Err and
+// force-finishes the engine.
 func (t *TCPTransport) peerDropped(p *tcpPeer, err error) {
-	if t.closing.Load() || t.decided.Load() {
+	if t.closing.Load() || t.terminating.Load() {
 		return
 	}
 	t.mu.Lock()

@@ -33,13 +33,11 @@ import (
 // and LINEAGE frames carry delta reports of those fragments back to the
 // origin, which stitches the cross-process tree Graph.Lineage() serves.
 //
-// Version compatibility rule (see DESIGN.md "Wire versioning"): encoders
-// always write the current wireVersion; decoders accept every version in
-// [wireVersionMin, wireVersion] and parse version-dependent layouts (today:
-// the event encoding) by the version the frame header carries. A v2 event
-// simply has no Trace field and decodes with Trace == 0 — exactly the
-// pre-v3 "untraced" meaning — so a mixed-version mesh degrades to
-// process-local lineage instead of failing.
+// Version rule (see DESIGN.md "Wire versioning"): encoders always write the
+// current wireVersion and decoders accept [wireVersionMin, wireVersion].
+// Every process of a cluster runs one binary, so today the range is the
+// single current version and no payload layout depends on the header's
+// version byte.
 
 const (
 	wireMagic0 = 'I'
@@ -47,12 +45,11 @@ const (
 	// wireVersion 2 widened the event encoding with the witness-generation
 	// tag (Gen u32) and admitted KindInvalidate; version 3 appended the
 	// Trace tag (u64) to the event encoding and added the LINEAGE /
-	// STATS_REQ / STATS_RESP frames. Decoders accept [wireVersionMin,
-	// wireVersion]; v1 peers are rejected at the frame header, which is
-	// the right failure mode for a homogeneous cluster launched from one
-	// binary.
+	// STATS_REQ / STATS_RESP frames. Older peers are rejected at the frame
+	// header, which is the right failure mode for a homogeneous cluster
+	// launched from one binary.
 	wireVersion    = 3
-	wireVersionMin = 2
+	wireVersionMin = 3
 
 	// frameHeaderSize is magic(2) + version(1) + type(1) + length(4).
 	frameHeaderSize = 8
@@ -61,11 +58,9 @@ const (
 	// orders of magnitude under this.
 	maxFramePayload = 4 << 20
 
-	// eventWireSize is the fixed v3 encoding of one Event: To(8) From(8)
-	// Val(8) W(4) Seq(4) Kind(1) Algo(1) Gen(4) Trace(8). A v2 event is
-	// the same layout without the trailing Trace.
-	eventWireSize   = 46
-	eventWireSizeV2 = 38
+	// eventWireSize is the fixed encoding of one Event: To(8) From(8)
+	// Val(8) W(4) Seq(4) Kind(1) Algo(1) Gen(4) Trace(8).
+	eventWireSize = 46
 
 	// maxWireNodes bounds the node count a HELLO/ROSTER/REPORT may claim;
 	// maxWireAddr bounds one advertised listen address.
@@ -149,70 +144,66 @@ func appendFrame(dst []byte, ft frameType, payload []byte) []byte {
 }
 
 // parseFrame splits one frame off the front of b, validating the header.
-// rest is the bytes after the frame (a stream may concatenate frames). ver
-// is the frame's wire version, needed to decode version-dependent payloads
-// (EVENTS/EXT).
-func parseFrame(b []byte) (ver uint8, ft frameType, payload, rest []byte, err error) {
+// rest is the bytes after the frame (a stream may concatenate frames).
+func parseFrame(b []byte) (ft frameType, payload, rest []byte, err error) {
 	if len(b) < frameHeaderSize {
-		return 0, 0, nil, nil, fmt.Errorf("wire: short frame header (%d bytes)", len(b))
+		return 0, nil, nil, fmt.Errorf("wire: short frame header (%d bytes)", len(b))
 	}
 	if b[0] != wireMagic0 || b[1] != wireMagic1 {
-		return 0, 0, nil, nil, fmt.Errorf("wire: bad magic %q", b[:2])
+		return 0, nil, nil, fmt.Errorf("wire: bad magic %q", b[:2])
 	}
-	ver = b[2]
-	if ver < wireVersionMin || ver > wireVersion {
-		return 0, 0, nil, nil, fmt.Errorf("wire: unsupported version %d (accept %d..%d)",
+	if ver := b[2]; ver < wireVersionMin || ver > wireVersion {
+		return 0, nil, nil, fmt.Errorf("wire: unsupported version %d (accept %d..%d)",
 			ver, wireVersionMin, wireVersion)
 	}
 	ft = frameType(b[3])
 	if !ft.valid() {
-		return 0, 0, nil, nil, fmt.Errorf("wire: unknown frame type %d", b[3])
+		return 0, nil, nil, fmt.Errorf("wire: unknown frame type %d", b[3])
 	}
 	n := binary.LittleEndian.Uint32(b[4:8])
 	if n > maxFramePayload {
-		return 0, 0, nil, nil, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, maxFramePayload)
+		return 0, nil, nil, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, maxFramePayload)
 	}
 	if uint32(len(b)-frameHeaderSize) < n {
-		return 0, 0, nil, nil, fmt.Errorf("wire: truncated frame: want %d payload bytes, have %d",
+		return 0, nil, nil, fmt.Errorf("wire: truncated frame: want %d payload bytes, have %d",
 			n, len(b)-frameHeaderSize)
 	}
-	return ver, ft, b[frameHeaderSize : frameHeaderSize+int(n)], b[frameHeaderSize+int(n):], nil
+	return ft, b[frameHeaderSize : frameHeaderSize+int(n)], b[frameHeaderSize+int(n):], nil
 }
 
 // readFrame reads one frame from a stream. buf is reused when large enough;
 // the returned payload aliases it.
-func readFrame(r io.Reader, buf []byte) (uint8, frameType, []byte, []byte, error) {
+func readFrame(r io.Reader, buf []byte) (frameType, []byte, []byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, buf, err
+		return 0, nil, buf, err
 	}
 	if hdr[0] != wireMagic0 || hdr[1] != wireMagic1 {
-		return 0, 0, nil, buf, fmt.Errorf("wire: bad magic %q", hdr[:2])
+		return 0, nil, buf, fmt.Errorf("wire: bad magic %q", hdr[:2])
 	}
-	ver := hdr[2]
-	if ver < wireVersionMin || ver > wireVersion {
-		return 0, 0, nil, buf, fmt.Errorf("wire: unsupported version %d (accept %d..%d)",
+	if ver := hdr[2]; ver < wireVersionMin || ver > wireVersion {
+		return 0, nil, buf, fmt.Errorf("wire: unsupported version %d (accept %d..%d)",
 			ver, wireVersionMin, wireVersion)
 	}
 	ft := frameType(hdr[3])
 	if !ft.valid() {
-		return 0, 0, nil, buf, fmt.Errorf("wire: unknown frame type %d", hdr[3])
+		return 0, nil, buf, fmt.Errorf("wire: unknown frame type %d", hdr[3])
 	}
 	n := binary.LittleEndian.Uint32(hdr[4:8])
 	if n > maxFramePayload {
-		return 0, 0, nil, buf, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, maxFramePayload)
+		return 0, nil, buf, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, maxFramePayload)
 	}
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, 0, nil, buf, fmt.Errorf("wire: truncated %s payload: %w", ft, err)
+		return 0, nil, buf, fmt.Errorf("wire: truncated %s payload: %w", ft, err)
 	}
-	return ver, ft, buf, buf, nil
+	return ft, buf, buf, nil
 }
 
-// appendEvent appends ev's 46-byte v3 wire form (Trace included).
+// appendEvent appends ev's 46-byte wire form (Trace included).
 func appendEvent(dst []byte, ev *Event) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(ev.To))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(ev.From))
@@ -224,9 +215,8 @@ func appendEvent(dst []byte, ev *Event) []byte {
 	return binary.LittleEndian.AppendUint64(dst, ev.Trace)
 }
 
-// parseEvent decodes one event from exactly eventSize(ver) bytes. A v2
-// event has no Trace field and decodes untraced (Trace == 0).
-func parseEvent(b []byte, ver uint8) (Event, error) {
+// parseEvent decodes one event from exactly eventWireSize bytes.
+func parseEvent(b []byte) (Event, error) {
 	var ev Event
 	ev.To = graph.VertexID(binary.LittleEndian.Uint64(b[0:8]))
 	ev.From = graph.VertexID(binary.LittleEndian.Uint64(b[8:16]))
@@ -236,23 +226,13 @@ func parseEvent(b []byte, ver uint8) (Event, error) {
 	ev.Kind = Kind(b[32])
 	ev.Algo = b[33]
 	ev.Gen = binary.LittleEndian.Uint32(b[34:38])
-	if ver >= 3 {
-		ev.Trace = binary.LittleEndian.Uint64(b[38:46])
-	}
+	ev.Trace = binary.LittleEndian.Uint64(b[38:46])
 	// REVERSE_ADD_PREV never crosses the wire (snapshots are in-process
 	// only); INVALIDATE does.
 	if ev.Kind > KindInvalidate || ev.Kind == KindReverseAddPrev {
 		return Event{}, fmt.Errorf("wire: invalid event kind %d", b[32])
 	}
 	return ev, nil
-}
-
-// eventSize is the per-version fixed event encoding width.
-func eventSize(ver uint8) int {
-	if ver >= 3 {
-		return eventWireSize
-	}
-	return eventWireSizeV2
 }
 
 // extWireRank marks an EVENTS-layout frame whose events are engine-external
@@ -283,26 +263,25 @@ func appendEventsPayload(dst []byte, seq uint64, from, dest uint32, events []Eve
 	return dst
 }
 
-func parseEventsPayload(b []byte, ver uint8) (eventsFrame, error) {
+func parseEventsPayload(b []byte) (eventsFrame, error) {
 	var f eventsFrame
 	if len(b) < 20 {
 		return f, fmt.Errorf("wire: events payload too short (%d bytes)", len(b))
 	}
-	evSize := eventSize(ver)
 	f.Seq = binary.LittleEndian.Uint64(b[0:8])
 	f.From = binary.LittleEndian.Uint32(b[8:12])
 	f.Dest = binary.LittleEndian.Uint32(b[12:16])
 	n := binary.LittleEndian.Uint32(b[16:20])
-	if n > uint32(maxFramePayload/evSize) {
+	if n > uint32(maxFramePayload/eventWireSize) {
 		return f, fmt.Errorf("wire: events count %d exceeds limit", n)
 	}
-	if len(b)-20 != int(n)*evSize {
+	if len(b)-20 != int(n)*eventWireSize {
 		return f, fmt.Errorf("wire: events payload: %d bytes for %d events", len(b)-20, n)
 	}
 	if n > 0 {
 		f.Events = make([]Event, n)
 		for i := range f.Events {
-			ev, err := parseEvent(b[20+i*evSize:], ver)
+			ev, err := parseEvent(b[20+i*eventWireSize:])
 			if err != nil {
 				return f, err
 			}

@@ -7,7 +7,8 @@ import (
 
 // wireFuzzSeeds are the checked-in interesting inputs (mirrored under
 // testdata/fuzz/FuzzFrameDecode/): one well-formed frame of each type plus
-// classic decoder traps — bad magic, huge claimed lengths, truncation.
+// classic decoder traps — an older version, bad magic, huge claimed
+// lengths, truncation.
 func wireFuzzSeeds() [][]byte {
 	ev := Event{To: 1, From: 2, Val: 3, W: 4, Seq: 0, Kind: KindUpdate, Algo: 0}
 	return [][]byte{
@@ -29,7 +30,7 @@ func wireFuzzSeeds() [][]byte {
 		appendFrame(nil, frameStatsReq, appendU64Payload(nil, 7)),
 		appendFrame(nil, frameStatsResp, appendStatsRespPayload(nil,
 			statsRespFrame{Req: 7, Node: 1, JSON: []byte(`{"state":"running"}`)})),
-		appendFrameV2Events(1, 2, 0, []Event{ev}),
+		append([]byte{wireMagic0, wireMagic1, wireVersionMin - 1, byte(frameProbe), 8, 0, 0, 0}, appendU64Payload(nil, 1)...),
 		[]byte("XXXXXXXXXXXX"),
 		{wireMagic0, wireMagic1, wireVersion, byte(frameEvents), 0xff, 0xff, 0xff, 0xff},
 		appendFrame(nil, frameEvents, appendEventsPayload(nil, 1, 2, 0, []Event{ev}))[:20],
@@ -47,18 +48,13 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ver, ft, payload, rest, err := parseFrame(data)
+		ft, payload, rest, err := parseFrame(data)
 		if err != nil {
 			return
 		}
 		consumed := data[:len(data)-len(rest)]
-		// appendFrame always writes the current version, so the frame-layer
-		// canonicality property only holds for current-version inputs;
-		// accepted older versions differ in the header's version byte.
-		if ver == wireVersion {
-			if re := appendFrame(nil, ft, payload); !bytes.Equal(re, consumed) {
-				t.Fatalf("frame re-encode differs from consumed bytes")
-			}
+		if re := appendFrame(nil, ft, payload); !bytes.Equal(re, consumed) {
+			t.Fatalf("frame re-encode differs from consumed bytes")
 		}
 		switch ft {
 		case frameHello:
@@ -74,17 +70,13 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 			}
 		case frameEvents, frameExt:
-			if ef, err := parseEventsPayload(payload, ver); err == nil {
-				if ver == wireVersion &&
-					!bytes.Equal(appendEventsPayload(nil, ef.Seq, ef.From, ef.Dest, ef.Events), payload) {
+			if ef, err := parseEventsPayload(payload); err == nil {
+				if !bytes.Equal(appendEventsPayload(nil, ef.Seq, ef.From, ef.Dest, ef.Events), payload) {
 					t.Fatalf("events re-encode not byte-identical")
 				}
 				for i := range ef.Events {
 					if ef.Events[i].Kind > KindSignal {
 						t.Fatalf("parse accepted event kind %d", ef.Events[i].Kind)
-					}
-					if ver < 3 && ef.Events[i].Trace != 0 {
-						t.Fatalf("a Trace tag crossed a v2 wire")
 					}
 				}
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
 	"math/rand"
 	"strings"
@@ -31,8 +30,7 @@ func randWireEvent(rng *rand.Rand, kind Kind) Event {
 
 // TestWireEventRoundTripProperty: every event kind, random field values,
 // byte-identical re-encode; since wire v3 the Trace tag travels with the
-// event (cross-process lineage), and the same bytes decoded as v2 yield the
-// identical event untraced — the version-compatibility contract.
+// event (cross-process lineage).
 func TestWireEventRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for kind := KindAdd; kind <= KindSignal; kind++ {
@@ -43,7 +41,7 @@ func TestWireEventRoundTripProperty(t *testing.T) {
 			if len(enc) != eventWireSize {
 				t.Fatalf("kind %v: encoded %d bytes, want %d", kind, len(enc), eventWireSize)
 			}
-			dec, err := parseEvent(enc, wireVersion)
+			dec, err := parseEvent(enc)
 			if err != nil {
 				t.Fatalf("kind %v: parse: %v", kind, err)
 			}
@@ -54,20 +52,9 @@ func TestWireEventRoundTripProperty(t *testing.T) {
 			if !bytes.Equal(re, enc) {
 				t.Fatalf("kind %v: re-encode not byte-identical", kind)
 			}
-			// The v2 layout is the v3 prefix without the Trace word: decoding
-			// it as v2 must reproduce the event untraced.
-			dec2, err := parseEvent(enc[:eventWireSizeV2], 2)
-			if err != nil {
-				t.Fatalf("kind %v: v2 parse: %v", kind, err)
-			}
-			want2 := ev
-			want2.Trace = 0
-			if dec2 != want2 {
-				t.Fatalf("kind %v: v2 decode changed the event:\n got %+v\nwant %+v", kind, dec2, want2)
-			}
 		}
 	}
-	if _, err := parseEvent(appendEvent(nil, &Event{Kind: KindSignal + 1}), wireVersion); err == nil {
+	if _, err := parseEvent(appendEvent(nil, &Event{Kind: KindSignal + 1})); err == nil {
 		t.Fatalf("parseEvent accepted an out-of-range kind")
 	}
 }
@@ -119,7 +106,7 @@ func randPayload(t *testing.T, rng *rand.Rand, ft frameType) (payload []byte, re
 			events[i].Trace = rng.Uint64()
 		}
 		return appendEventsPayload(nil, seq, from, dest, events), func(b []byte) []byte {
-			g, err := parseEventsPayload(b, wireVersion)
+			g, err := parseEventsPayload(b)
 			if err != nil {
 				t.Fatalf("parseEventsPayload: %v", err)
 			}
@@ -211,12 +198,9 @@ func TestWireFrameRoundTripProperty(t *testing.T) {
 			payload, reencode := randPayload(t, rng, ft)
 			frame := appendFrame(nil, ft, payload)
 			tail := appendFrame(nil, frameProbe, appendU64Payload(nil, 7))
-			ver, gotFT, gotPayload, rest, err := parseFrame(append(append([]byte(nil), frame...), tail...))
+			gotFT, gotPayload, rest, err := parseFrame(append(append([]byte(nil), frame...), tail...))
 			if err != nil {
 				t.Fatalf("%v: parseFrame: %v", ft, err)
-			}
-			if ver != wireVersion {
-				t.Fatalf("%v: parseFrame returned version %d, want %d", ft, ver, wireVersion)
 			}
 			if gotFT != ft {
 				t.Fatalf("parseFrame returned type %v, want %v", gotFT, ft)
@@ -254,7 +238,7 @@ func TestWireReadFrameStream(t *testing.T) {
 	for i, ft := range want {
 		var gotFT frameType
 		var err error
-		_, gotFT, _, buf, err = readFrame(r, buf)
+		gotFT, _, buf, err = readFrame(r, buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -262,7 +246,7 @@ func TestWireReadFrameStream(t *testing.T) {
 			t.Fatalf("frame %d: got %v, want %v", i, gotFT, ft)
 		}
 	}
-	if _, _, _, _, err := readFrame(r, buf); err != io.EOF {
+	if _, _, _, err := readFrame(r, buf); err != io.EOF {
 		t.Fatalf("after the last frame: err=%v, want io.EOF", err)
 	}
 }
@@ -282,7 +266,7 @@ func TestWireRejects(t *testing.T) {
 		"length oversized":  append([]byte{wireMagic0, wireMagic1, wireVersion, byte(frameProbe), 0xff, 0xff, 0xff, 0xff}, make([]byte, 16)...),
 	}
 	for name, b := range cases {
-		if _, _, _, _, err := parseFrame(b); err == nil {
+		if _, _, _, err := parseFrame(b); err == nil {
 			t.Errorf("parseFrame accepted %s", name)
 		}
 	}
@@ -291,7 +275,7 @@ func TestWireRejects(t *testing.T) {
 		t.Errorf("parseU64Payload accepted a 9-byte payload")
 	}
 	evp := appendEventsPayload(nil, 1, 0, 1, []Event{{Kind: KindAdd}})
-	if _, err := parseEventsPayload(append(evp, 0), wireVersion); err == nil {
+	if _, err := parseEventsPayload(append(evp, 0)); err == nil {
 		t.Errorf("parseEventsPayload accepted a trailing byte")
 	}
 	hp := appendHelloPayload(nil, helloFrame{Nodes: 2, RanksPerNode: 1, Addr: "x"})
@@ -316,26 +300,11 @@ func TestWireRejects(t *testing.T) {
 	}
 }
 
-// appendFrameV2 builds a frame with a v2 header and v2-layout events (the
-// 38-byte encoding without the trailing Trace word) — what a pre-v3 peer
-// would put on the wire.
-func appendFrameV2Events(seq uint64, from, dest uint32, events []Event) []byte {
-	var payload []byte
-	payload = binary.LittleEndian.AppendUint64(payload, seq)
-	payload = binary.LittleEndian.AppendUint32(payload, from)
-	payload = binary.LittleEndian.AppendUint32(payload, dest)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(events)))
-	for i := range events {
-		payload = append(payload, appendEvent(nil, &events[i])[:eventWireSizeV2]...)
-	}
-	frame := []byte{wireMagic0, wireMagic1, 2, byte(frameEvents)}
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	return append(frame, payload...)
-}
-
-// TestWireVersionCompat pins the decode-both-versions rule: a decoder at
-// wireVersion 3 must accept a v2 EVENTS frame (decoding its events
-// untraced) and a v3 frame (Trace intact) from the same stream.
+// TestWireVersionCompat pins the version rule: a decoder accepts only
+// [wireVersionMin, wireVersion], which is the current version alone, and
+// decodes a current EVENTS frame with every Trace tag intact. Older headers
+// (v2 without the Trace word, v1) are rejected at the frame layer, before
+// any payload is read.
 func TestWireVersionCompat(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	events := make([]Event, 5)
@@ -343,49 +312,35 @@ func TestWireVersionCompat(t *testing.T) {
 		events[i] = randWireEvent(rng, Kind(rng.Intn(int(KindSignal)+1)))
 		events[i].Trace = rng.Uint64()
 	}
-
-	v2 := appendFrameV2Events(9, 1, 2, events)
-	v3 := appendFrame(nil, frameEvents, appendEventsPayload(nil, 9, 1, 2, events))
-
-	stream := append(append([]byte(nil), v2...), v3...)
-	r := bytes.NewReader(stream)
-	var buf []byte
-	for frameNo, wantVer := range []uint8{2, wireVersion} {
-		ver, ft, payload, nbuf, err := readFrame(r, buf)
-		buf = nbuf
-		if err != nil {
-			t.Fatalf("frame %d: %v", frameNo, err)
-		}
-		if ver != wantVer || ft != frameEvents {
-			t.Fatalf("frame %d: ver=%d ft=%v, want ver=%d EVENTS", frameNo, ver, ft, wantVer)
-		}
-		f, err := parseEventsPayload(payload, ver)
-		if err != nil {
-			t.Fatalf("frame %d: parseEventsPayload: %v", frameNo, err)
-		}
-		if f.Seq != 9 || f.From != 1 || f.Dest != 2 || len(f.Events) != len(events) {
-			t.Fatalf("frame %d: header fields changed: %+v", frameNo, f)
-		}
-		for i := range events {
-			want := events[i]
-			if wantVer == 2 {
-				want.Trace = 0 // a v2 event is untraced by definition
-			}
-			if f.Events[i] != want {
-				t.Fatalf("frame %d event %d:\n got %+v\nwant %+v", frameNo, i, f.Events[i], want)
-			}
+	r := bytes.NewReader(appendFrame(nil, frameEvents, appendEventsPayload(nil, 9, 1, 2, events)))
+	ft, payload, buf, err := readFrame(r, nil)
+	if err != nil || ft != frameEvents {
+		t.Fatalf("readFrame: ft=%v err=%v, want EVENTS", ft, err)
+	}
+	f, err := parseEventsPayload(payload)
+	if err != nil {
+		t.Fatalf("parseEventsPayload: %v", err)
+	}
+	if f.Seq != 9 || f.From != 1 || f.Dest != 2 || len(f.Events) != len(events) {
+		t.Fatalf("header fields changed: %+v", f)
+	}
+	for i := range events {
+		if f.Events[i] != events[i] {
+			t.Fatalf("event %d:\n got %+v\nwant %+v", i, f.Events[i], events[i])
 		}
 	}
-	if _, _, _, _, err := readFrame(r, buf); err != io.EOF {
-		t.Fatalf("after both frames: err=%v, want io.EOF", err)
+	if _, _, _, err := readFrame(r, buf); err != io.EOF {
+		t.Fatalf("after the frame: err=%v, want io.EOF", err)
 	}
 
-	// A v2-headed frame of one of the v3-only control types is still a
-	// valid frame at the codec layer (the header does not gate types by
-	// version); a v1 header is rejected outright.
-	v1 := append([]byte{wireMagic0, wireMagic1, 1, byte(frameProbe)}, 8, 0, 0, 0)
-	v1 = append(v1, appendU64Payload(nil, 5)...)
-	if _, _, _, _, err := parseFrame(v1); err == nil {
-		t.Fatal("parseFrame accepted a v1 frame")
+	for _, old := range []byte{1, 2} {
+		frame := append([]byte{wireMagic0, wireMagic1, old, byte(frameProbe)}, 8, 0, 0, 0)
+		frame = append(frame, appendU64Payload(nil, 5)...)
+		if _, _, _, err := parseFrame(frame); err == nil {
+			t.Fatalf("parseFrame accepted a v%d frame", old)
+		}
+		if _, _, _, err := readFrame(bytes.NewReader(frame), nil); err == nil {
+			t.Fatalf("readFrame accepted a v%d frame", old)
+		}
 	}
 }

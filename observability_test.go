@@ -72,25 +72,3 @@ func TestFacadeStatsDeterministicIngest(t *testing.T) {
 			run.TopoEvents, run.TotalEvents, s.Events.Topo(), s.Events.Total())
 	}
 }
-
-// TestFacadeTraceRing exercises the postmortem ring through the facade.
-func TestFacadeTraceRing(t *testing.T) {
-	g := incregraph.NewGraph(
-		[]incregraph.Program{incregraph.BFS()},
-		incregraph.WithRanks(2),
-		incregraph.WithTraceDepth(16),
-	)
-	g.InitVertex(0, 0)
-	if _, err := g.Run(incregraph.SplitEdges(gen.Path(64), 2)...); err != nil {
-		t.Fatal(err)
-	}
-	entries := g.Trace()
-	if len(entries) == 0 || len(entries) > 32 {
-		t.Fatalf("Trace returned %d entries, want 1..32", len(entries))
-	}
-	for _, e := range entries {
-		if e.Rank < 0 || e.Rank > 1 {
-			t.Fatalf("entry rank = %d", e.Rank)
-		}
-	}
-}
