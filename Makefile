@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race sim fuzz-smoke proc-smoke query-smoke churn-smoke bench bench-ab metrics-smoke watch-demo examples clean
+.PHONY: check fmt vet build test race escape sim fuzz-smoke proc-smoke query-smoke churn-smoke bench bench-ab metrics-smoke watch-demo examples clean
 
 check: fmt vet build test race
 
@@ -26,13 +26,21 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# Escape check: the rank hands every callback one reused Ctx, so the
+# compiler must never move a ctx/pctx to the heap in internal/core (one
+# allocation per callback on the hot path). The CI test job runs this.
+escape:
+	@out="$$($(GO) build -gcflags=-m ./internal/core 2>&1 | grep -E 'moved to heap: p?ctx$$' || true)"; \
+		if [ -n "$$out" ]; then echo "Ctx escapes to the heap:"; echo "$$out"; exit 1; fi
+
 # Deterministic-simulation sweep: SIM_SEEDS seeds × every algorithm ×
-# coalescing on/off under the seeded scheduler (see internal/sim). Replay
-# any failing line from sim-failures.txt with SIM_REPLAY=....
+# coalescing on/off under the seeded scheduler (see internal/sim), built
+# with the invariants tag so the engine's soundness assertions run too.
+# Replay any failing line from sim-failures.txt with SIM_REPLAY=....
 SIM_SEEDS ?= 200
 sim:
 	SIM_SWEEP_SEEDS=$(SIM_SEEDS) SIM_SWEEP_OUT=$(CURDIR)/sim-failures.txt \
-		$(GO) test ./internal/sim/ -run TestSimSweep -v
+		$(GO) test -tags invariants ./internal/sim/ -run TestSimSweep -v
 
 # Short native-fuzzing burst over every fuzz target (one -fuzz per
 # invocation, as go test requires). FUZZTIME=30s matches the CI job.

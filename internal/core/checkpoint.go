@@ -215,6 +215,9 @@ func ReadCheckpoint(r io.Reader, opts Options, programs ...Program) (*Engine, er
 	e.genCounter.Store(genCounter)
 
 	for ri, rk := range e.ranks {
+		// A restored rank cannot know whether its edges ever lost one, so
+		// it keeps the live-edge guard on from the start.
+		rk.removedEdge = true
 		nVerts, err := readU32()
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d header: %w", ri, err)

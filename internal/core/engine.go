@@ -138,7 +138,8 @@ type Engine struct {
 	combine []combineFunc
 	// witness[algo] is that program's WitnessProgram view (nil when the
 	// program does not implement it, or in directed mode — the deletion
-	// protocol's live-edge guard requires the undirected reverse edge).
+	// protocol's live-edge guard requires the undirected reverse edge). A
+	// rank runs that guard only once it has removed an edge (rank.removedEdge).
 	witness []WitnessProgram
 	// genCounter mints witness generations (see nextGen). Like the
 	// in-flight ring it is a deliberate shared-atomic deviation from

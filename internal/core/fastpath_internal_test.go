@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -151,6 +152,139 @@ func TestEmitExternalNoAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(2000, func() { e.InitVertex(0, 7) })
 	if allocs > 0.1 {
 		t.Fatalf("external injection allocates %.3f times per event", allocs)
+	}
+}
+
+// ssspStub is undirected SSSP as a witness program with a min-Combine, for
+// white-box tests of the witness hot path (internal/algo imports this
+// package, so it cannot supply the real one here).
+type ssspStub struct{}
+
+func ssspNorm(v uint64) uint64 {
+	if v == Unset {
+		return Infinity
+	}
+	return v
+}
+
+func (ssspStub) Init(c *Ctx) { c.SetValue(1); c.UpdateNbrs(1) }
+
+func (ssspStub) OnAdd(c *Ctx, _ graph.VertexID, _ graph.Weight) {
+	if c.Value() == Unset {
+		c.SetValue(Infinity)
+	}
+}
+
+func (s ssspStub) OnReverseAdd(c *Ctx, nbr graph.VertexID, nbrVal uint64, w graph.Weight) {
+	s.OnAdd(c, nbr, w)
+	s.OnUpdate(c, nbr, nbrVal, w)
+}
+
+func (ssspStub) OnUpdate(c *Ctx, from graph.VertexID, fromVal uint64, w graph.Weight) {
+	cur, fv := ssspNorm(c.Value()), ssspNorm(fromVal)
+	switch {
+	case fv != Infinity && cur > fv+uint64(w):
+		c.SetValue(fv + uint64(w))
+		c.UpdateNbrs(fv + uint64(w))
+	case cur != Infinity && (fv == Infinity || fv > cur+uint64(w)):
+		c.UpdateNbr(from, cur)
+	}
+}
+
+func (ssspStub) Combine(old, new uint64) uint64 { return min(ssspNorm(old), ssspNorm(new)) }
+func (ssspStub) WitnessLanes() int              { return 1 }
+func (ssspStub) Reseed(c *Ctx, _ uint64)        { c.SetValue(Infinity) }
+
+func (ssspStub) ChangedLanes(before, after uint64) uint64 {
+	if ssspNorm(before) != ssspNorm(after) {
+		return 1
+	}
+	return 0
+}
+
+// processOne runs ev through the rank's dispatcher and drops whatever it
+// emitted, so a repeated event exercises one handler and nothing else.
+func processOne(r *rank, ev Event) {
+	r.process(&ev)
+	r.self, r.selfHead = r.self[:0], 0
+	r.coal.barrier(r.id)
+}
+
+// TestHotHandlersNoAllocs pins the insert-only hot path: on a warmed
+// undirected SSSP rank, ADD, REVERSE_ADD and UPDATE must not allocate per
+// event (each callback used to heap-allocate its Ctx). The events hit
+// existing vertices and edges, so no buffer grows during the measurement.
+func TestHotHandlersNoAllocs(t *testing.T) {
+	e := New(Options{Ranks: 1, Undirected: true}, ssspStub{})
+	r := e.ranks[0]
+	processOne(r, Event{Kind: KindAdd, Algo: NoAlgo, To: 1, From: 2, W: 3})
+	processOne(r, Event{Kind: KindReverseAdd, Algo: 0, To: 2, From: 1, Val: Infinity, W: 3})
+	processOne(r, Event{Kind: KindInit, Algo: 0, To: 1})
+	for _, ev := range []Event{
+		{Kind: KindAdd, Algo: NoAlgo, To: 1, From: 2, W: 3},
+		{Kind: KindReverseAdd, Algo: 0, To: 2, From: 1, Val: 1, W: 3},
+		{Kind: KindUpdate, Algo: 0, To: 2, From: 1, Val: 1, W: 3},
+		{Kind: KindUpdate, Algo: 0, To: 1, From: 2, Val: Infinity, W: 3},
+	} {
+		processOne(r, ev) // warm the self ring and coalescer
+		if allocs := testing.AllocsPerRun(1000, func() { processOne(r, ev) }); allocs != 0 {
+			t.Errorf("%s %d→%d allocates %.2f times per event", ev.Kind, ev.From, ev.To, allocs)
+		}
+	}
+}
+
+// TestLiveEdgeGuardGate covers when a rank runs the live-edge probe: not
+// before its first edge removal, always after it, and always on a rank
+// restored from a checkpoint.
+func TestLiveEdgeGuardGate(t *testing.T) {
+	e := New(Options{Ranks: 1, Undirected: true}, ssspStub{})
+	r := e.ranks[0]
+	processOne(r, Event{Kind: KindAdd, Algo: NoAlgo, To: 1, From: 2, W: 3})
+	processOne(r, Event{Kind: KindAdd, Algo: NoAlgo, To: 2, From: 1, W: 3})
+	processOne(r, Event{Kind: KindAdd, Algo: NoAlgo, To: 2, From: 4, W: 3})
+	processOne(r, Event{Kind: KindAdd, Algo: NoAlgo, To: 4, From: 2, W: 3})
+	if r.removedEdge {
+		t.Fatal("guard armed before any removal")
+	}
+	processOne(r, Event{Kind: KindDelete, Algo: NoAlgo, To: 9, From: 8})
+	if r.removedEdge {
+		t.Fatal("deleting an absent edge armed the guard")
+	}
+	processOne(r, Event{Kind: KindDelete, Algo: NoAlgo, To: 1, From: 2})
+	processOne(r, Event{Kind: KindReverseDelete, Algo: 0, To: 2, From: 1})
+	if !r.removedEdge {
+		t.Fatal("guard not armed after an edge removal")
+	}
+	// Vertex 2 lost its edge to 1: an UPDATE that raced the deletion must
+	// be dropped, while one over the surviving edge to 4 is applied.
+	slot, _ := r.store.SlotOf(2)
+	processOne(r, Event{Kind: KindUpdate, Algo: 0, To: 2, From: 1, Val: 1, W: 3})
+	if got := r.values[0][slot]; got != Infinity {
+		t.Fatalf("UPDATE over a removed edge applied: value %d", got)
+	}
+	// Re-added with weight 5, the edge is live again, but an UPDATE still
+	// carrying the old weight 3 must apply over the live weight.
+	processOne(r, Event{Kind: KindAdd, Algo: NoAlgo, To: 2, From: 1, W: 5})
+	processOne(r, Event{Kind: KindUpdate, Algo: 0, To: 2, From: 1, Val: 1, W: 3})
+	if got := r.values[0][slot]; got != 6 {
+		t.Fatalf("UPDATE over a re-added edge: value %d, want 6 (live weight 5)", got)
+	}
+	processOne(r, Event{Kind: KindUpdate, Algo: 0, To: 2, From: 4, Val: 1, W: 3})
+	if got := r.values[0][slot]; got != 4 {
+		t.Fatalf("UPDATE over a live edge: value %d, want 4", got)
+	}
+
+	fresh := New(Options{Ranks: 1, Undirected: true}, ssspStub{})
+	var buf bytes.Buffer
+	if err := fresh.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := ReadCheckpoint(&buf, Options{}, ssspStub{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !restored.ranks[0].removedEdge {
+		t.Fatal("a restored rank must start with the guard armed")
 	}
 }
 

@@ -127,7 +127,8 @@ const (
 // Ctx is a callback's window onto the vertex it is visiting: its identity,
 // its local state for the running program, and the emission primitives
 // (update_nbrs / update_single_nbr of Algorithm 3). A Ctx is only valid
-// for the duration of one callback invocation.
+// for the duration of one callback invocation: the rank reuses it for the
+// next one, so a callback must not retain it.
 type Ctx struct {
 	r    *rank
 	algo uint8

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
 	"time"
@@ -39,6 +40,11 @@ type rank struct {
 	wits    [][]graph.VertexID
 	// witLanes[algo] caches WitnessLanes() (0 for non-witness programs).
 	witLanes []int
+	// removedEdge is set the first time this rank removes an edge from its
+	// store, and never cleared. Until then every UPDATE arrives over an edge
+	// the store still holds (DESIGN.md "Deletions"), so handleUpdate skips
+	// its live-edge probe.
+	removedEdge bool
 	// firedBits[trigger][slot/64] marks triggers that already fired for a
 	// vertex; monotonicity makes one firing per vertex sufficient (§III-E).
 	firedBits [][]uint64
@@ -53,6 +59,11 @@ type rank struct {
 	// the same batch loop. selfHead is the next unprocessed index.
 	self     []Event
 	selfHead int
+	// cb is the one Ctx every callback on this rank receives (see ctx).
+	// inProcess marks a running process call; only invariants builds
+	// maintain it.
+	cb        Ctx
+	inProcess bool
 	// coal merges redundant monotone UPDATEs inside out/self before they
 	// are delivered (see coalesce.go).
 	coal *coalescer
@@ -129,6 +140,7 @@ func newRank(e *Engine, id int) *rank {
 		sampleLeft: 1,
 		drainLeft:  1,
 	}
+	r.cb.r = r
 	r.store.SetWeightPolicy(e.opts.WeightPolicy)
 	if !e.opts.NoHybrid {
 		r.store.EnableHybrid(e.opts.CompactCap)
@@ -312,12 +324,6 @@ func (r *rank) mirrorAdd(slot graph.Slot, nbr graph.VertexID, w graph.Weight, is
 	}
 }
 
-// pullStream ingests one topology event; it returns false when no event is
-// available right now (live stream empty, or ingestion halted by a pause
-// or stop in progress) or ever again (exhausted). Live streams are polled
-// without blocking so the rank keeps serving algorithmic events, queries,
-// and snapshot duties while its source is quiet (§VI-A's real-time
-// properties).
 // pullBurst pulls up to BatchSize topology events in one go. Locally-owned
 // events accumulate in the self ring and remote ones in the outbound
 // buffers, so the per-iteration loop overhead (mailbox lane scan, flush
@@ -334,6 +340,12 @@ func (r *rank) pullBurst() bool {
 	return true
 }
 
+// pullStream ingests one topology event; it returns false when no event is
+// available right now (live stream empty, or ingestion halted by a pause
+// or stop in progress) or ever again (exhausted). Live streams are polled
+// without blocking so the rank keeps serving algorithmic events, queries,
+// and snapshot duties while its source is quiet (§VI-A's real-time
+// properties).
 func (r *rank) pullStream() bool {
 	ev, ok := r.nextTopoEvent()
 	if !ok {
@@ -707,8 +719,7 @@ func (r *rank) visit(wp WitnessProgram, algo uint8, slot graph.Slot,
 	r.gens[algo][slot] = gen
 	if lanes := r.witMask[algo][slot]; lanes != 0 {
 		r.witMask[algo][slot] = 0
-		ctx := r.ctx(algo, slot, id, seq, viewLive)
-		wp.Reseed(&ctx, lanes)
+		wp.Reseed(r.ctx(algo, slot, id, seq, viewLive), lanes)
 	}
 	val := r.values[algo][slot]
 	r.store.Neighbors(slot, func(nbr graph.VertexID, w graph.Weight) bool {
@@ -754,8 +765,7 @@ func (r *rank) handleInvalidate(ev *Event) {
 		return
 	}
 	before := r.values[ev.Algo][slot]
-	ctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive)
-	r.eng.programs[ev.Algo].OnUpdate(&ctx, ev.From, ev.Val, w)
+	r.eng.programs[ev.Algo].OnUpdate(r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive), ev.From, ev.Val, w)
 	r.recordWitness(wp, ev, slot, before)
 }
 
@@ -793,6 +803,9 @@ func (r *rank) witnessDelete(wp WitnessProgram, algo uint8, slot graph.Slot, ev 
 // counter add is the hot path's entire instrumentation cost: one
 // uncontended atomic add on a rank-owned cache line.
 func (r *rank) process(ev *Event) {
+	if invariants {
+		r.enterProcess()
+	}
 	r.counters.events[ev.Kind].Add(1)
 	// A traced event makes its lineage current for the duration of its
 	// callbacks, so every emit it performs is recorded as its child.
@@ -835,6 +848,9 @@ func (r *rank) process(ev *Event) {
 		r.curTrace = 0
 		r.eng.traces.retire(ev.Trace, r, r.proc)
 	}
+	if invariants {
+		r.inProcess = false
+	}
 }
 
 // dualRun reports whether the event belongs to the previous version of an
@@ -846,8 +862,46 @@ func (r *rank) dualRun(seq uint32, algo uint8) bool {
 	return snap != nil && seq < snap.marker && int(algo) == snap.Algo
 }
 
-func (r *rank) ctx(algo uint8, slot graph.Slot, id graph.VertexID, seq uint32, v view) Ctx {
-	return Ctx{r: r, algo: algo, slot: slot, id: id, seq: seq, view: v}
+// ctx readies the rank's one Ctx for the next callback and returns it.
+// Reusing it, rather than passing the address of a fresh value into an
+// interface call, keeps it off the heap. That is safe because callbacks
+// never nest on a rank: a callback's Ctx methods only buffer emissions, and
+// the handlers and visit run one callback at a time, always inside process.
+func (r *rank) ctx(algo uint8, slot graph.Slot, id graph.VertexID, seq uint32, v view) *Ctx {
+	if invariants {
+		r.assertInProcess()
+	}
+	c := &r.cb
+	c.algo, c.slot, c.id, c.seq, c.view = algo, slot, id, seq, v
+	return c
+}
+
+// enterProcess (invariants builds) asserts that process never nests on a
+// rank. ctx is only called inside process, so this is what guarantees no
+// callback sees its Ctx overwritten mid-run.
+func (r *rank) enterProcess() {
+	if r.inProcess {
+		panic(fmt.Sprintf("invariant: rank %d re-entered process while a callback was running", r.id))
+	}
+	r.inProcess = true
+}
+
+// assertInProcess (invariants builds) asserts that ctx is reached only from
+// inside process.
+func (r *rank) assertInProcess() {
+	if !r.inProcess {
+		panic(fmt.Sprintf("invariant: rank %d built a callback Ctx outside process", r.id))
+	}
+}
+
+// assertLiveEdge (invariants builds) asserts the argument behind the gated
+// live-edge guard: while this rank has removed no edge, the edge an UPDATE
+// arrives over is in the store.
+func (r *rank) assertLiveEdge(slot graph.Slot, ev *Event) {
+	if _, present := r.store.EdgeWeight(slot, ev.From); !present {
+		panic(fmt.Sprintf("invariant: rank %d got an UPDATE %d→%d over an absent edge with no edge ever removed",
+			r.id, ev.From, ev.To))
+	}
 }
 
 func (r *rank) handleAdd(ev *Event) {
@@ -856,12 +910,10 @@ func (r *rank) handleAdd(ev *Event) {
 		r.growValues(slot)
 	}
 	r.mirrorAdd(slot, ev.From, ev.W, isNew)
-	for a := range r.eng.programs {
-		ctx := r.ctx(uint8(a), slot, ev.To, ev.Seq, viewLive)
-		r.eng.programs[a].OnAdd(&ctx, ev.From, ev.W)
+	for a, p := range r.eng.programs {
+		p.OnAdd(r.ctx(uint8(a), slot, ev.To, ev.Seq, viewLive), ev.From, ev.W)
 		if r.dualRun(ev.Seq, uint8(a)) {
-			pctx := r.ctx(uint8(a), slot, ev.To, ev.Seq, viewPrev)
-			r.eng.programs[a].OnAdd(&pctx, ev.From, ev.W)
+			p.OnAdd(r.ctx(uint8(a), slot, ev.To, ev.Seq, viewPrev), ev.From, ev.W)
 		}
 	}
 	if r.eng.opts.Undirected {
@@ -925,14 +977,12 @@ func (r *rank) handleReverseAdd(ev *Event) {
 	if wp != nil {
 		before = r.values[ev.Algo][slot]
 	}
-	ctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive)
-	p.OnReverseAdd(&ctx, ev.From, ev.Val, ev.W)
+	p.OnReverseAdd(r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive), ev.From, ev.Val, ev.W)
 	if wp != nil {
 		r.recordWitness(wp, ev, slot, before)
 	}
 	if r.dualRun(ev.Seq, ev.Algo) {
-		pctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev)
-		p.OnReverseAdd(&pctx, ev.From, ev.Val, ev.W)
+		p.OnReverseAdd(r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev), ev.From, ev.Val, ev.W)
 	}
 }
 
@@ -947,8 +997,7 @@ func (r *rank) handleReverseAddPrev(ev *Event) {
 	if !ok || !r.dualRun(ev.Seq, ev.Algo) {
 		return
 	}
-	pctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev)
-	r.eng.programs[ev.Algo].OnReverseAdd(&pctx, ev.From, ev.Val, ev.W)
+	r.eng.programs[ev.Algo].OnReverseAdd(r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev), ev.From, ev.Val, ev.W)
 }
 
 func (r *rank) handleUpdate(ev *Event) {
@@ -961,15 +1010,27 @@ func (r *rank) handleUpdate(ev *Event) {
 	}
 	p := r.eng.programs[ev.Algo]
 	wp := r.eng.witness[ev.Algo]
+	w := ev.W
 	if wp != nil {
 		// Live-edge guard: under deletions a value may only be accepted
 		// over an edge that still exists — an UPDATE that raced the
 		// deletion of its own edge would smuggle the doomed value back in.
 		// (Witness programs run undirected, so the reverse edge is always
 		// locally visible; this guard is why directed mode keeps witness
-		// deletion off.)
-		if _, present := r.store.EdgeWeight(slot, ev.From); !present {
-			return
+		// deletion off.) Only a rank that has removed an edge can receive
+		// such an UPDATE: the reverse-add travels the sender's FIFO channel
+		// ahead of any UPDATE over the new edge, so until the first removal
+		// the probe could only answer "present". Once it runs, the value
+		// applies over the edge's live weight: the edge may have been
+		// deleted and re-added with another weight since the sender emitted.
+		if r.removedEdge {
+			live, present := r.store.EdgeWeight(slot, ev.From)
+			if !present {
+				return
+			}
+			w = live
+		} else if invariants {
+			r.assertLiveEdge(slot, ev)
 		}
 		if gen := r.genOf(ev.Algo, slot); ev.Gen < gen {
 			// Stale generation: the value may predate our invalidation.
@@ -993,14 +1054,12 @@ func (r *rank) handleUpdate(ev *Event) {
 	if wp != nil {
 		before = r.values[ev.Algo][slot]
 	}
-	ctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive)
-	p.OnUpdate(&ctx, ev.From, ev.Val, ev.W)
+	p.OnUpdate(r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive), ev.From, ev.Val, w)
 	if wp != nil {
 		r.recordWitness(wp, ev, slot, before)
 	}
 	if r.dualRun(ev.Seq, ev.Algo) {
-		pctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev)
-		p.OnUpdate(&pctx, ev.From, ev.Val, ev.W)
+		p.OnUpdate(r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev), ev.From, ev.Val, w)
 	}
 }
 
@@ -1015,8 +1074,7 @@ func (r *rank) handleInit(ev *Event) {
 	if wp != nil {
 		before = r.values[ev.Algo][slot]
 	}
-	ctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive)
-	p.Init(&ctx)
+	p.Init(r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive))
 	if wp != nil {
 		// Init progress is self-supported (the paper's external
 		// instantiation, not an edge traversal): no edge deletion may ever
@@ -1024,16 +1082,15 @@ func (r *rank) handleInit(ev *Event) {
 		r.clearWitness(wp, ev.Algo, slot, before)
 	}
 	if r.dualRun(ev.Seq, ev.Algo) {
-		pctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev)
-		p.Init(&pctx)
+		p.Init(r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev))
 	}
 }
 
 func (r *rank) handleDelete(ev *Event) {
-	removed := r.store.DeleteEdge(ev.To, ev.From)
-	if !removed {
+	if !r.store.DeleteEdge(ev.To, ev.From) {
 		return
 	}
+	r.removedEdge = true
 	// The source vertex normally still exists after the removal (the store
 	// never deletes vertices), but a slot without grown state arrays — or
 	// no slot at all — must not index another vertex's value: run the
@@ -1056,8 +1113,7 @@ func (r *rank) handleDelete(ev *Event) {
 			if !isDA {
 				continue
 			}
-			ctx := r.ctx(uint8(a), slot, ev.To, ev.Seq, viewLive)
-			da.OnDelete(&ctx, ev.From, ev.W)
+			da.OnDelete(r.ctx(uint8(a), slot, ev.To, ev.Seq, viewLive), ev.From, ev.W)
 		}
 	}
 	if r.eng.opts.Undirected {
@@ -1077,19 +1133,20 @@ func (r *rank) handleDelete(ev *Event) {
 }
 
 func (r *rank) handleReverseDelete(ev *Event) {
-	removed := r.store.DeleteEdge(ev.To, ev.From)
-	if removed && r.pub != nil {
-		// Mirror before the program-level early returns: the reverse edge
-		// is gone from the store regardless of what the programs do.
-		if slot, ok := r.store.SlotOf(ev.To); ok {
-			r.pub.EdgeDeleted(slot, ev.From)
-		}
-	}
-	if !removed || ev.Algo == NoAlgo {
+	if !r.store.DeleteEdge(ev.To, ev.From) {
 		return
 	}
+	r.removedEdge = true
 	slot, ok := r.store.SlotOf(ev.To)
 	if !ok {
+		return
+	}
+	if r.pub != nil {
+		// Mirror before the program-level early returns: the reverse edge
+		// is gone from the store regardless of what the programs do.
+		r.pub.EdgeDeleted(slot, ev.From)
+	}
+	if ev.Algo == NoAlgo {
 		return
 	}
 	if wp := r.eng.witness[ev.Algo]; wp != nil {
@@ -1098,8 +1155,7 @@ func (r *rank) handleReverseDelete(ev *Event) {
 		return
 	}
 	if da, isDA := r.eng.programs[ev.Algo].(DeleteAware); isDA {
-		ctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive)
-		da.OnReverseDelete(&ctx, ev.From, ev.Val, ev.W)
+		da.OnReverseDelete(r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive), ev.From, ev.Val, ev.W)
 	}
 }
 
@@ -1117,15 +1173,13 @@ func (r *rank) handleSignal(ev *Event) {
 	if wp != nil {
 		before = r.values[ev.Algo][slot]
 	}
-	ctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive)
-	sa.OnSignal(&ctx, ev.Val)
+	sa.OnSignal(r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewLive), ev.Val)
 	if wp != nil {
 		// Signal progress is external input, self-supported like Init.
 		r.clearWitness(wp, ev.Algo, slot, before)
 	}
 	if r.dualRun(ev.Seq, ev.Algo) {
-		pctx := r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev)
-		sa.OnSignal(&pctx, ev.Val)
+		sa.OnSignal(r.ctx(ev.Algo, slot, ev.To, ev.Seq, viewPrev), ev.Val)
 	}
 }
 

@@ -216,14 +216,22 @@ type action struct {
 	arg  int // lane for actDrain, dest for actFlush
 }
 
-// Run executes one simulated run and returns its deterministic Result.
-func Run(cfg Config) Result {
+// Run executes one simulated run and returns its deterministic Result. An
+// engine panic (an invariants-build assertion, or a plain bug) ends the run
+// with a "panic:" violation instead of taking the test binary down.
+func Run(cfg Config) (res Result) {
 	cfg = cfg.withDefaults()
 	sp := specFor(cfg.Algo)
 	w := genWorld(cfg, rand.New(rand.NewSource(cfg.GraphSeed)))
 	srng := rand.New(rand.NewSource(cfg.ScheduleSeed))
 
 	chk := newChecker(sp.ord, cfg.Ranks)
+	defer func() {
+		if p := recover(); p != nil {
+			chk.violatef("panic: %v", p)
+			res = Result{Violations: chk.violations, EventsProcessed: chk.processed}
+		}
+	}()
 	chk.churn = cfg.Deletes > 0
 	chk.multiProc = cfg.LoopbackNodes > 1
 	opts := core.Options{
@@ -288,7 +296,6 @@ func Run(cfg Config) Result {
 		}
 	}
 
-	res := Result{}
 	var (
 		pulled    []graph.EdgeEvent // topology events pulled so far, in pull order
 		initQueue = sp.inits(w)     // InitVertex calls still to issue
