@@ -207,9 +207,9 @@ func writeStatsSummary(w http.ResponseWriter, s incregraph.EngineStats) {
 		fmt.Fprintf(w, "autotune:  on, %s adjustments\n", metrics.HumanCount(s.TuneAdjusts))
 	}
 	if sv := s.Serve; sv.Enabled {
-		fmt.Fprintf(w, "serve:     epoch %d (published %d), %s publishes (%s restamps)\n",
+		fmt.Fprintf(w, "serve:     epoch %d (published %d), %s publishes (%s restamps, %s slots copied)\n",
 			sv.Epoch, sv.PublishedEpoch,
-			metrics.HumanCount(sv.Publishes), metrics.HumanCount(sv.Restamps))
+			metrics.HumanCount(sv.Publishes), metrics.HumanCount(sv.Restamps), metrics.HumanCount(sv.CopiedSlots))
 		fmt.Fprintf(w, "reads:     %s point, %s batch, %s topk, %s nbhd (%s vertices); point p99=%s batch p99=%s\n",
 			metrics.HumanCount(sv.PointReads), metrics.HumanCount(sv.BatchReads),
 			metrics.HumanCount(sv.TopKReads), metrics.HumanCount(sv.NbhdReads),

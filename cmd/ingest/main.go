@@ -233,9 +233,9 @@ func main() {
 			h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), h.Count, lat.SampleEvery)
 	}
 	if sv := es.Serve; sv.Enabled {
-		fmt.Printf("serve: epoch %d (published %d), %s publishes (%s restamps), reads %s point / %s batch / %s topk / %s nbhd\n",
+		fmt.Printf("serve: epoch %d (published %d), %s publishes (%s restamps, %s slots copied), reads %s point / %s batch / %s topk / %s nbhd\n",
 			sv.Epoch, sv.PublishedEpoch,
-			metrics.HumanCount(sv.Publishes), metrics.HumanCount(sv.Restamps),
+			metrics.HumanCount(sv.Publishes), metrics.HumanCount(sv.Restamps), metrics.HumanCount(sv.CopiedSlots),
 			metrics.HumanCount(sv.PointReads), metrics.HumanCount(sv.BatchReads),
 			metrics.HumanCount(sv.TopKReads), metrics.HumanCount(sv.NbhdReads))
 	}

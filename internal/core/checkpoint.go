@@ -240,6 +240,9 @@ func ReadCheckpoint(r io.Reader, opts Options, programs ...Program) (*Engine, er
 					return nil, err
 				}
 				rk.values[a][slot] = v
+				if rk.pub != nil {
+					rk.pub.Touch(slot)
+				}
 			}
 			if magic == ckptMagic {
 				for a := range programs {

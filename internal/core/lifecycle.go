@@ -297,8 +297,11 @@ func (e *Engine) resumeGate() <-chan struct{} {
 // engine is globally quiescent, so the values it stops over are a
 // consistent cut. While parked it still serves the control plane — local
 // queries and snapshot contributions — on mailbox pokes, but processes no
-// events: external emissions are fenced into the deferred queue, so none
-// can arrive.
+// events. External emissions are fenced into the deferred queue; the one
+// event source the fence misses is a stream pull that passed ingestHalted
+// just before the flag, and a poke that finds the engine no longer
+// quiescent un-parks the rank to process it (it parks again once the
+// engine is quiescent).
 func (r *rank) park() {
 	e := r.eng
 	gate := e.resumeGate()
@@ -320,7 +323,9 @@ func (r *rank) park() {
 			// a restamp unless events landed since — they can't while
 			// parked, so this keeps served epochs fresh at zero copy cost).
 			r.publishChores()
-			if !e.pauseReq.Load() {
+			// Parked, the rank would hold a late pull's cascade forever
+			// and the pause would never complete.
+			if !e.pauseReq.Load() || !e.Quiescent() {
 				return
 			}
 		}

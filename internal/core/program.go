@@ -165,6 +165,9 @@ func (c *Ctx) SetValue(v uint64) {
 		return
 	}
 	c.r.values[c.algo][c.slot] = v
+	if c.r.pub != nil {
+		c.r.pub.Touch(c.slot)
+	}
 	c.r.checkTriggers(c.algo, c.slot, c.id, v)
 }
 

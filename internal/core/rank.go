@@ -256,8 +256,12 @@ func (r *rank) exit() {
 	r.drainQueries()
 	// Publish the converged final state unconditionally (restamps if the
 	// last epoch's segment already carries it): after termination the read
-	// plane serves exactly what Collect would return.
+	// plane serves exactly what Collect would return. No rewrite follows,
+	// so the spare segment's arrays go back to the collector.
 	r.publishNow()
+	if r.pub != nil {
+		r.pub.DropSpare()
+	}
 }
 
 // compactBurst caps how many queued vertices a rank compacts per loop

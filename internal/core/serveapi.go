@@ -56,10 +56,13 @@ type ServeStats struct {
 	// read; 0 until every local rank published once).
 	Epoch          uint64 `json:"epoch"`
 	PublishedEpoch uint64 `json:"published_epoch"`
-	// Publishes counts full segment builds; Restamps counts publications
-	// elided because the rank processed nothing since its last segment.
-	Publishes uint64 `json:"publishes"`
-	Restamps  uint64 `json:"restamps"`
+	// Publishes counts segment publications with new content; Restamps
+	// counts publications elided because the rank processed nothing since
+	// its last segment; CopiedSlots counts the vertex slots publications
+	// copied (only the changed ones when a spare segment is rewritten).
+	Publishes   uint64 `json:"publishes"`
+	Restamps    uint64 `json:"restamps"`
+	CopiedSlots uint64 `json:"copied_slots"`
 	// Per-verb read counts, and the total vertices returned across them.
 	PointReads   uint64 `json:"point_reads"`
 	BatchReads   uint64 `json:"batch_reads"`

@@ -330,6 +330,7 @@ func (e *Engine) EngineStats() EngineStats {
 			PublishedEpoch: ps.PublishedEpoch,
 			Publishes:      ps.Publishes,
 			Restamps:       ps.Restamps,
+			CopiedSlots:    ps.CopiedSlots,
 			PointReads:     e.srv.pointReads.Load(),
 			BatchReads:     e.srv.batchReads.Load(),
 			TopKReads:      e.srv.topkReads.Load(),

@@ -295,10 +295,13 @@ func WritePrometheus(w io.Writer, s core.EngineStats) {
 			"Minimum epoch across published segments (staleness floor of every read).",
 			float64(s.Serve.PublishedEpoch))
 		promCounter(w, "incregraph_serve_publishes_total",
-			"Full read-plane segment builds.", s.Serve.Publishes)
+			"Read-plane segment publications with new content.", s.Serve.Publishes)
 		promCounter(w, "incregraph_serve_restamps_total",
 			"Publications elided because the rank processed nothing since its last segment.",
 			s.Serve.Restamps)
+		promCounter(w, "incregraph_serve_copied_slots_total",
+			"Vertex slots copied into read-plane segments by publications.",
+			s.Serve.CopiedSlots)
 		fmt.Fprintf(w, "# HELP incregraph_query_reads_total Read-plane queries served, by verb.\n")
 		fmt.Fprintf(w, "# TYPE incregraph_query_reads_total counter\n")
 		fmt.Fprintf(w, "incregraph_query_reads_total{verb=\"point\"} %d\n", s.Serve.PointReads)

@@ -61,7 +61,7 @@ func fixedStats() core.EngineStats {
 			QueryNbhd:        hist(nil, 0),
 		},
 		Serve: core.ServeStats{
-			Enabled: true, Epoch: 12, PublishedEpoch: 11, Publishes: 20, Restamps: 4,
+			Enabled: true, Epoch: 12, PublishedEpoch: 11, Publishes: 20, Restamps: 4, CopiedSlots: 3100,
 			PointReads: 500, BatchReads: 30, TopKReads: 7, NbhdReads: 3, ReadVertices: 1200,
 		},
 		Storage: core.StorageStats{

@@ -49,8 +49,10 @@ func (p *Plane) Get(algo int, v graph.VertexID) (Value, uint64) {
 	if !p.local(owner) {
 		return Value{Vertex: v}, 0
 	}
-	seg := p.segs[owner].seg.Load()
-	return segGet(seg, algo, v)
+	seg := p.acquire(owner)
+	val, epoch := segGet(seg, algo, v)
+	seg.release()
+	return val, epoch
 }
 
 func segGet(seg *Segment, algo int, v graph.VertexID) (Value, uint64) {
@@ -89,7 +91,7 @@ func (p *Plane) GetBatch(algo int, ids []graph.VertexID, out []Value) ([]Value, 
 		}
 		if !loadedOK[rank] {
 			loadedOK[rank] = true
-			loaded[rank] = p.segs[rank].seg.Load()
+			loaded[rank] = p.acquire(rank)
 			var e uint64
 			if loaded[rank] != nil {
 				e = loaded[rank].epoch.Load()
@@ -110,11 +112,13 @@ func (p *Plane) GetBatch(algo int, ids []graph.VertexID, out []Value) ([]Value, 
 		val, _ := segGet(rankSeg(owner), algo, v)
 		out = append(out, val)
 	}
+	releaseAll(loaded)
 	return out, epoch
 }
 
-// localSegs loads every local rank's segment once and returns them with
-// the minimum epoch (zero if any local rank has never published).
+// localSegs pins every local rank's segment and returns them with the
+// minimum epoch (zero if any local rank has never published). The caller
+// releases them with releaseAll.
 func (p *Plane) localSegs() ([]*Segment, uint64) {
 	segs := make([]*Segment, len(p.segs))
 	var (
@@ -125,7 +129,7 @@ func (p *Plane) localSegs() ([]*Segment, uint64) {
 		if !p.local(i) {
 			continue
 		}
-		segs[i] = p.segs[i].seg.Load()
+		segs[i] = p.acquire(i)
 		var e uint64
 		if segs[i] != nil {
 			e = segs[i].epoch.Load()
@@ -138,6 +142,12 @@ func (p *Plane) localSegs() ([]*Segment, uint64) {
 	return segs, epoch
 }
 
+func releaseAll(segs []*Segment) {
+	for _, seg := range segs {
+		seg.release()
+	}
+}
+
 // TopK serves the K best values for algo across all local ranks'
 // published segments, best-first. Vertices whose value is still the zero
 // value (unset / unreached) are excluded — they carry no converged result
@@ -145,6 +155,7 @@ func (p *Plane) localSegs() ([]*Segment, uint64) {
 // deterministic for a fixed set of segments.
 func (p *Plane) TopK(algo, k int, dir Dir) ([]Entry, uint64) {
 	segs, epoch := p.localSegs()
+	defer releaseAll(segs)
 	if k <= 0 {
 		return nil, epoch
 	}
@@ -224,6 +235,7 @@ func (p *Plane) TopK(algo, k int, dir Dir) ([]Entry, uint64) {
 // any of them).
 func (p *Plane) Neighborhood(algo int, root graph.VertexID, depth, limit int) ([]NbhdNode, uint64) {
 	segs, epoch := p.localSegs()
+	defer releaseAll(segs)
 	if limit <= 0 {
 		return nil, epoch
 	}

@@ -1,42 +1,73 @@
 package serve
 
 import (
+	"math"
 	"sync/atomic"
 
 	"incregraph/internal/graph"
 	"incregraph/internal/rhh"
 )
 
-// Segment is one rank's immutable published view: the first n vertices of
-// the rank's slot space, their per-algorithm values at publish time, and
-// their out-adjacency. Readers obtain a Segment via one atomic pointer
-// load and may then index it freely without synchronization.
+// Segment is one rank's published view: the first n vertices of the
+// rank's slot space, their per-algorithm values at publish time, and their
+// out-adjacency. Readers obtain a Segment with Plane.acquire — one atomic
+// pointer load plus a pin — and may then index it freely without further
+// synchronization until they release it.
 //
-// Sharing contract (why this is safe without copying everything):
+// Each Publisher owns two segments and alternates between them: the
+// current one, and the spare, which holds the state of the publish before
+// it. A publish rewrites the spare in place rather than allocating (see
+// Publisher.Publish). Sharing contract (why a reader still sees a frozen,
+// internally consistent view):
 //
+//   - pins counts the readers holding the segment. The writer rewrites
+//     only the spare — never the segment the plane currently serves — and
+//     only after CompareAndSwap(0, retired) succeeds, so no pinned reader
+//     exists while it writes. A reader whose Add(1) lands on a retired
+//     segment sees a negative count and retries on a fresh pointer load;
+//     the writer's Store(0) before republishing discards the increment. A
+//     reader whose pin lands after that Store(0) re-checks that the
+//     segment is still the served one, so it never reads a rewrite that
+//     the plane has not published yet.
+//   - vals and adj are the segment's own arrays. A rewrite replays only
+//     the slots changed since the spare's content was built (the dirty
+//     bitmaps, see Publisher) plus the new tail, so after it every slot
+//     < n equals the live state at publish time.
 //   - ids aliases the store's append-only id slice. Slot i's id is
 //     written once, before any segment with n > i is published, and never
 //     reassigned; readers only index < n. In-place appends by the owner
 //     touch indexes >= n (disjoint), and a growth reallocation leaves the
 //     old array — which published headers still point at — intact.
-//   - vals are private copies made at publish.
-//   - adj holds slice headers copied at publish; the owner only mutates
-//     the underlying arrays append-beyond-len or copy-on-write
-//     (Publisher), so every index < len stays frozen.
+//   - adj holds slice headers; the owner only mutates the underlying
+//     arrays append-beyond-len or copy-on-write (Publisher), so every
+//     index < len of a published header stays frozen.
 //   - idx is insert-only and shared across a publisher's segments; it may
 //     gain entries for slots >= n after publication, which the n bounds
 //     check in lookups rejects. A growth rebuild allocates a fresh table,
 //     so older segments keep their exact old index.
 //
-// epoch is atomic only so a restamp (see Publisher.Publish) can bump it
-// in place; the data it stamps is immutable.
+// epoch is atomic so a restamp (see Publisher.Publish) can bump it in
+// place on the served segment.
 type Segment struct {
 	epoch atomic.Uint64
+	pins  atomic.Int64
 	n     int
 	ids   []graph.VertexID
 	vals  [][]uint64
 	adj   [][]graph.HalfEdge
 	idx   *table
+}
+
+// retired is the pin count of a segment the writer is rewriting: low
+// enough that no number of concurrent reader increments brings it back to
+// zero or above.
+const retired = math.MinInt64 / 2
+
+// release unpins a segment obtained from Plane.acquire. Nil-safe.
+func (s *Segment) release() {
+	if s != nil {
+		s.pins.Add(-1)
+	}
 }
 
 // table is a single-writer, many-reader open-addressing hash index from

@@ -7,17 +7,21 @@
 //
 //   - Each local rank owns a Publisher. At every epoch boundary the rank
 //     (from its own goroutine, at an event boundary — never mid-event)
-//     builds an immutable Segment — vertex values copied, adjacency slice
+//     brings a Segment up to date — vertex values copied, adjacency slice
 //     headers copied — and swaps it in with one atomic pointer store.
-//   - Readers load the pointer, and from then on see a frozen, internally
-//     consistent view: the segment's value arrays are private copies, its
-//     adjacency headers point at arrays the rank only mutates
+//   - The publisher keeps two segments per rank and rewrites the spare
+//     one, replaying only the slots marked dirty since the spare's content
+//     was built (RisGraph-style modified-vertex-only history), so a
+//     publish costs O(changed slots) plus a bitmap sweep, not O(V).
+//   - Readers pin the segment they load, and from then on see a frozen,
+//     internally consistent view: the writer never rewrites a pinned
+//     segment, the adjacency headers point at arrays the rank only mutates
 //     copy-on-write or append-beyond-published-length (see Publisher), and
-//     its index only ever *gains* entries past the segment's bound (which
+//     the index only ever *gains* entries past the segment's bound (which
 //     the bounds check rejects).
 //   - No locks anywhere on the read path, no barrier, no rank parking:
-//     publication costs the owner O(V) slice-header+value copies, reads
-//     cost a hash probe plus array indexing.
+//     reads cost a pin, a hash probe and array indexing; a pinned spare
+//     costs the writer one fresh allocation instead of a wait.
 //
 // Epochs are a global counter advanced by a ticker (or a sim driver); a
 // publish stamps the current epoch onto the new segment. If a rank
@@ -35,6 +39,7 @@
 package serve
 
 import (
+	mbits "math/bits"
 	"sync/atomic"
 
 	"incregraph/internal/graph"
@@ -51,6 +56,7 @@ type Plane struct {
 	epoch     atomic.Uint64
 	publishes atomic.Uint64
 	restamps  atomic.Uint64
+	copied    atomic.Uint64
 
 	segs []rankSlot
 }
@@ -94,6 +100,25 @@ func (p *Plane) Advance() uint64 {
 	return e
 }
 
+// acquire pins rank's served segment and returns it, or nil if the rank
+// never published. The caller must release a non-nil result.
+func (p *Plane) acquire(rank int) *Segment {
+	slot := &p.segs[rank]
+	for {
+		seg := slot.seg.Load()
+		if seg == nil {
+			return nil
+		}
+		if seg.pins.Add(1) < 0 {
+			continue // retired: the writer's reset discards the increment
+		}
+		if slot.seg.Load() == seg {
+			return seg
+		}
+		seg.pins.Add(-1) // rewritten since the load and not yet served
+	}
+}
+
 // Epoch returns the current global epoch.
 func (p *Plane) Epoch() uint64 { return p.epoch.Load() }
 
@@ -105,28 +130,33 @@ type Stats struct {
 	// segments — the staleness floor every read is guaranteed to meet.
 	// Zero until every local rank has published at least once.
 	PublishedEpoch uint64
-	// Publishes counts full segment publications (content changed).
+	// Publishes counts segment publications with new content.
 	Publishes uint64
 	// Restamps counts publications elided because the rank processed no
 	// events since its previous segment — the old segment was re-stamped
 	// with the new epoch in place.
 	Restamps uint64
+	// CopiedSlots counts the vertex slots publishes copied into segments:
+	// the dirty and new slots of a rewrite, all n of a fresh build.
+	CopiedSlots uint64
 }
 
 // StatsSnapshot reads the plane counters.
 func (p *Plane) StatsSnapshot() Stats {
 	s := Stats{
-		Epoch:     p.epoch.Load(),
-		Publishes: p.publishes.Load(),
-		Restamps:  p.restamps.Load(),
+		Epoch:       p.epoch.Load(),
+		Publishes:   p.publishes.Load(),
+		Restamps:    p.restamps.Load(),
+		CopiedSlots: p.copied.Load(),
 	}
 	for i := range p.segs {
 		if !p.local(i) {
 			continue
 		}
 		var e uint64
-		if seg := p.segs[i].seg.Load(); seg != nil {
+		if seg := p.acquire(i); seg != nil {
 			e = seg.epoch.Load()
+			seg.release()
 		}
 		if s.PublishedEpoch == 0 || e < s.PublishedEpoch {
 			s.PublishedEpoch = e
@@ -148,6 +178,12 @@ func (p *Plane) StatsSnapshot() Stats {
 //   - changing a weight or deleting an entry must clone the slice first,
 //     because published headers may alias the current array at indexes
 //     a concurrent reader is allowed to touch.
+//
+// Every change to a slot's value or mirrored adjacency marks the slot in
+// dirty (Touch, and the mirror hooks themselves). stale holds the slots
+// in which the spare segment differs from the current one. Together they
+// are the slots below the spare's n that a rewrite of the spare must
+// copy.
 type Publisher struct {
 	p    *Plane
 	rank int
@@ -156,8 +192,10 @@ type Publisher struct {
 	idx  *table             // insert-only vertex-id -> slot index
 	idxN int                // ids[0:idxN] already inserted into idx
 
-	lastEvents uint64 // rank event-counter value at the last full publish
-	published  bool   // has this publisher ever published?
+	spare        *Segment // the segment served before the current one
+	dirty, stale []uint64 // slot bitmaps: changed since the current segment; spare vs current
+
+	lastEvents uint64 // rank event-counter value at the last publish that was not a restamp
 }
 
 // Publisher returns the single-writer handle for rank. Call once per
@@ -172,6 +210,21 @@ func (pub *Publisher) Due() bool {
 	return pub.p.segs[pub.rank].due.Load()
 }
 
+// Touch marks slot's value as changed since the last publish. The rank
+// calls it on every live value write; the mirror hooks below call it for
+// adjacency changes.
+func (pub *Publisher) Touch(slot graph.Slot) {
+	w := int(slot >> 6)
+	if w >= len(pub.dirty) {
+		pub.growDirty(w)
+	}
+	pub.dirty[w] |= 1 << (slot & 63)
+}
+
+func (pub *Publisher) growDirty(w int) {
+	pub.dirty = append(pub.dirty, make([]uint64, w+1-len(pub.dirty))...)
+}
+
 // EdgeAdded mirrors a brand-new half-edge slot -> nbr. Append-in-place is
 // safe under the COW discipline (see type comment).
 func (pub *Publisher) EdgeAdded(slot graph.Slot, nbr graph.VertexID, w graph.Weight) {
@@ -180,6 +233,7 @@ func (pub *Publisher) EdgeAdded(slot graph.Slot, nbr graph.VertexID, w graph.Wei
 		pub.adj = append(pub.adj, nil)
 	}
 	pub.adj[s] = append(pub.adj[s], graph.HalfEdge{Nbr: nbr, W: w})
+	pub.Touch(slot)
 }
 
 // EdgeWeight mirrors a weight change on an existing half-edge (duplicate
@@ -203,6 +257,7 @@ func (pub *Publisher) EdgeWeight(slot graph.Slot, nbr graph.VertexID, w graph.We
 		copy(clone, old)
 		clone[i].W = w
 		pub.adj[s] = clone
+		pub.Touch(slot)
 		return
 	}
 }
@@ -223,6 +278,7 @@ func (pub *Publisher) EdgeDeleted(slot graph.Slot, nbr graph.VertexID) {
 		clone = append(clone, old[:i]...)
 		clone = append(clone, old[i+1:]...)
 		pub.adj[s] = clone
+		pub.Touch(slot)
 		return
 	}
 }
@@ -243,15 +299,21 @@ func (pub *Publisher) SegmentCompacted(slot graph.Slot, seg []graph.HalfEdge) {
 		pub.adj = append(pub.adj, nil)
 	}
 	pub.adj[s] = seg
+	pub.Touch(slot)
 }
 
-// Publish builds and swaps in a fresh segment for this rank: ids is the
-// store's append-only vertex-id slice (shared, never copied — slot i is
-// ids[i] forever), vals the rank's live per-algorithm value columns
+// Publish brings a segment up to date and swaps it in for this rank: ids
+// is the store's append-only vertex-id slice (shared, never copied — slot
+// i is ids[i] forever), vals the rank's live per-algorithm value columns
 // (copied), and events the rank's total processed-event count, used as a
-// mutation clock: if it hasn't moved since the last full publish, the
-// existing segment is re-stamped with the current epoch instead of
-// rebuilt.
+// mutation clock: if it hasn't moved since the last publish, the served
+// segment is re-stamped with the current epoch instead.
+//
+// Otherwise the spare is rewritten when no reader holds it and its arrays
+// fit n slots: it receives the stale and dirty slots below its old n and
+// every slot from there to n. A pinned or outgrown spare, and the first
+// two publishes, which have none, get a fresh segment with a full copy and
+// 1.5x slack instead.
 func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint64) {
 	slot := &pub.p.segs[pub.rank]
 	// Clear due before loading the epoch: if Advance lands in between,
@@ -260,7 +322,8 @@ func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint
 	slot.due.Store(false)
 	epoch := pub.p.epoch.Load()
 
-	if cur := slot.seg.Load(); cur != nil && pub.published && events == pub.lastEvents {
+	cur := slot.seg.Load()
+	if cur != nil && events == pub.lastEvents {
 		if cur.epoch.Load() != epoch {
 			cur.epoch.Store(epoch)
 			pub.p.restamps.Add(1)
@@ -274,19 +337,102 @@ func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint
 	}
 	pub.idxN = n
 
-	seg := &Segment{n: n, ids: ids, idx: pub.idx}
-	seg.vals = make([][]uint64, len(vals))
-	for a := range vals {
-		col := make([]uint64, n)
-		copy(col, vals[a])
-		seg.vals[a] = col
+	var copied int
+	seg := pub.spare
+	fits := seg != nil && cap(seg.adj) >= n
+	pinned := fits && !seg.pins.CompareAndSwap(0, retired)
+	if fits && !pinned {
+		copied = pub.replay(seg, n, vals)
+	} else {
+		seg = &Segment{vals: make([][]uint64, len(vals))}
+		c := n + n/2
+		seg.adj = make([][]graph.HalfEdge, 0, c)
+		for a := range seg.vals {
+			seg.vals[a] = make([]uint64, 0, c)
+		}
+		pub.fill(seg, 0, n, vals)
+		copied = n
 	}
-	seg.adj = make([][]graph.HalfEdge, n)
-	copy(seg.adj, pub.adj) // pub.adj may be shorter: tail stays nil
-
+	if pinned {
+		// Keep the pinned spare for reuse once its readers leave; it now
+		// lacks this interval's changes as well.
+		for len(pub.stale) < len(pub.dirty) {
+			pub.stale = append(pub.stale, 0)
+		}
+		for w, bits := range pub.dirty {
+			pub.stale[w] |= bits
+		}
+	} else {
+		// The old current segment becomes the spare; it lacks exactly
+		// this interval's changes.
+		pub.spare = cur
+		pub.stale, pub.dirty = pub.dirty, pub.stale
+	}
+	clear(pub.dirty)
+	seg.n, seg.ids, seg.idx = n, ids, pub.idx
 	seg.epoch.Store(epoch)
+	seg.pins.Store(0)
 	slot.seg.Store(seg)
 	pub.lastEvents = events
-	pub.published = true
 	pub.p.publishes.Add(1)
+	pub.p.copied.Add(uint64(copied))
+}
+
+// replay brings the retired spare seg from its content to the live state
+// over n slots and returns how many slots it copied.
+func (pub *Publisher) replay(seg *Segment, n int, vals [][]uint64) int {
+	old := seg.n
+	copied := 0
+	for w := 0; w*64 < old && (w < len(pub.dirty) || w < len(pub.stale)); w++ {
+		var bits uint64
+		if w < len(pub.dirty) {
+			bits = pub.dirty[w]
+		}
+		if w < len(pub.stale) {
+			bits |= pub.stale[w]
+		}
+		for ; bits != 0; bits &= bits - 1 {
+			s := w*64 + mbits.TrailingZeros64(bits)
+			if s >= old {
+				break // from here on the tail copy below covers it
+			}
+			for a, col := range vals {
+				var v uint64
+				if s < len(col) {
+					v = col[s]
+				}
+				seg.vals[a][s] = v
+			}
+			var he []graph.HalfEdge
+			if s < len(pub.adj) {
+				he = pub.adj[s]
+			}
+			seg.adj[s] = he
+			copied++
+		}
+	}
+	pub.fill(seg, old, n, vals)
+	return copied + n - old
+}
+
+// fill extends seg's arrays to n slots and copies slots [lo, n) from the
+// live state; values a column does not reach yet read as zero, and slots
+// the mirror does not reach have no adjacency.
+func (pub *Publisher) fill(seg *Segment, lo, n int, vals [][]uint64) {
+	for a, col := range vals {
+		dst := seg.vals[a][:n]
+		k := copy(dst[lo:], col[min(lo, len(col)):])
+		clear(dst[lo+k:])
+		seg.vals[a] = dst
+	}
+	seg.adj = seg.adj[:n]
+	k := copy(seg.adj[lo:], pub.adj[min(lo, len(pub.adj)):])
+	clear(seg.adj[lo+k:])
+}
+
+// DropSpare releases the spare segment's arrays to the collector. The
+// rank calls it after its final publish, when no further rewrite will
+// reuse them; a later publish falls back to a fresh build.
+func (pub *Publisher) DropSpare() {
+	pub.spare = nil
 }

@@ -54,6 +54,7 @@ func (w *pubWorld) set(v graph.VertexID, val uint64) {
 		w.vals[r] = append(w.vals[r], 0)
 	}
 	w.vals[r][slot] = val
+	w.pubs[r].Touch(slot)
 	w.events[r]++
 }
 
@@ -256,7 +257,8 @@ func TestCopyOnWriteIsolation(t *testing.T) {
 	w.set(2, 2)
 	w.addEdge(1, 2, 7)
 	w.publishAll()
-	seg := w.plane.segs[0].seg.Load()
+	seg := w.plane.acquire(0)
+	defer seg.release()
 
 	// Mutations after publish must not disturb the published view.
 	w.addEdge(1, 3, 9) // in-place append beyond published len
@@ -280,7 +282,8 @@ func TestIndexGrowthKeepsOldSegmentsValid(t *testing.T) {
 	w := newPubWorld(1)
 	w.set(1, 11)
 	w.publishAll()
-	old := w.plane.segs[0].seg.Load()
+	old := w.plane.acquire(0)
+	defer old.release()
 
 	// Blow far past the initial 1024-capacity table so it rebuilds at
 	// least once; the old segment must keep resolving via its old index
@@ -398,4 +401,210 @@ func TestConcurrentReadersUnderChurn(t *testing.T) {
 		}(int64(r))
 	}
 	wg.Wait()
+}
+
+// TestBatchSeesOnePublish: every round writes one value to all vertices
+// and publishes, so a batch read of all of them must see a single value.
+// A reader that saw two would be reading a segment the writer rewrote
+// under it — the pin protocol is what prevents that.
+func TestBatchSeesOnePublish(t *testing.T) {
+	const (
+		verts   = 256
+		readers = 3
+		rounds  = 3000
+	)
+	w := newPubWorld(1)
+	ids := make([]graph.VertexID, verts)
+	for i := range ids {
+		ids[i] = graph.VertexID(i + 1)
+		w.set(ids[i], 1)
+	}
+	w.publishAll()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := make([]Value, 0, verts)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				batch, _ = w.plane.GetBatch(0, ids, batch[:0])
+				for _, v := range batch {
+					if !v.Found || v.Val != batch[0].Val {
+						t.Errorf("one batch saw %+v and %+v", batch[0], v)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 2; i <= rounds; i++ {
+		for _, v := range ids {
+			w.set(v, uint64(i))
+		}
+		w.plane.Advance()
+		w.publishAll()
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestPinnedSegmentSurvivesPublishes: publishes leave a pinned segment
+// byte-identical however many of them pass, and the first publish after
+// it is released rewrites it instead of allocating.
+func TestPinnedSegmentSurvivesPublishes(t *testing.T) {
+	w := newPubWorld(1)
+	for v := graph.VertexID(1); v <= 64; v++ {
+		w.set(v, uint64(v))
+		w.addEdge(v, v+1, 1)
+	}
+	w.publishAll()
+	w.plane.Advance()
+	w.publishAll() // two publishes: the plane now has a spare
+
+	held := w.plane.acquire(0)
+	n := held.n
+	vals := append([]uint64(nil), held.vals[0][:n]...)
+	adj := make([][]graph.HalfEdge, n)
+	for i := range adj {
+		adj[i] = append([]graph.HalfEdge(nil), held.adj[i]...)
+	}
+
+	for round := uint64(1); round <= 4; round++ {
+		for v := graph.VertexID(1); v <= 64; v++ {
+			w.set(v, 1000*round+uint64(v))
+			w.addEdge(v, v+graph.VertexID(round)+1, graph.Weight(round))
+		}
+		w.plane.Advance()
+		w.publishAll()
+		if w.plane.segs[0].seg.Load() == held {
+			t.Fatalf("round %d: the pinned segment was republished", round)
+		}
+		if held.n != n {
+			t.Fatalf("round %d: pinned n %d, want %d", round, held.n, n)
+		}
+		for i := 0; i < n; i++ {
+			if held.vals[0][i] != vals[i] {
+				t.Fatalf("round %d: pinned slot %d value %d, want %d", round, i, held.vals[0][i], vals[i])
+			}
+			if len(held.adj[i]) != len(adj[i]) {
+				t.Fatalf("round %d: pinned slot %d adjacency %v, want %v", round, i, held.adj[i], adj[i])
+			}
+			for j := range adj[i] {
+				if held.adj[i][j] != adj[i][j] {
+					t.Fatalf("round %d: pinned slot %d adjacency %v, want %v", round, i, held.adj[i], adj[i])
+				}
+			}
+		}
+	}
+
+	held.release()
+	w.set(1, 99999)
+	w.plane.Advance()
+	w.publishAll()
+	if w.plane.segs[0].seg.Load() != held {
+		t.Fatal("the publish after release did not reuse the released segment")
+	}
+	// The reused segment caught up on every change made while it was held.
+	for v := graph.VertexID(1); v <= 64; v++ {
+		want := 4000 + uint64(v)
+		if v == 1 {
+			want = 99999
+		}
+		if val, _ := w.plane.Get(0, v); val.Val != want {
+			t.Fatalf("vertex %d reads %d after reuse, want %d", v, val.Val, want)
+		}
+		nodes, _ := w.plane.Neighborhood(0, v, 1, 100)
+		if len(nodes) != 6 { // v and its five out-neighbours
+			t.Fatalf("vertex %d neighbourhood after reuse: %+v", v, nodes)
+		}
+	}
+}
+
+// TestRewriteMatchesLiveState is a differential check of the dirty-slot
+// replay: random value writes, edge adds, weight changes, deletes and new
+// vertices, a publish after each burst, and pins held across publishes
+// (which send the writer down the fresh-segment path and keep the pinned
+// spare lagging). After every publish the served segment must equal the
+// live state slot for slot.
+func TestRewriteMatchesLiveState(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	w := newPubWorld(1)
+	pub := w.pubs[0]
+	var held []*Segment
+	for round := 0; round < 300; round++ {
+		nv := 8 + 8*round // the vertex set keeps growing past the slack
+		for k := rng.Intn(40); k > 0; k-- {
+			v := graph.VertexID(rng.Intn(nv) + 1)
+			switch rng.Intn(4) {
+			case 0:
+				w.set(v, rng.Uint64())
+			case 1:
+				w.addEdge(v, graph.VertexID(rng.Intn(nv)+1), graph.Weight(rng.Intn(9)))
+			case 2, 3:
+				s, ok := w.slots[0][v]
+				if !ok || int(s) >= len(pub.adj) || len(pub.adj[s]) == 0 {
+					continue
+				}
+				nbr := pub.adj[s][rng.Intn(len(pub.adj[s]))].Nbr
+				if rng.Intn(2) == 0 {
+					pub.EdgeWeight(s, nbr, graph.Weight(rng.Intn(9)))
+				} else {
+					pub.EdgeDeleted(s, nbr)
+				}
+				w.events[0]++
+			}
+		}
+		w.plane.Advance()
+		w.publishAll()
+
+		seg := w.plane.acquire(0)
+		if seg.n != len(w.ids[0]) {
+			t.Fatalf("round %d: served n %d, live %d", round, seg.n, len(w.ids[0]))
+		}
+		for s := 0; s < seg.n; s++ {
+			if seg.vals[0][s] != w.vals[0][s] {
+				t.Fatalf("round %d slot %d: served value %d, live %d", round, s, seg.vals[0][s], w.vals[0][s])
+			}
+			var live []graph.HalfEdge
+			if s < len(pub.adj) {
+				live = pub.adj[s]
+			}
+			if len(seg.adj[s]) != len(live) || (len(live) > 0 && &seg.adj[s][0] != &live[0]) {
+				t.Fatalf("round %d slot %d: served adjacency %v, live %v", round, s, seg.adj[s], live)
+			}
+		}
+		// Hold some segments across a few publishes.
+		if rng.Intn(4) == 0 {
+			held = append(held, seg)
+		} else {
+			seg.release()
+		}
+		if len(held) > 0 && rng.Intn(3) == 0 {
+			held[0].release()
+			held = held[1:]
+		}
+	}
+	for _, seg := range held {
+		seg.release()
+	}
+
+	// Once the spare is free and large enough, a publish copies just the
+	// slots changed over the last two intervals: here one each.
+	var before uint64
+	for i := graph.VertexID(1); i <= 5; i++ {
+		before = w.plane.StatsSnapshot().CopiedSlots
+		w.set(i, 1)
+		w.plane.Advance()
+		w.publishAll()
+	}
+	if got := w.plane.StatsSnapshot().CopiedSlots - before; got != 2 {
+		t.Fatalf("steady-state publish copied %d slots, want 2 (of %d)", got, len(w.ids[0]))
+	}
 }
