@@ -239,10 +239,9 @@ func ReadCheckpoint(r io.Reader, opts Options, programs ...Program) (*Engine, er
 				if err != nil {
 					return nil, err
 				}
+				// No Publisher.Touch: nothing is published yet, and the
+				// first two publishes copy every slot.
 				rk.values[a][slot] = v
-				if rk.pub != nil {
-					rk.pub.Touch(slot)
-				}
 			}
 			if magic == ckptMagic {
 				for a := range programs {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"incregraph/internal/graph"
+	"incregraph/internal/stream"
 )
 
 // stubProg is a minimal no-op Program for white-box tests (the real
@@ -64,5 +67,73 @@ func TestHandleDeleteNoPrograms(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no NoAlgo reverse-delete emitted")
+	}
+}
+
+// latePull is a live stream whose one event is pulled late: its first
+// TryNext closes entered and then holds the event back until Pause has
+// set its flag and the engine's other rank has parked.
+type latePull struct {
+	e       *Engine
+	ev      graph.EdgeEvent
+	entered chan struct{}
+	pulled  bool
+}
+
+func (s *latePull) Next() (graph.EdgeEvent, bool) {
+	ev, ok, _ := s.TryNext()
+	return ev, ok
+}
+
+func (s *latePull) TryNext() (graph.EdgeEvent, bool, bool) {
+	if s.pulled {
+		return graph.EdgeEvent{}, false, false
+	}
+	close(s.entered)
+	for !s.e.pauseReq.Load() || s.e.parked.Load() != 1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	s.pulled = true
+	return s.ev, true, false
+}
+
+func (s *latePull) SetNotify(func()) {}
+
+// TestPauseCompletesOverLatePull pins the one event source the pause
+// fence misses: a stream pull that passed ingestHalted just before Pause
+// set its flag. Its event goes to a rank that has already parked on the
+// quiescent engine. The parked rank must un-park to process it; otherwise
+// the engine never becomes quiescent again, the pulling rank never parks,
+// and Pause never returns.
+func TestPauseCompletesOverLatePull(t *testing.T) {
+	e := New(Options{Ranks: 2, Undirected: true}, stubProg{})
+	src := graph.VertexID(1)
+	for e.part.Owner(src) != 1 {
+		src++
+	}
+	s := &latePull{
+		e:       e,
+		ev:      graph.EdgeEvent{Edge: graph.Edge{Src: src, Dst: src + 1, W: 1}},
+		entered: make(chan struct{}),
+	}
+	if err := e.Start([]stream.Stream{s}); err != nil { // rank 1 has no stream
+		t.Fatal(err)
+	}
+	<-s.entered // rank 0 passed ingestHalted
+	paused := make(chan error, 1)
+	go func() { paused <- e.Pause() }()
+	select {
+	case err := <-paused:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Pause hung: the late pull's event is held by a parked rank")
+	}
+	if slot, ok := e.ranks[1].store.SlotOf(src); !ok || e.ranks[1].store.Degree(slot) != 1 {
+		t.Fatalf("vertex %d lacks its edge at the pause", src)
+	}
+	if err := e.Stop(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"incregraph/internal/graph"
 )
@@ -49,71 +50,87 @@ func (p *Plane) Get(algo int, v graph.VertexID) (Value, uint64) {
 	if !p.local(owner) {
 		return Value{Vertex: v}, 0
 	}
-	seg := p.acquire(owner)
-	val, epoch := segGet(seg, algo, v)
-	seg.release()
-	return val, epoch
+	for {
+		seg, gen := p.load(owner)
+		val, epoch := segGet(seg, algo, v)
+		if seg.same(gen) {
+			return val, epoch
+		}
+	}
 }
 
+// segGet reads v from a segment obtained with Plane.load; the caller
+// discards the result unless the segment's generation held.
 func segGet(seg *Segment, algo int, v graph.VertexID) (Value, uint64) {
 	if seg == nil {
 		return Value{Vertex: v}, 0
 	}
 	epoch := seg.epoch.Load()
-	slot, ok := seg.idx.lookup(uint64(v))
-	if !ok || slot >= uint64(seg.n) {
+	slot, ok := seg.idx.Load().lookup(uint64(v))
+	if !ok || slot >= uint64(seg.n.Load()) {
 		return Value{Vertex: v}, epoch
 	}
 	var val uint64
 	if algo < len(seg.vals) {
-		val = seg.vals[algo][slot]
+		val = atomic.LoadUint64(&seg.vals[algo][slot])
 	}
 	return Value{Vertex: v, Val: val, Found: true}, epoch
 }
 
 // GetBatch serves many point lookups against a consistent set of segment
-// views: each touched rank's segment is loaded once for the whole batch.
+// views: each touched rank's segment is loaded once for the whole batch,
+// and a batch that overlapped a rewrite of one of them is read again.
 // Results are appended to out (pass a reused buffer to avoid allocation)
 // and the returned epoch is the minimum over the touched local owners —
 // every answer is at least that fresh. Zero when any touched owner has
 // never published or no touched owner is local.
 func (p *Plane) GetBatch(algo int, ids []graph.VertexID, out []Value) ([]Value, uint64) {
-	var (
-		loaded   = make([]*Segment, 0, 8) // lazily loaded per-rank views
-		loadedOK = make([]bool, 0, 8)
-		epoch    uint64
-		touched  bool
-	)
-	rankSeg := func(rank int) *Segment {
-		for len(loaded) <= rank {
-			loaded = append(loaded, nil)
-			loadedOK = append(loadedOK, false)
-		}
-		if !loadedOK[rank] {
-			loadedOK[rank] = true
-			loaded[rank] = p.acquire(rank)
-			var e uint64
-			if loaded[rank] != nil {
-				e = loaded[rank].epoch.Load()
-			}
-			if !touched || e < epoch {
-				epoch = e
-			}
-			touched = true
-		}
-		return loaded[rank]
+	type view struct {
+		seg    *Segment
+		gen    uint64
+		loaded bool
 	}
-	for _, v := range ids {
-		owner := p.part.Owner(v)
-		if !p.local(owner) {
-			out = append(out, Value{Vertex: v})
-			continue
+	views := make([]view, 0, 8) // lazily loaded per-rank views
+	base := len(out)
+	for {
+		out, views = out[:base], views[:0]
+		var (
+			epoch   uint64
+			touched bool
+		)
+		for _, v := range ids {
+			owner := p.part.Owner(v)
+			if !p.local(owner) {
+				out = append(out, Value{Vertex: v})
+				continue
+			}
+			for len(views) <= owner {
+				views = append(views, view{})
+			}
+			vw := &views[owner]
+			if !vw.loaded {
+				vw.seg, vw.gen = p.load(owner)
+				vw.loaded = true
+				var e uint64
+				if vw.seg != nil {
+					e = vw.seg.epoch.Load()
+				}
+				if !touched || e < epoch {
+					epoch = e
+				}
+				touched = true
+			}
+			val, _ := segGet(vw.seg, algo, v)
+			out = append(out, val)
 		}
-		val, _ := segGet(rankSeg(owner), algo, v)
-		out = append(out, val)
+		same := true
+		for _, vw := range views {
+			same = same && vw.seg.same(vw.gen)
+		}
+		if same {
+			return out, epoch
+		}
 	}
-	releaseAll(loaded)
-	return out, epoch
 }
 
 // localSegs pins every local rank's segment and returns them with the
@@ -197,7 +214,7 @@ func (p *Plane) TopK(algo, k int, dir Dir) ([]Entry, uint64) {
 			continue
 		}
 		col := seg.vals[algo]
-		for slot := 0; slot < seg.n; slot++ {
+		for slot := range int(seg.n.Load()) {
 			val := col[slot]
 			if val == 0 {
 				continue
@@ -258,8 +275,8 @@ func (p *Plane) Neighborhood(algo int, root graph.VertexID, depth, limit int) ([
 		var slot uint64
 		ok := false
 		if seg != nil {
-			slot, ok = seg.idx.lookup(uint64(cur.v))
-			ok = ok && slot < uint64(seg.n)
+			slot, ok = seg.idx.Load().lookup(uint64(cur.v))
+			ok = ok && slot < uint64(seg.n.Load())
 		}
 		if ok {
 			node.Found = true

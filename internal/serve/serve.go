@@ -13,15 +13,18 @@
 //     one, replaying only the slots marked dirty since the spare's content
 //     was built (RisGraph-style modified-vertex-only history), so a
 //     publish costs O(changed slots) plus a bitmap sweep, not O(V).
-//   - Readers pin the segment they load, and from then on see a frozen,
-//     internally consistent view: the writer never rewrites a pinned
-//     segment, the adjacency headers point at arrays the rank only mutates
-//     copy-on-write or append-beyond-published-length (see Publisher), and
-//     the index only ever *gains* entries past the segment's bound (which
-//     the bounds check rejects).
-//   - No locks anywhere on the read path, no barrier, no rank parking:
-//     reads cost a pin, a hash probe and array indexing; a pinned spare
-//     costs the writer one fresh allocation instead of a wait.
+//   - Readers see an internally consistent view of the segment they
+//     load (see Segment). Point and batch reads write nothing shared:
+//     they check the segment's generation after reading and retry if the
+//     writer rewrote it meanwhile. Scans pin the segment, and the writer
+//     never rewrites a pinned one. The adjacency headers point at arrays
+//     the rank only mutates copy-on-write or append-beyond-published-
+//     length (see Publisher), and the index only ever *gains* entries
+//     past the segment's bound (which the bounds check rejects).
+//   - No locks anywhere on the read path, no barrier, no rank parking: a
+//     point read costs a few atomic loads, a hash probe and array
+//     indexing; a pinned spare costs the writer one fresh allocation
+//     instead of a wait.
 //
 // Epochs are a global counter advanced by a ticker (or a sim driver); a
 // publish stamps the current epoch onto the new segment. If a rank
@@ -100,6 +103,24 @@ func (p *Plane) Advance() uint64 {
 	return e
 }
 
+// load returns rank's served segment and its generation for a read that
+// writes nothing shared, or nil if the rank never published. The read
+// stands only if seg.same(gen) holds after it.
+func (p *Plane) load(rank int) (seg *Segment, gen uint64) {
+	slot := &p.segs[rank]
+	for {
+		seg = slot.seg.Load()
+		if seg == nil {
+			return nil, 0
+		}
+		gen = seg.gen.Load()
+		if gen&1 == 0 && slot.seg.Load() == seg {
+			return seg, gen
+		}
+		// Rewritten since the load: no longer the served segment.
+	}
+}
+
 // acquire pins rank's served segment and returns it, or nil if the rank
 // never published. The caller must release a non-nil result.
 func (p *Plane) acquire(rank int) *Segment {
@@ -154,9 +175,14 @@ func (p *Plane) StatsSnapshot() Stats {
 			continue
 		}
 		var e uint64
-		if seg := p.acquire(i); seg != nil {
-			e = seg.epoch.Load()
-			seg.release()
+		for {
+			seg, gen := p.load(i)
+			if seg != nil {
+				e = seg.epoch.Load()
+			}
+			if seg.same(gen) {
+				break
+			}
 		}
 		if s.PublishedEpoch == 0 || e < s.PublishedEpoch {
 			s.PublishedEpoch = e
@@ -212,7 +238,8 @@ func (pub *Publisher) Due() bool {
 
 // Touch marks slot's value as changed since the last publish. The rank
 // calls it on every live value write; the mirror hooks below call it for
-// adjacency changes.
+// adjacency changes. Writes made before the first publish need no Touch:
+// the first two publishes build fresh segments with a full copy.
 func (pub *Publisher) Touch(slot graph.Slot) {
 	w := int(slot >> 6)
 	if w >= len(pub.dirty) {
@@ -309,11 +336,11 @@ func (pub *Publisher) SegmentCompacted(slot graph.Slot, seg []graph.HalfEdge) {
 // mutation clock: if it hasn't moved since the last publish, the served
 // segment is re-stamped with the current epoch instead.
 //
-// Otherwise the spare is rewritten when no reader holds it and its arrays
-// fit n slots: it receives the stale and dirty slots below its old n and
-// every slot from there to n. A pinned or outgrown spare, and the first
-// two publishes, which have none, get a fresh segment with a full copy and
-// 1.5x slack instead.
+// Otherwise the spare is rewritten when no scan pins it and its arrays
+// fit n slots: inside an odd generation, it receives the stale and dirty
+// slots below its old n and every slot from there to n. A pinned or
+// outgrown spare, and the first two publishes, which have none, get a
+// fresh segment with a full copy and 1.5x slack instead.
 func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint64) {
 	slot := &pub.p.segs[pub.rank]
 	// Clear due before loading the epoch: if Advance lands in between,
@@ -341,14 +368,16 @@ func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint
 	seg := pub.spare
 	fits := seg != nil && cap(seg.adj) >= n
 	pinned := fits && !seg.pins.CompareAndSwap(0, retired)
-	if fits && !pinned {
+	rewrite := fits && !pinned
+	if rewrite {
+		seg.gen.Add(1) // odd: point reads of the old content retry
 		copied = pub.replay(seg, n, vals)
 	} else {
 		seg = &Segment{vals: make([][]uint64, len(vals))}
 		c := n + n/2
 		seg.adj = make([][]graph.HalfEdge, 0, c)
 		for a := range seg.vals {
-			seg.vals[a] = make([]uint64, 0, c)
+			seg.vals[a] = make([]uint64, c)
 		}
 		pub.fill(seg, 0, n, vals)
 		copied = n
@@ -369,8 +398,13 @@ func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint
 		pub.stale, pub.dirty = pub.dirty, pub.stale
 	}
 	clear(pub.dirty)
-	seg.n, seg.ids, seg.idx = n, ids, pub.idx
+	seg.ids = ids
+	seg.n.Store(int64(n))
+	seg.idx.Store(pub.idx)
 	seg.epoch.Store(epoch)
+	if rewrite {
+		seg.gen.Add(1) // even again: the new content is complete
+	}
 	seg.pins.Store(0)
 	slot.seg.Store(seg)
 	pub.lastEvents = events
@@ -381,7 +415,7 @@ func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint
 // replay brings the retired spare seg from its content to the live state
 // over n slots and returns how many slots it copied.
 func (pub *Publisher) replay(seg *Segment, n int, vals [][]uint64) int {
-	old := seg.n
+	old := int(seg.n.Load())
 	copied := 0
 	for w := 0; w*64 < old && (w < len(pub.dirty) || w < len(pub.stale)); w++ {
 		var bits uint64
@@ -401,7 +435,7 @@ func (pub *Publisher) replay(seg *Segment, n int, vals [][]uint64) int {
 				if s < len(col) {
 					v = col[s]
 				}
-				seg.vals[a][s] = v
+				atomic.StoreUint64(&seg.vals[a][s], v)
 			}
 			var he []graph.HalfEdge
 			if s < len(pub.adj) {
@@ -415,15 +449,16 @@ func (pub *Publisher) replay(seg *Segment, n int, vals [][]uint64) int {
 	return copied + n - old
 }
 
-// fill extends seg's arrays to n slots and copies slots [lo, n) from the
-// live state; values a column does not reach yet read as zero, and slots
-// the mirror does not reach have no adjacency.
+// fill copies slots [lo, n) from the live state and extends seg's
+// adjacency to n slots; values a column does not reach yet read as zero,
+// and slots the mirror does not reach have no adjacency. Point readers
+// may be reading seg below lo, never from lo up: fill runs before the
+// store of the new n.
 func (pub *Publisher) fill(seg *Segment, lo, n int, vals [][]uint64) {
 	for a, col := range vals {
 		dst := seg.vals[a][:n]
 		k := copy(dst[lo:], col[min(lo, len(col)):])
 		clear(dst[lo+k:])
-		seg.vals[a] = dst
 	}
 	seg.adj = seg.adj[:n]
 	k := copy(seg.adj[lo:], pub.adj[min(lo, len(pub.adj)):])

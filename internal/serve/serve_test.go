@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"incregraph/internal/graph"
 	"incregraph/internal/partition"
@@ -469,7 +471,7 @@ func TestPinnedSegmentSurvivesPublishes(t *testing.T) {
 	w.publishAll() // two publishes: the plane now has a spare
 
 	held := w.plane.acquire(0)
-	n := held.n
+	n := int(held.n.Load())
 	vals := append([]uint64(nil), held.vals[0][:n]...)
 	adj := make([][]graph.HalfEdge, n)
 	for i := range adj {
@@ -486,8 +488,8 @@ func TestPinnedSegmentSurvivesPublishes(t *testing.T) {
 		if w.plane.segs[0].seg.Load() == held {
 			t.Fatalf("round %d: the pinned segment was republished", round)
 		}
-		if held.n != n {
-			t.Fatalf("round %d: pinned n %d, want %d", round, held.n, n)
+		if got := int(held.n.Load()); got != n {
+			t.Fatalf("round %d: pinned n %d, want %d", round, got, n)
 		}
 		for i := 0; i < n; i++ {
 			if held.vals[0][i] != vals[i] {
@@ -524,6 +526,36 @@ func TestPinnedSegmentSurvivesPublishes(t *testing.T) {
 		if len(nodes) != 6 { // v and its five out-neighbours
 			t.Fatalf("vertex %d neighbourhood after reuse: %+v", v, nodes)
 		}
+	}
+}
+
+// TestLoadSeesRewrite: a point read's generation holds across publishes
+// that leave its segment alone and fails once a publish rewrites it, so
+// the read is retried rather than kept.
+func TestLoadSeesRewrite(t *testing.T) {
+	w := newPubWorld(1)
+	w.set(1, 1)
+	w.publishAll()
+	seg, gen := w.plane.load(0)
+	w.set(1, 2)
+	w.plane.Advance()
+	w.publishAll() // a fresh segment: seg becomes the spare
+	w.plane.Advance()
+	w.publishAll() // a restamp: nothing changed
+	if !seg.same(gen) {
+		t.Fatal("the generation moved, but the segment was not rewritten")
+	}
+	w.set(1, 3)
+	w.plane.Advance()
+	w.publishAll() // rewrites seg
+	if w.plane.segs[0].seg.Load() != seg {
+		t.Fatal("the third publish did not reuse the first segment")
+	}
+	if seg.same(gen) {
+		t.Fatal("a rewritten segment kept its generation")
+	}
+	if val, _ := w.plane.Get(0, 1); val.Val != 3 {
+		t.Fatalf("Get after the rewrite = %d, want 3", val.Val)
 	}
 }
 
@@ -565,10 +597,11 @@ func TestRewriteMatchesLiveState(t *testing.T) {
 		w.publishAll()
 
 		seg := w.plane.acquire(0)
-		if seg.n != len(w.ids[0]) {
-			t.Fatalf("round %d: served n %d, live %d", round, seg.n, len(w.ids[0]))
+		n := int(seg.n.Load())
+		if n != len(w.ids[0]) {
+			t.Fatalf("round %d: served n %d, live %d", round, n, len(w.ids[0]))
 		}
-		for s := 0; s < seg.n; s++ {
+		for s := 0; s < n; s++ {
 			if seg.vals[0][s] != w.vals[0][s] {
 				t.Fatalf("round %d slot %d: served value %d, live %d", round, s, seg.vals[0][s], w.vals[0][s])
 			}
@@ -606,5 +639,87 @@ func TestRewriteMatchesLiveState(t *testing.T) {
 	}
 	if got := w.plane.StatsSnapshot().CopiedSlots - before; got != 2 {
 		t.Fatalf("steady-state publish copied %d slots, want 2 (of %d)", got, len(w.ids[0]))
+	}
+}
+
+// benchSink keeps the compiler from dropping the benchmarked reads.
+var benchSink atomic.Uint64
+
+// BenchmarkParallelReads measures point and 64-id batch reads from
+// concurrent readers (b.RunParallel; vary their number with -cpu) against
+// one rank's 64K-vertex segment, with the writer idle or publishing 1,000
+// changed values every millisecond. Every reader pins the same segment,
+// so this is where pin traffic between readers would show.
+func BenchmarkParallelReads(b *testing.B) {
+	const (
+		verts = 1 << 16
+		batch = 64
+	)
+	for _, publishing := range []bool{false, true} {
+		name := "writer=idle"
+		if publishing {
+			name = "writer=1ms"
+		}
+		b.Run(name, func(b *testing.B) {
+			w := newPubWorld(1)
+			for v := graph.VertexID(1); v <= verts; v++ {
+				w.set(v, uint64(v))
+			}
+			w.publishAll()
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				if !publishing {
+					return
+				}
+				rng := rand.New(rand.NewSource(1))
+				tick := time.NewTicker(time.Millisecond)
+				defer tick.Stop()
+				for round := uint64(1); ; round++ {
+					select {
+					case <-stop:
+						return
+					case <-tick.C:
+					}
+					for j := 0; j < 1000; j++ {
+						w.set(graph.VertexID(rng.Intn(verts)+1), round)
+					}
+					w.plane.Advance()
+					w.publishAll()
+				}
+			}()
+			defer func() { close(stop); <-done }()
+
+			var seed atomic.Uint64
+			for _, verb := range []string{"Get", "GetBatch"} {
+				b.Run(verb, func(b *testing.B) {
+					b.RunParallel(func(pb *testing.PB) {
+						x := seed.Add(1) * 0x9e3779b97f4a7c15
+						next := func() graph.VertexID { // xorshift64
+							x ^= x << 13
+							x ^= x >> 7
+							x ^= x << 17
+							return graph.VertexID(x%verts + 1)
+						}
+						ids := make([]graph.VertexID, batch)
+						out := make([]Value, 0, batch)
+						var sum uint64
+						for pb.Next() {
+							if verb == "Get" {
+								val, _ := w.plane.Get(0, next())
+								sum += val.Val
+								continue
+							}
+							for i := range ids {
+								ids[i] = next()
+							}
+							out, _ = w.plane.GetBatch(0, ids, out[:0])
+							sum += out[0].Val
+						}
+						benchSink.Add(sum)
+					})
+				})
+			}
+		})
 	}
 }
