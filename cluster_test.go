@@ -287,21 +287,27 @@ func TestClusterChurnDifferential(t *testing.T) {
 						got[v] = val
 					}
 				}
+				// Each side against the static oracle over the SURVIVING
+				// topology first — any value still derived from a deleted
+				// edge diverges here, and the message names the side that
+				// kept it — then the two sides against each other.
+				oracle := tc.oracle(ref.Topology(), sources)
+				for _, side := range []struct {
+					name string
+					vals map[incregraph.VertexID]uint64
+				}{{"single-process", want}, {"cluster", got}} {
+					for v, val := range side.vals {
+						if int(v) < len(oracle) && val != oracle[v] {
+							t.Fatalf("vertex %d: %s %d, static oracle %d", v, side.name, val, oracle[v])
+						}
+					}
+				}
 				if len(got) != len(want) {
 					t.Fatalf("cluster reached %d vertices, single-process %d", len(got), len(want))
 				}
 				for v, w := range want {
 					if got[v] != w {
 						t.Fatalf("vertex %d: cluster %d, single-process %d", v, got[v], w)
-					}
-				}
-
-				// The static oracle over the SURVIVING topology — any value
-				// still derived from a deleted edge diverges here.
-				oracle := tc.oracle(ref.Topology(), sources)
-				for v, val := range got {
-					if int(v) < len(oracle) && val != oracle[v] {
-						t.Fatalf("vertex %d: cluster %d, static oracle %d", v, val, oracle[v])
 					}
 				}
 

@@ -163,10 +163,10 @@ type Config struct {
 	// negative is rejected). Ignored unless Serve is set.
 	ServeEvery time.Duration
 	// NoHybrid disables the hybrid CSR-delta storage tier, leaving the
-	// pure dynamic adjacency. The hybrid tier — immutable per-vertex
-	// sorted segments compacted in the background from the mutable delta —
-	// is on by default; results are identical either way (differentially
-	// tested). Ablation knob.
+	// pure dynamic adjacency. The hybrid tier — a sorted prefix of each
+	// vertex's edge array, extended in the background from the unsorted
+	// tail — is on by default; results are identical either way
+	// (differentially tested). Ablation knob.
 	NoHybrid bool
 	// AutoTune enables the per-rank feedback controller that watches the
 	// mailbox-residency and flush-interval histograms and adjusts the

@@ -70,19 +70,18 @@ type Options struct {
 	// publishes an immutable epoch-stamped segment of its vertex values
 	// and adjacency at every epoch boundary, and ReadPoint/ReadBatch/
 	// ReadTopK/ReadNeighborhood serve lock-free from the published
-	// segments while ingestion keeps running. Off by default: publication
-	// costs the owner an O(V) copy per epoch.
+	// segments while ingestion keeps running. Off by default.
 	Serve bool
 	// ServeEvery is the epoch cadence of the read plane's ticker (0
 	// selects 50ms). Ignored unless Serve is set; sim-driven engines
 	// advance epochs via SimDriver.ServeAdvance instead of a ticker.
 	ServeEvery time.Duration
 	// NoHybrid disables the hybrid CSR-delta storage tier (see
-	// internal/graph/hybrid.go), leaving the pure RHH/small-slice dynamic
-	// store. The hybrid tier is on by default; converged results are
+	// internal/graph/hybrid.go), leaving each vertex's edge array
+	// unsorted. The hybrid tier is on by default; converged results are
 	// identical either way (differentially tested). Ablation knob.
 	NoHybrid bool
-	// CompactCap is the delta size that queues a vertex for background
+	// CompactCap is the tail length that queues a vertex for background
 	// compaction (0 selects graph.DefaultCompactCap). Ignored under
 	// NoHybrid.
 	CompactCap int
@@ -145,11 +144,14 @@ type Engine struct {
 	// in-flight ring it is a deliberate shared-atomic deviation from
 	// shared-nothing: a reset's generation must be strictly above every
 	// generation any in-flight event anywhere can carry, which a per-rank
-	// counter cannot guarantee. One uncontended add per *unsafe deletion*
-	// — never on the add/update hot path.
-	genCounter atomic.Uint32
-	triggers   []trigger
-	ranks      []*rank
+	// counter cannot guarantee. One uncontended CAS per *unsafe deletion*
+	// — never on the add/update hot path. A cluster node mints only
+	// generations ≡ genNode (mod genNodes), so no two nodes mint the same
+	// one; both stay 0/1 unless a TCP transport binds them.
+	genCounter        atomic.Uint32
+	genNode, genNodes uint32
+	triggers          []trigger
+	ranks             []*rank
 	// traces is the cascade-lineage table (nil when Options.SampleEvery is
 	// negative — the only check the untraced hot path ever makes is
 	// Event.Trace == 0).
@@ -257,6 +259,7 @@ func New(opts Options, programs ...Program) *Engine {
 		tr:       opts.Transport,
 		done:     make(chan struct{}),
 		flight:   &flightRec{},
+		genNodes: 1,
 	}
 	if err := e.tr.bind(e); err != nil {
 		panic(fmt.Sprintf("core: transport: %v", err))
@@ -545,11 +548,34 @@ func (e *Engine) labelSeq(ev *Event) {
 }
 
 // nextGen mints a globally fresh witness generation, strictly above every
-// generation any already-emitted event carries. An unsafe deletion's reset
-// takes one per affected vertex; the fresh generation is what breaks
+// generation this node has emitted or received. An unsafe deletion's
+// reset takes one per affected vertex; the fresh generation is what breaks
 // count-to-infinity — a value that looped through the doomed region
-// carries an older generation and is rejected at delivery.
-func (e *Engine) nextGen() uint32 { return e.genCounter.Add(1) }
+// carries an older generation and is rejected at delivery. Across a
+// cluster, "fresh" rests on two rules: each node mints in its own residue
+// class, and observeGen raises the counter past every generation that
+// arrives over the wire (a Lamport clock).
+func (e *Engine) nextGen() uint32 {
+	for {
+		cur := e.genCounter.Load()
+		g := cur + 1
+		g += (e.genNode + e.genNodes - g%e.genNodes) % e.genNodes
+		if e.genCounter.CompareAndSwap(cur, g) {
+			return g
+		}
+	}
+}
+
+// observeGen raises the generation counter to g, so that every later
+// mint on this node is above it. The transport calls it for each
+// generation an inbound EVENTS frame carries.
+func (e *Engine) observeGen(g uint32) {
+	for cur := e.genCounter.Load(); g > cur; cur = e.genCounter.Load() {
+		if e.genCounter.CompareAndSwap(cur, g) {
+			return
+		}
+	}
+}
 
 // tryFinish detects global termination: every stream exhausted (or a stop
 // requested) and no event buffered, queued, or mid-processing anywhere.

@@ -111,9 +111,9 @@ type rank struct {
 	tune *tuner
 
 	// pub is this rank's single-writer handle onto the MVCC read plane
-	// (nil unless Options.Serve and the rank is local): mutation handlers
-	// mirror adjacency changes into it, and publishChores swaps in a fresh
-	// immutable segment at every epoch boundary.
+	// (nil unless Options.Serve and the rank is local): value writes and
+	// edge-set changes Touch their slot, and publishChores swaps in a
+	// fresh immutable segment at every epoch boundary.
 	pub *serve.Publisher
 }
 
@@ -254,6 +254,14 @@ func (r *rank) loop() {
 func (r *rank) exit() {
 	r.snapshotChores()
 	r.drainQueries()
+	// Finish the queued compactions: a converged graph would otherwise
+	// keep their long unsorted tails, each with a hash index, which costs
+	// more memory per edge than the sorted prefix they merge into.
+	for {
+		if _, _, ok := r.store.CompactNext(); !ok {
+			break
+		}
+	}
 	// Publish the converged final state unconditionally (restamps if the
 	// last epoch's segment already carries it): after termination the read
 	// plane serves exactly what Collect would return. No rewrite follows,
@@ -269,30 +277,17 @@ func (r *rank) exit() {
 // drainQueries bounds query service.
 const compactBurst = 4
 
-// compactChores merges a few queued vertices' deltas into their immutable
-// segments (internal/graph/hybrid.go). Runs at event boundaries only, on
-// this rank's own shard — shared-nothing, zero locking, no ingestion
-// pause. Freshly compacted segments are handed to the serve plane by
-// reference.
+// compactChores sorts a few queued vertices' tails into their prefixes
+// (internal/graph/hybrid.go). Runs at event boundaries only, on this
+// rank's own shard — shared-nothing, zero locking, no ingestion pause.
+// The serve plane needs no notice: a served header keeps the array it
+// was published with.
 func (r *rank) compactChores() {
 	for i := 0; i < compactBurst; i++ {
-		if !r.compactOne() {
+		if _, _, ok := r.store.CompactNext(); !ok {
 			return
 		}
 	}
-}
-
-// compactOne pops and compacts one queued vertex, reporting whether the
-// queue held anything.
-func (r *rank) compactOne() bool {
-	slot, compacted, ok := r.store.CompactNext()
-	if !ok {
-		return false
-	}
-	if compacted && r.pub != nil {
-		r.pub.SegmentCompacted(slot, r.store.Segment(slot))
-	}
-	return true
 }
 
 // publishChores publishes a fresh serve-plane segment if an epoch boundary
@@ -310,21 +305,14 @@ func (r *rank) publishNow() {
 	if r.pub == nil {
 		return
 	}
-	r.pub.Publish(r.store.IDs(), r.values, r.counters.totalEvents())
+	r.pub.Publish(r.store, r.values, r.counters.totalEvents())
 }
 
-// mirrorAdd reflects an edge insertion into the serve plane's adjacency
-// mirror: a brand-new half-edge appends, a duplicate may have merged its
-// weight under the store's policy — fetch the merged result and mirror
-// that (no-op if unchanged).
-func (r *rank) mirrorAdd(slot graph.Slot, nbr graph.VertexID, w graph.Weight, isNew bool) {
-	if r.pub == nil {
-		return
-	}
-	if isNew {
-		r.pub.EdgeAdded(slot, nbr, w)
-	} else if merged, ok := r.store.EdgeWeight(slot, nbr); ok {
-		r.pub.EdgeWeight(slot, nbr, merged)
+// touchEdges marks slot for the next publish after its edge set changed.
+// A weight merge needs no mark: served adjacency carries only neighbours.
+func (r *rank) touchEdges(slot graph.Slot) {
+	if r.pub != nil {
+		r.pub.Touch(slot)
 	}
 }
 
@@ -913,7 +901,9 @@ func (r *rank) handleAdd(ev *Event) {
 	if created {
 		r.growValues(slot)
 	}
-	r.mirrorAdd(slot, ev.From, ev.W, isNew)
+	if isNew {
+		r.touchEdges(slot)
+	}
 	for a, p := range r.eng.programs {
 		p.OnAdd(r.ctx(uint8(a), slot, ev.To, ev.Seq, viewLive), ev.From, ev.W)
 		if r.dualRun(ev.Seq, uint8(a)) {
@@ -953,7 +943,9 @@ func (r *rank) handleReverseAdd(ev *Event) {
 	if created {
 		r.growValues(slot)
 	}
-	r.mirrorAdd(slot, ev.From, ev.W, isNew)
+	if isNew {
+		r.touchEdges(slot)
+	}
 	if ev.Algo == NoAlgo {
 		return
 	}
@@ -1101,10 +1093,8 @@ func (r *rank) handleDelete(ev *Event) {
 	// callbacks only for a resolvable vertex and fall back to Unset for
 	// the reverse notification's carried value.
 	slot, ok := r.store.SlotOf(ev.To)
-	if r.pub != nil && ok {
-		r.pub.EdgeDeleted(slot, ev.From)
-	}
 	if ok {
+		r.touchEdges(slot)
 		r.growValues(slot)
 		for a, p := range r.eng.programs {
 			if wp := r.eng.witness[a]; wp != nil {
@@ -1145,11 +1135,9 @@ func (r *rank) handleReverseDelete(ev *Event) {
 	if !ok {
 		return
 	}
-	if r.pub != nil {
-		// Mirror before the program-level early returns: the reverse edge
-		// is gone from the store regardless of what the programs do.
-		r.pub.EdgeDeleted(slot, ev.From)
-	}
+	// Before the program-level early returns: the reverse edge is gone
+	// from the store regardless of what the programs do.
+	r.touchEdges(slot)
 	if ev.Algo == NoAlgo {
 		return
 	}

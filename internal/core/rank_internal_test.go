@@ -137,3 +137,52 @@ func TestPauseCompletesOverLatePull(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestClusterGenerationsFresh pins the two rules that keep witness
+// generations fresh across cluster nodes, each of which mints from its own
+// counter: no two nodes mint the same generation, and a node mints above
+// every generation it received over the wire. Without them a reset could
+// take a generation a peer's flood already used, and handleInvalidate
+// would treat the new flood as a visit that already happened.
+func TestClusterGenerationsFresh(t *testing.T) {
+	var trs [2]*TCPTransport
+	var engines [2]*Engine
+	for node := range engines {
+		cfg := TCPConfig{Node: node, Nodes: 2, RanksPerNode: 1, Listen: "127.0.0.1:0"}
+		if node > 0 {
+			cfg.Listen, cfg.Join = "", "127.0.0.1:1" // never dialled: the engine is not started
+		}
+		tr, err := NewTCPTransport(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.ln != nil {
+			defer tr.ln.Close()
+		}
+		trs[node] = tr
+		engines[node] = New(Options{Ranks: 2, Undirected: true, Transport: tr}, stubProg{})
+	}
+
+	minted := map[uint32]int{}
+	for i := 0; i < 50; i++ {
+		for node, e := range engines {
+			g := e.nextGen()
+			if prev, dup := minted[g]; dup {
+				t.Fatalf("generation %d minted by node %d and node %d", g, prev, node)
+			}
+			minted[g] = node
+		}
+	}
+
+	// Node 1 receives an EVENTS frame from rank 0 carrying a generation far
+	// above its own counter; its next mint must be above it.
+	const seen = 1000
+	ev := Event{Kind: KindUpdate, Algo: 0, Gen: seen, To: 1, From: 2}
+	payload := appendEventsPayload(nil, 1, 0, 1, []Event{ev})
+	if err := trs[1].handleFrame(trs[1].peers[0], frameEvents, payload); err != nil {
+		t.Fatal(err)
+	}
+	if g := engines[1].nextGen(); g <= seen {
+		t.Fatalf("node 1 minted %d after receiving generation %d", g, seen)
+	}
+}

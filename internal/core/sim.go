@@ -265,8 +265,35 @@ func (d *SimDriver) ServePublishDue(rank int) bool {
 // ServePublish makes rank publish its segment now, due or not (the
 // engine's exit() path does the same unconditional publish at
 // termination). Like every SimDriver step this stands in for work the
-// rank's own goroutine would do, at a legal event boundary.
-func (d *SimDriver) ServePublish(rank int) { d.e.ranks[rank].publishNow() }
+// rank's own goroutine would do, at a legal event boundary. It then
+// checks the served adjacency differentially: every slot's published
+// neighbours must equal the store's as a multiset. A change to a slot's
+// edge set that skipped Publisher.Touch leaves a stale header and is
+// reported here as a non-nil error.
+func (d *SimDriver) ServePublish(rank int) error {
+	r := d.e.ranks[rank]
+	r.publishNow()
+	if r.pub == nil {
+		return nil
+	}
+	for slot := graph.Slot(0); int(slot) < r.store.NumVertices(); slot++ {
+		id := r.store.IDOf(slot)
+		served := d.e.plane.Neighbors(id)
+		sort.Slice(served, func(i, j int) bool { return served[i] < served[j] })
+		live := sortedAdj(r.store, slot)
+		if len(served) != len(live) {
+			return fmt.Errorf("serve adjacency rank %d vertex %d: %d neighbours served, %d in the store",
+				rank, id, len(served), len(live))
+		}
+		for i := range live {
+			if served[i] != live[i].Nbr {
+				return fmt.Errorf("serve adjacency rank %d vertex %d: served %v, store %v",
+					rank, id, served, live)
+			}
+		}
+	}
+	return nil
+}
 
 // CompactPending counts vertices queued for hybrid-tier compaction on
 // rank's shard. Zero when the hybrid tier is off.
@@ -287,12 +314,9 @@ func (d *SimDriver) CompactOne(rank int) (bool, error) {
 		return false, nil
 	}
 	before := sortedAdj(r.store, slot)
-	popped, compacted, _ := r.store.CompactNext()
+	popped, _, _ := r.store.CompactNext()
 	if popped != slot {
 		return true, fmt.Errorf("compact: peeked slot %d but popped %d", slot, popped)
-	}
-	if compacted && r.pub != nil {
-		r.pub.SegmentCompacted(slot, r.store.Segment(slot))
 	}
 	after := sortedAdj(r.store, slot)
 	if len(before) != len(after) {

@@ -403,6 +403,7 @@ func (t *TCPTransport) bind(e *Engine) error {
 			e.opts.Ranks, t.cfg.Nodes, t.cfg.RanksPerNode, want)
 	}
 	t.e = e
+	e.genNode, e.genNodes = uint32(t.cfg.Node), uint32(t.cfg.Nodes)
 	return nil
 }
 
@@ -826,6 +827,7 @@ func (t *TCPTransport) handleFrame(p *tcpPeer, ft frameType, payload []byte) err
 		// local load, so a quiescent-and-counters-matched report is safe.
 		for i := range f.Events {
 			t.e.inflight[f.Events[i].Seq&3].Add(1)
+			t.e.observeGen(f.Events[i].Gen)
 		}
 		t.e.ranks[f.Dest].inbox.push(int(f.From), f.Events)
 		p.recvEvents.Add(uint64(len(f.Events)))

@@ -1,31 +1,27 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Hybrid CSR-delta storage tier (the RisGraph/DegAwareRHH idea): each
-// vertex's cold edge bulk lives in an immutable, Nbr-sorted segment —
-// a per-vertex CSR row — while recent arrivals accumulate in the existing
-// small-slice/Robin-Hood delta. Compaction merges the delta into a fresh
-// segment; it never pauses ingestion because the owning rank runs it as a
-// chore between events, on its own shard only (shared-nothing, zero
-// locking).
+// vertex's edge array keeps its cold bulk as an Nbr-sorted prefix — a
+// per-vertex CSR row — while recent arrivals accumulate in the tail behind
+// it, found by a scan or, past smallCap, by the tail hash index.
+// Compaction sorts the tail into the prefix; it never pauses ingestion
+// because the owning rank runs it as a chore between events, on its own
+// shard only (shared-nothing, zero locking).
 //
-// Segment immutability is the load-bearing contract: once a segment array
-// has escaped by reference (Segment()), the store never writes to it again
-// — weight merges and deletes clone it (see AddEdge/DeleteEdge and the
-// segShared bitmap) — and every compacted segment is allocated with
-// len == cap, so an append through an aliased slice header must
-// reallocate. That is exactly what lets a compacted segment be handed to
-// the serve plane by reference (serve.Publisher.SegmentCompacted) instead
-// of re-copied, and why concurrent readers of published segments are safe
-// under the race detector. Segments that never escaped are private and
-// merge weight/seq updates in place (duplicate-heavy streams would
-// otherwise clone O(degree) per duplicate on hub vertices).
+// Compaction is a write below the array's length, so it follows the one
+// sharing rule (see adjacency): a shared array is cloned first, and
+// headers the serve plane published keep the old array, which holds the
+// same edge set in its old order. A private array is merged in place.
 
-// DefaultCompactCap is the default delta size that queues a vertex for
+// DefaultCompactCap is the default tail length that queues a vertex for
 // compaction. It matches DefaultSmallCap so that, in steady state, a
-// vertex's delta is compacted around the point it would otherwise promote
-// to the hash-table representation — scans stay in flat arrays.
+// vertex's tail is compacted around the point it would otherwise get a
+// hash index — lookups stay binary searches over flat arrays.
 const DefaultCompactCap = 16
 
 // EnableHybrid switches the store into hybrid CSR-delta mode. Call before
@@ -51,15 +47,15 @@ func (s *Store) SetCompactCap(n int) {
 // CompactCap returns the current compaction threshold.
 func (s *Store) CompactCap() int { return s.compactCap }
 
-// maybeQueueCompact enqueues slot for compaction when its delta is both
-// over the absolute threshold and at least a quarter of the segment —
+// maybeQueueCompact enqueues slot for compaction when its tail is both
+// over the absolute threshold and at least a quarter of the prefix —
 // the geometric condition bounds total compaction copy work at O(degree)
 // amortized constant per edge, like vector doubling.
 func (s *Store) maybeQueueCompact(slot Slot, a *adjacency) {
 	if !s.hybrid {
 		return
 	}
-	if dn := a.deltaLen(); dn >= s.compactCap && dn*4 >= len(a.seg) {
+	if dn := a.tailLen(); dn >= s.compactCap && dn*4 >= int(a.seg) {
 		s.queueCompact(slot)
 	}
 }
@@ -91,7 +87,7 @@ func (s *Store) PeekCompact() (Slot, bool) {
 }
 
 // CompactNext pops the oldest queued slot and compacts it. compacted is
-// false when the slot's delta emptied between queueing and now (deletes
+// false when the slot's tail emptied between queueing and now (deletes
 // can do that); ok is false when the queue is empty.
 func (s *Store) CompactNext() (slot Slot, compacted, ok bool) {
 	if s.pendHead >= len(s.pending) {
@@ -107,57 +103,43 @@ func (s *Store) CompactNext() (slot Slot, compacted, ok bool) {
 	return slot, s.CompactSlot(slot), true
 }
 
-// CompactSlot merges the vertex's delta into its immutable segment,
-// reporting whether any entries moved. The merged array is freshly
-// allocated with len == cap (see the aliasing contract above); the old
-// segment array is left untouched for any published reference. Weights and
-// Seq tags carry over bit-exact, so NeighborsBefore and the weight-policy
-// invariants are tier-independent — only iteration order changes, which
-// REMO commutativity makes irrelevant (DESIGN.md "Hybrid storage tier").
+// CompactSlot sorts the vertex's tail into its prefix, reporting whether
+// any entries moved. Weights and Seq tags carry over bit-exact, so
+// NeighborsBefore and the weight-policy invariants are layout-independent
+// — only iteration order changes, which REMO commutativity makes
+// irrelevant (DESIGN.md "Hybrid storage tier").
 func (s *Store) CompactSlot(slot Slot) bool {
 	a := &s.adj[slot]
-	dn := a.deltaLen()
-	if dn == 0 {
+	seg, n := int(a.seg), len(a.edges)
+	if n == seg {
 		return false
 	}
-	delta := make([]HalfEdge, 0, dn)
-	if a.large != nil {
-		a.large.Range(func(k uint64, p uint64) bool {
-			w, q := unpackWS(p)
-			delta = append(delta, HalfEdge{Nbr: VertexID(k), W: w, Seq: q})
-			return true
-		})
-	} else {
-		delta = append(delta, a.small...)
-	}
-	sort.Slice(delta, func(i, j int) bool { return delta[i].Nbr < delta[j].Nbr })
-	merged := make([]HalfEdge, 0, len(a.seg)+len(delta))
-	i, j := 0, 0
-	for i < len(a.seg) && j < len(delta) {
-		// The tiers are disjoint by construction (AddEdge checks the
-		// segment first), so equal keys cannot occur; if the invariant ever
-		// broke, the duplicate entry would surface in the differential
-		// tests as a degree mismatch rather than being silently merged.
-		if a.seg[i].Nbr < delta[j].Nbr {
-			merged = append(merged, a.seg[i])
-			i++
+	tail := append(s.scratch[:0], a.edges[seg:]...)
+	slices.SortFunc(tail, func(x, y HalfEdge) int { return cmp.Compare(x.Nbr, y.Nbr) })
+	s.scratch = tail
+	s.own(a)
+	// Merge from the back, so every prefix entry is read before its
+	// position is overwritten. Prefix and tail are disjoint by
+	// construction (AddEdge checks the prefix first).
+	e := a.edges
+	i, j := seg-1, len(tail)-1
+	for k := n - 1; j >= 0; k-- {
+		if i >= 0 && e[i].Nbr > tail[j].Nbr {
+			e[k] = e[i]
+			i--
 		} else {
-			merged = append(merged, delta[j])
-			j++
+			e[k] = tail[j]
+			j--
 		}
 	}
-	merged = append(merged, a.seg[i:]...)
-	merged = append(merged, delta[j:]...)
-	a.seg = merged
-	a.small = nil
-	a.large = nil
-	s.clearSegShared(slot) // fresh array: no outstanding references
+	a.seg = uint32(n)
+	a.index = nil
 	s.compactions.Add(1)
-	s.segEdges.Add(uint64(dn))
+	s.segEdges.Add(uint64(n - seg))
 	return true
 }
 
-// CompactAll compacts every vertex's delta and clears the queue (tests and
+// CompactAll compacts every vertex's tail and clears the queue (tests and
 // offline consolidation; the engine compacts incrementally via
 // CompactNext).
 func (s *Store) CompactAll() {
@@ -171,75 +153,22 @@ func (s *Store) CompactAll() {
 	}
 }
 
-// segSharedBit reports whether the slot's segment array has escaped by
-// reference. Owner-goroutine only, like the rest of the queue state.
-func (s *Store) segSharedBit(slot Slot) bool {
-	w := int(slot) >> 6
-	return w < len(s.segShared) && s.segShared[w]&(uint64(1)<<(uint(slot)&63)) != 0
-}
-
-func (s *Store) markSegShared(slot Slot) {
-	w := int(slot) >> 6
-	for len(s.segShared) <= w {
-		s.segShared = append(s.segShared, 0)
-	}
-	s.segShared[w] |= uint64(1) << (uint(slot) & 63)
-}
-
-func (s *Store) clearSegShared(slot Slot) {
-	if w := int(slot) >> 6; w < len(s.segShared) {
-		s.segShared[w] &^= uint64(1) << (uint(slot) & 63)
-	}
-}
-
-// Segment exposes the vertex's immutable compacted segment (nil if never
-// compacted). Callers must treat it as read-only. Taking a reference marks
-// the slot shared: from then on any store-side change to the segment
-// clones the array first instead of mutating in place, which is what makes
-// handing it to the serve plane by reference sound.
-func (s *Store) Segment(slot Slot) []HalfEdge {
-	seg := s.adj[slot].seg
-	if seg != nil {
-		s.markSegShared(slot)
-	}
-	return seg
-}
-
-// AdjEntries returns every half-edge of the vertex at slot — segment then
-// delta — as full (Nbr, W, Seq) triples. Diagnostic accessor for tests and
-// the sim driver's compaction-equivalence check; allocates per call.
-func (s *Store) AdjEntries(slot Slot) []HalfEdge {
-	a := &s.adj[slot]
-	out := make([]HalfEdge, 0, a.degree())
-	out = append(out, a.seg...)
-	if a.large != nil {
-		a.large.Range(func(k uint64, p uint64) bool {
-			w, q := unpackWS(p)
-			out = append(out, HalfEdge{Nbr: VertexID(k), W: w, Seq: q})
-			return true
-		})
-	} else {
-		out = append(out, a.small...)
-	}
-	return out
-}
-
 // HybridStats is a point-in-time snapshot of the hybrid tier's counters
 // (all zero when the store is not hybrid, except DeltaScanned which still
 // tallies pure-dynamic scan traffic).
 type HybridStats struct {
-	// Compactions counts completed delta->segment merges.
+	// Compactions counts completed tail->prefix merges.
 	Compactions uint64
-	// SegmentEdges is the number of edges currently resident in compacted
-	// segments (a gauge: compactions add, segment deletes subtract).
+	// SegmentEdges is the number of edges currently in sorted prefixes (a
+	// gauge: compactions add, prefix deletes subtract).
 	SegmentEdges uint64
-	// SegClones counts copy-on-write segment clones (weight merges and
-	// deletes hitting segment-resident edges).
+	// SegClones counts clones of shared arrays: the copies a merge,
+	// delete or compaction makes of an array the serve plane holds.
 	SegClones uint64
-	// SegScanned / DeltaScanned count adjacency entries iterated per tier
-	// during Neighbors/NeighborsBefore walks. DeltaScanned/(Seg+Delta) is
-	// the delta hit rate: the fraction of scan traffic still served by the
-	// mutable tier (lower = better locality).
+	// SegScanned / DeltaScanned count adjacency entries iterated from
+	// prefixes and tails during Neighbors/NeighborsBefore walks.
+	// DeltaScanned/(Seg+Delta) is the delta hit rate: the fraction of scan
+	// traffic still served by unsorted tails (lower = better locality).
 	SegScanned   uint64
 	DeltaScanned uint64
 }

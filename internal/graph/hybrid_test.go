@@ -141,9 +141,9 @@ func collectBefore(s *Store, slot Slot, seq uint32) map[VertexID]Weight {
 	return m
 }
 
-// TestCompactSlotBasics pins the compaction mechanics: the segment comes
-// out sorted, the delta empties, counters move, and re-compaction with an
-// empty delta is a no-op.
+// TestCompactSlotBasics pins the compaction mechanics: the prefix comes
+// out sorted, the tail empties, counters move, and re-compaction with an
+// empty tail is a no-op.
 func TestCompactSlotBasics(t *testing.T) {
 	s := NewStore(4)
 	s.EnableHybrid(64) // high threshold: compaction only when forced
@@ -152,15 +152,15 @@ func TestCompactSlotBasics(t *testing.T) {
 	}
 	slot, _ := s.SlotOf(1)
 	if !s.CompactSlot(slot) {
-		t.Fatal("CompactSlot reported no work with a 10-entry delta")
+		t.Fatal("CompactSlot reported no work with a 10-entry tail")
 	}
-	seg := s.Segment(slot)
-	if len(seg) != 10 || len(seg) != cap(seg) {
-		t.Fatalf("segment len=%d cap=%d, want exact-size 10", len(seg), cap(seg))
+	seg := s.Share(slot)
+	if len(seg) != 10 {
+		t.Fatalf("prefix len=%d, want 10", len(seg))
 	}
 	for i := 1; i < len(seg); i++ {
 		if seg[i-1].Nbr >= seg[i].Nbr {
-			t.Fatalf("segment not strictly sorted at %d: %v", i, seg)
+			t.Fatalf("prefix not strictly sorted at %d: %v", i, seg)
 		}
 	}
 	hs := s.Hybrid()
@@ -168,7 +168,7 @@ func TestCompactSlotBasics(t *testing.T) {
 		t.Fatalf("counters: %+v, want 1 compaction / 10 segment edges", hs)
 	}
 	if s.CompactSlot(slot) {
-		t.Fatal("CompactSlot reported work with an empty delta")
+		t.Fatal("CompactSlot reported work with an empty tail")
 	}
 	if s.Degree(slot) != 10 || s.NumEdges() != 10 {
 		t.Fatalf("degree=%d edges=%d after compaction, want 10/10", s.Degree(slot), s.NumEdges())
@@ -176,8 +176,9 @@ func TestCompactSlotBasics(t *testing.T) {
 }
 
 // TestSegmentCopyOnWrite pins the aliasing contract the serve plane relies
-// on: a reference taken before a weight merge or delete keeps observing
-// the old content, while the store reflects the new.
+// on: a header taken with Share before a weight merge, a seq merge, a
+// delete or a compaction keeps observing the old content, while the store
+// reflects the new.
 func TestSegmentCopyOnWrite(t *testing.T) {
 	s := NewStore(4)
 	s.EnableHybrid(64)
@@ -185,7 +186,7 @@ func TestSegmentCopyOnWrite(t *testing.T) {
 	s.AddEdge(1, 3, 7, 5)
 	slot, _ := s.SlotOf(1)
 	s.CompactSlot(slot)
-	before := s.Segment(slot)
+	before := s.Share(slot)
 
 	// Weight merge (WeightMin lowers 9 -> 4) must clone.
 	s.AddEdge(1, 2, 4, 6)
@@ -193,33 +194,41 @@ func TestSegmentCopyOnWrite(t *testing.T) {
 		t.Fatalf("merged weight = %d, want 4", w)
 	}
 	if before[segFind(before, 2)].W != 9 {
-		t.Fatalf("aliased segment mutated in place: %+v", before)
+		t.Fatalf("shared array mutated in place: %+v", before)
 	}
 	// Seq lowering alone must also clone.
-	snap := s.Segment(slot)
+	snap := s.Share(slot)
 	s.AddEdge(1, 3, 7, 2)
 	if snap[segFind(snap, 3)].Seq != 5 {
-		t.Fatalf("aliased segment seq mutated in place: %+v", snap)
+		t.Fatalf("shared array seq mutated in place: %+v", snap)
 	}
-	// Delete from the segment must clone too.
-	snap = s.Segment(slot)
+	// A delete must clone too.
+	snap = s.Share(slot)
 	if !s.DeleteEdge(1, 3) {
 		t.Fatal("DeleteEdge(1,3) reported absent")
 	}
 	if len(snap) != 2 || segFind(snap, 3) < 0 {
-		t.Fatalf("aliased segment shrunk in place: %+v", snap)
+		t.Fatalf("shared array shrunk in place: %+v", snap)
 	}
 	if s.Degree(slot) != 1 {
 		t.Fatalf("degree after delete = %d, want 1", s.Degree(slot))
 	}
-	if s.Hybrid().SegClones < 3 {
-		t.Fatalf("SegClones = %d, want >= 3", s.Hybrid().SegClones)
+	// An append writes past the shared length, in place; the compaction
+	// that sorts it into the prefix must clone.
+	snap = s.Share(slot)
+	s.AddEdge(1, 1, 3, 7)
+	s.CompactSlot(slot)
+	if len(snap) != 1 || snap[0].Nbr != 2 {
+		t.Fatalf("shared array rewritten by compaction: %+v", snap)
+	}
+	if got := s.Hybrid().SegClones; got != 4 {
+		t.Fatalf("SegClones = %d, want 4", got)
 	}
 }
 
 // TestSegmentPrivateMergesInPlace pins the flip side of the aliasing
-// contract: a segment that never escaped via Segment() is private, so a
-// weight merge mutates it in place — no clone, no allocation.
+// contract: an array that never escaped via Share is private, so a weight
+// merge mutates it in place — no clone, no allocation.
 func TestSegmentPrivateMergesInPlace(t *testing.T) {
 	s := NewStore(4)
 	s.EnableHybrid(64)
@@ -229,26 +238,71 @@ func TestSegmentPrivateMergesInPlace(t *testing.T) {
 	s.CompactSlot(slot)
 
 	clones := s.Hybrid().SegClones
-	s.AddEdge(1, 2, 4, 6) // WeightMin lowers 9 -> 4 on a private segment
+	s.AddEdge(1, 2, 4, 6) // WeightMin lowers 9 -> 4 on a private array
 	if w, _ := s.EdgeWeight(slot, 2); w != 4 {
 		t.Fatalf("merged weight = %d, want 4", w)
 	}
 	if got := s.Hybrid().SegClones; got != clones {
 		t.Fatalf("private merge cloned (SegClones %d -> %d), want in-place", clones, got)
 	}
-	// Taking a reference flips the slot to copy-on-write...
-	ref := s.Segment(slot)
+	// Sharing the array flips the slot to copy-on-write...
+	ref := s.Share(slot)
 	s.AddEdge(1, 3, 1, 6)
 	if got := s.Hybrid().SegClones; got != clones+1 {
 		t.Fatalf("shared merge did not clone (SegClones %d -> %d)", clones, got)
 	}
 	if ref[segFind(ref, 3)].W != 7 {
-		t.Fatalf("aliased segment mutated in place: %+v", ref)
+		t.Fatalf("shared array mutated in place: %+v", ref)
 	}
 	// ...and the clone is private again: the next merge is in-place.
 	s.AddEdge(1, 2, 2, 6)
 	if got := s.Hybrid().SegClones; got != clones+1 {
 		t.Fatalf("post-clone merge cloned again (SegClones = %d), want in-place", got)
+	}
+}
+
+// TestSharedHeadersFrozenQuick is the property behind serving the store's
+// own arrays: whatever adds, duplicate merges, deletes and compactions
+// follow, every header Share returned keeps its content below its length.
+// Share runs on random slots at random points; each result is compared
+// against a deep copy taken at the time.
+func TestSharedHeadersFrozenQuick(t *testing.T) {
+	type held struct {
+		hdr, copy []HalfEdge
+	}
+	check := func(ops []hybridOp, compactCap uint8) bool {
+		s := NewStore(4) // tiny smallCap: tail indexes come and go
+		s.EnableHybrid(int(compactCap%8) + 1)
+		var shared []held
+		for _, op := range ops {
+			src := VertexID(op.Src % 8)
+			dst := VertexID(op.Dst % 16)
+			switch op.Kind % 8 {
+			case 5:
+				if slot, ok := s.SlotOf(src); ok {
+					h := s.Share(slot)
+					shared = append(shared, held{h, append([]HalfEdge(nil), h...)})
+				}
+			case 6:
+				s.DeleteEdge(src, dst)
+			case 7:
+				s.CompactNext()
+			default:
+				s.AddEdge(src, dst, Weight(op.W%4), uint32(op.Seq%4))
+			}
+			for _, h := range shared {
+				for i := range h.copy {
+					if h.hdr[i] != h.copy[i] {
+						t.Logf("shared header entry %d: %+v, want %+v", i, h.hdr[i], h.copy[i])
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(29))}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -6,42 +6,56 @@ import (
 	"incregraph/internal/rhh"
 )
 
-// DefaultSmallCap is the degree threshold at which a vertex's adjacency is
-// promoted from the compact inline slice to a Robin Hood hash table.
-// Low-degree vertices (the vast majority under power-law distributions)
-// stay in the compact form; high-degree vertices get O(1) duplicate checks
-// and weight lookups from the hash table.
+// DefaultSmallCap is the tail length past which a vertex's adjacency gets
+// a Robin Hood hash index. Low-degree vertices (the vast majority under
+// power-law distributions) find a neighbour by scanning their short tail;
+// high-degree vertices get O(1) duplicate checks and weight lookups from
+// the index.
 const DefaultSmallCap = 16
 
-// packed adjacency value for the large (hash table) representation:
-// weight in the low 32 bits, insertion sequence number in the high 32.
-func packWS(w Weight, seq uint32) uint64 { return uint64(seq)<<32 | uint64(w) }
-func unpackWS(p uint64) (Weight, uint32) { return Weight(p & 0xffffffff), uint32(p >> 32) }
-
-// adjacency is a degree-aware edge set for a single vertex. In hybrid mode
-// (see hybrid.go) the bulk of the edges live in seg — an immutable,
-// Nbr-sorted array compacted from the mutable tier — and small/large hold
-// only the delta that arrived since the last compaction. An edge lives in
-// exactly one tier: AddEdge checks seg first, so a segment-resident
-// neighbour is never re-inserted into the delta.
+// adjacency is one vertex's out-edge set, held in a single array.
+// edges[:seg] is the Nbr-sorted prefix the last compaction wrote (see
+// hybrid.go; empty unless the store is hybrid), and edges[seg:] is the
+// tail in arrival order, except where a delete moved an entry. Once the
+// tail outgrows the store's smallCap, index maps each tail neighbour to
+// its position in edges.
+//
+// shared reports that Share handed the array out by reference. An append
+// writes at an index >= len, which no shared header can see, so it never
+// copies. Any other write below len — a weight or seq merge, a delete, a
+// compaction — first replaces a shared array with a private clone (own).
+// A fresh array (a clone or a growth reallocation) is private.
 type adjacency struct {
-	seg   []HalfEdge       // immutable compacted segment, sorted by Nbr; nil until compacted
-	small []HalfEdge       // delta: used while delta degree < smallCap
-	large *rhh.Map[uint64] // delta: nbr -> packed (weight, seq); nil until promoted
+	edges  []HalfEdge
+	index  *rhh.Map[uint32] // tail nbr -> position in edges; nil until the tail outgrows smallCap
+	seg    uint32
+	shared bool
 }
 
-func (a *adjacency) degree() int { return len(a.seg) + a.deltaLen() }
-
-// deltaLen is the mutable-tier entry count (the whole adjacency when the
-// store is not hybrid or the vertex was never compacted).
-func (a *adjacency) deltaLen() int {
-	if a.large != nil {
-		return a.large.Len()
+// find returns the position of nbr in edges, or -1.
+func (a *adjacency) find(nbr VertexID) int {
+	if i := segFind(a.edges[:a.seg], nbr); i >= 0 {
+		return i
 	}
-	return len(a.small)
+	if a.index != nil {
+		if p, ok := a.index.Get(uint64(nbr)); ok {
+			return int(p)
+		}
+		return -1
+	}
+	for i := int(a.seg); i < len(a.edges); i++ {
+		if a.edges[i].Nbr == nbr {
+			return i
+		}
+	}
+	return -1
 }
 
-// segFind returns the index of nbr in the Nbr-sorted segment, or -1.
+// tailLen is the number of edges that arrived since the last compaction
+// (the whole adjacency when the store is not hybrid).
+func (a *adjacency) tailLen() int { return len(a.edges) - int(a.seg) }
+
+// segFind returns the index of nbr in the Nbr-sorted seg, or -1.
 func segFind(seg []HalfEdge, nbr VertexID) int {
 	lo, hi := 0, len(seg)
 	for lo < hi {
@@ -88,34 +102,28 @@ type Store struct {
 	smallCap int
 	policy   WeightPolicy
 
-	promotions uint64 // number of small->large promotions (instrumentation)
+	promotions uint64 // number of tail hash indexes built (instrumentation)
 
 	// Hybrid CSR-delta tier state (hybrid.go). pending/pendingBit form the
-	// compaction queue: slots whose delta crossed the threshold, FIFO with a
+	// compaction queue: slots whose tail crossed the threshold, FIFO with a
 	// bitmap de-duplicating entries; pendHead is the next queue index.
+	// scratch is CompactSlot's reusable buffer for the sorted tail.
 	hybrid     bool
 	compactCap int
 	pending    []Slot
 	pendHead   int
 	pendingBit []uint64
-
-	// segShared marks slots whose segment array has been handed out by
-	// reference (Segment()); only those need copy-on-write on a weight or
-	// seq merge — private segments mutate in place, which matters under
-	// duplicate-heavy streams (R-MAT hubs) where a clone is O(degree).
-	// Deletes always clone: removal changes the array length, and the
-	// serve-plane aliasing contract requires len == cap at handoff.
-	segShared []uint64
+	scratch    []HalfEdge
 
 	// Hybrid instrumentation. The store is single-writer (rank-owned), but
 	// stats aggregation reads from arbitrary goroutines, so these are
 	// atomics — each costs one uncontended add, and the scan tallies are
 	// accumulated locally and added once per Neighbors call.
-	compactions atomic.Uint64 // completed delta->segment merges
-	segEdges    atomic.Uint64 // edges currently resident in segments (gauge)
-	segClones   atomic.Uint64 // copy-on-write segment clones (merge/delete)
-	segScans    atomic.Uint64 // adjacency entries iterated from segments
-	deltaScans  atomic.Uint64 // adjacency entries iterated from the delta tier
+	compactions atomic.Uint64 // completed tail->prefix merges
+	segEdges    atomic.Uint64 // edges currently in sorted prefixes (gauge)
+	segClones   atomic.Uint64 // clones of shared arrays (own)
+	segScans    atomic.Uint64 // adjacency entries iterated from sorted prefixes
+	deltaScans  atomic.Uint64 // adjacency entries iterated from tails
 }
 
 // NewStore returns an empty shard with the WeightMin policy.
@@ -154,8 +162,8 @@ func (s *Store) NumVertices() int { return len(s.ids) }
 // NumEdges returns the number of directed adjacency entries in this shard.
 func (s *Store) NumEdges() uint64 { return s.edges }
 
-// Promotions returns how many vertices have been promoted to the hash-table
-// representation.
+// Promotions returns how many times a vertex's tail outgrew smallCap and
+// got a hash index.
 func (s *Store) Promotions() uint64 { return s.promotions }
 
 // SlotOf returns the dense slot for v, or (NoSlot, false) if absent.
@@ -201,243 +209,189 @@ func (s *Store) EnsureVertex(v VertexID) (Slot, bool) {
 // stored Seq is lowered to the smaller of the two: a parallel edge ingested
 // before a snapshot marker belongs to the previous version even when a
 // post-marker duplicate raced ahead of it, and previous-version propagation
-// (NeighborsBefore) must be able to traverse it.
+// (NeighborsBefore) must be able to traverse it. A merge that changes the
+// entry clones a shared array first; a new edge is appended in place.
 // Returns the source slot, whether the source vertex was created, and
 // whether the adjacency entry is new.
 func (s *Store) AddEdge(src, dst VertexID, w Weight, seq uint32) (srcSlot Slot, srcCreated, isNew bool) {
 	srcSlot, srcCreated = s.EnsureVertex(src)
 	a := &s.adj[srcSlot]
-	if i := segFind(a.seg, dst); i >= 0 {
-		// Segment-resident duplicate: merge the weight under the policy and
-		// lower the stored seq. If the segment array has been handed out by
-		// reference (serve-plane handoff at compaction) the change clones
-		// first — the same copy-on-write discipline serve.Publisher applies
-		// to its own mirror; a private segment mutates in place.
-		merged := s.mergeWeight(a.seg[i].W, w)
-		mseq := a.seg[i].Seq
-		if seq < mseq {
-			mseq = seq
+	var i int
+	if a.index == nil {
+		i = a.find(dst)
+	} else if i = segFind(a.edges[:a.seg], dst); i < 0 {
+		// One probe both finds a duplicate and records a new edge's
+		// position, which the append below fills.
+		if p, existed := a.index.GetOrPut(uint64(dst), uint32(len(a.edges))); existed {
+			i = int(*p)
 		}
-		if merged != a.seg[i].W || mseq != a.seg[i].Seq {
-			if s.segSharedBit(srcSlot) {
-				seg := make([]HalfEdge, len(a.seg))
-				copy(seg, a.seg)
-				a.seg = seg
-				s.segClones.Add(1)
-				s.clearSegShared(srcSlot)
-			}
-			a.seg[i].W = merged
-			a.seg[i].Seq = mseq
+	}
+	if i >= 0 {
+		e := &a.edges[i]
+		merged := s.mergeWeight(e.W, w)
+		mseq := min(seq, e.Seq)
+		if merged != e.W || mseq != e.Seq {
+			s.own(a)
+			a.edges[i].W, a.edges[i].Seq = merged, mseq
 		}
 		return srcSlot, srcCreated, false
 	}
-	if a.large != nil {
-		p, existed := a.large.GetOrPut(uint64(dst), packWS(w, seq))
-		if existed {
-			ew, eseq := unpackWS(*p)
-			merged := s.mergeWeight(ew, w)
-			if seq < eseq {
-				eseq = seq
-			}
-			*p = packWS(merged, eseq)
-			return srcSlot, srcCreated, false
-		}
-		s.edges++
-		s.maybeQueueCompact(srcSlot, a)
-		return srcSlot, srcCreated, true
+	if len(a.edges) == cap(a.edges) {
+		// Growth rule: an eighth of the length, at least 4 entries, but
+		// no more than the length while it is below 4, so capacities run
+		// 1, 2, 4, 8, 12, ... 32, 36, 40, 45, ... Doubling would leave up
+		// to half of every array idle; most vertices have a handful of
+		// edges, and the edge mass sits in hubs that the eighth keeps
+		// within about 6% of their length (EXPERIMENTS.md "PR 29").
+		n := len(a.edges)
+		grown := make([]HalfEdge, n, n+max(1, min(n, 4), n/8))
+		copy(grown, a.edges)
+		a.edges, a.shared = grown, false
 	}
-	for i := range a.small {
-		if a.small[i].Nbr == dst {
-			a.small[i].W = s.mergeWeight(a.small[i].W, w)
-			if seq < a.small[i].Seq {
-				a.small[i].Seq = seq
-			}
-			return srcSlot, srcCreated, false
+	a.edges = append(a.edges, HalfEdge{Nbr: dst, W: w, Seq: seq})
+	if a.index == nil && a.tailLen() > s.smallCap {
+		m := &rhh.Map[uint32]{}
+		m.Reserve(2 * a.tailLen())
+		for p := int(a.seg); p < len(a.edges); p++ {
+			m.Put(uint64(a.edges[p].Nbr), uint32(p))
 		}
-	}
-	if len(a.small) >= s.smallCap {
-		// Promote the delta to the Robin Hood representation.
-		m := &rhh.Map[uint64]{}
-		m.Reserve(len(a.small) * 2)
-		for _, he := range a.small {
-			m.Put(uint64(he.Nbr), packWS(he.W, he.Seq))
-		}
-		m.Put(uint64(dst), packWS(w, seq))
-		a.small = nil
-		a.large = m
+		a.index = m
 		s.promotions++
-		s.edges++
-		s.maybeQueueCompact(srcSlot, a)
-		return srcSlot, srcCreated, true
 	}
-	a.small = append(a.small, HalfEdge{Nbr: dst, W: w, Seq: seq})
 	s.edges++
 	s.maybeQueueCompact(srcSlot, a)
 	return srcSlot, srcCreated, true
 }
 
+// own makes a's array private before a write below its length: a shared
+// array is replaced by a clone, which published headers never see.
+func (s *Store) own(a *adjacency) {
+	if a.shared {
+		a.edges = append(make([]HalfEdge, 0, cap(a.edges)), a.edges...)
+		a.shared = false
+		s.segClones.Add(1)
+	}
+}
+
 // DeleteEdge removes the directed edge src->dst, reporting whether it was
 // present. Vertices are never removed (vertex deletion is a set of edge
-// deletions in the paper's model).
+// deletions in the paper's model). A tail delete moves the last entry into
+// the hole; a prefix delete closes the gap, which keeps the prefix sorted,
+// and moves the last entry into the freed first tail position.
 func (s *Store) DeleteEdge(src, dst VertexID) bool {
 	srcSlot, ok := s.SlotOf(src)
 	if !ok {
 		return false
 	}
 	a := &s.adj[srcSlot]
-	if i := segFind(a.seg, dst); i >= 0 {
-		// Copy-on-write removal: published references keep the old array.
-		// Always cloned, shared or not — removal changes the length, and
-		// the next handoff needs a fresh len == cap array anyway.
-		if len(a.seg) == 1 {
-			a.seg = nil
-		} else {
-			seg := make([]HalfEdge, 0, len(a.seg)-1)
-			seg = append(seg, a.seg[:i]...)
-			seg = append(seg, a.seg[i+1:]...)
-			a.seg = seg
-		}
-		s.segClones.Add(1)
-		s.segEdges.Add(^uint64(0))
-		s.clearSegShared(srcSlot)
-		s.edges--
-		return true
-	}
-	if a.large != nil {
-		if a.large.Delete(uint64(dst)) {
-			s.edges--
-			return true
-		}
+	i := a.find(dst)
+	if i < 0 {
 		return false
 	}
-	for i := range a.small {
-		if a.small[i].Nbr == dst {
-			last := len(a.small) - 1
-			a.small[i] = a.small[last]
-			a.small = a.small[:last]
-			s.edges--
-			return true
+	s.own(a)
+	if seg := int(a.seg); i < seg {
+		copy(a.edges[i:], a.edges[i+1:seg])
+		a.seg--
+		i = seg - 1
+		s.segEdges.Add(^uint64(0))
+	} else if a.index != nil {
+		a.index.Delete(uint64(dst))
+	}
+	last := len(a.edges) - 1
+	if i != last {
+		a.edges[i] = a.edges[last]
+		if a.index != nil {
+			a.index.Put(uint64(a.edges[i].Nbr), uint32(i))
 		}
 	}
-	return false
+	a.edges = a.edges[:last]
+	s.edges--
+	return true
 }
 
 // Degree returns the out-degree of the vertex at slot.
-func (s *Store) Degree(slot Slot) int { return s.adj[slot].degree() }
+func (s *Store) Degree(slot Slot) int { return len(s.adj[slot].edges) }
 
 // HasEdge reports whether the directed edge src->dst exists.
 func (s *Store) HasEdge(src, dst VertexID) bool {
 	slot, ok := s.SlotOf(src)
-	if !ok {
-		return false
-	}
-	_, ok = s.EdgeWeight(slot, dst)
-	return ok
+	return ok && s.adj[slot].find(dst) >= 0
 }
 
 // EdgeWeight returns the weight of the edge from the vertex at slot to nbr.
 func (s *Store) EdgeWeight(slot Slot, nbr VertexID) (Weight, bool) {
 	a := &s.adj[slot]
-	if i := segFind(a.seg, nbr); i >= 0 {
-		return a.seg[i].W, true
-	}
-	if a.large != nil {
-		p, ok := a.large.Get(uint64(nbr))
-		if !ok {
-			return 0, false
-		}
-		w, _ := unpackWS(p)
-		return w, true
-	}
-	for i := range a.small {
-		if a.small[i].Nbr == nbr {
-			return a.small[i].W, true
-		}
+	if i := a.find(nbr); i >= 0 {
+		return a.edges[i].W, true
 	}
 	return 0, false
 }
 
-// Neighbors calls fn for every out-neighbour of the vertex at slot: the
-// dense compacted segment first (sequential, prefetch-friendly), then the
-// delta tier. Iteration stops early if fn returns false. fn must not mutate
-// the store. The per-tier scan tallies behind the delta-hit-rate gauge are
-// accumulated locally and added once per call.
+// Neighbors calls fn for every out-neighbour of the vertex at slot, in
+// array order: the sorted prefix, then the tail. Iteration stops early if
+// fn returns false. fn must not mutate the store.
 func (s *Store) Neighbors(slot Slot, fn func(nbr VertexID, w Weight) bool) {
 	a := &s.adj[slot]
-	for i := range a.seg {
-		if !fn(a.seg[i].Nbr, a.seg[i].W) {
-			s.segScans.Add(uint64(i + 1))
+	for i := range a.edges {
+		if !fn(a.edges[i].Nbr, a.edges[i].W) {
+			s.countScan(a, i+1)
 			return
 		}
 	}
-	if len(a.seg) > 0 {
-		s.segScans.Add(uint64(len(a.seg)))
-	}
-	if a.large != nil {
-		n := 0
-		a.large.Range(func(k uint64, p uint64) bool {
-			n++
-			w, _ := unpackWS(p)
-			return fn(VertexID(k), w)
-		})
-		s.deltaScans.Add(uint64(n))
-		return
-	}
-	for i := range a.small {
-		if !fn(a.small[i].Nbr, a.small[i].W) {
-			s.deltaScans.Add(uint64(i + 1))
-			return
-		}
-	}
-	if len(a.small) > 0 {
-		s.deltaScans.Add(uint64(len(a.small)))
-	}
+	s.countScan(a, len(a.edges))
 }
 
 // NeighborsBefore is Neighbors restricted to edges inserted before snapshot
 // sequence seq. Previous-version snapshot propagation uses it so that state
 // belonging to a snapshot never traverses edges added after the marker.
-// Compaction preserves each half-edge's Seq exactly, so the filter is
-// tier-independent.
+// Compaction and deletes move entries with their Seq intact, so the filter
+// is layout-independent.
 func (s *Store) NeighborsBefore(slot Slot, seq uint32, fn func(nbr VertexID, w Weight) bool) {
 	a := &s.adj[slot]
-	for i := range a.seg {
-		if a.seg[i].Seq >= seq {
+	for i := range a.edges {
+		if a.edges[i].Seq >= seq {
 			continue
 		}
-		if !fn(a.seg[i].Nbr, a.seg[i].W) {
-			s.segScans.Add(uint64(i + 1))
+		if !fn(a.edges[i].Nbr, a.edges[i].W) {
+			s.countScan(a, i+1)
 			return
 		}
 	}
-	if len(a.seg) > 0 {
-		s.segScans.Add(uint64(len(a.seg)))
+	s.countScan(a, len(a.edges))
+}
+
+// countScan adds a walk over a's first n entries to the per-part scan
+// tallies behind the delta-hit-rate gauge, once per call.
+func (s *Store) countScan(a *adjacency, n int) {
+	seg := min(n, int(a.seg))
+	if seg > 0 {
+		s.segScans.Add(uint64(seg))
 	}
-	if a.large != nil {
-		n := 0
-		a.large.Range(func(k uint64, p uint64) bool {
-			n++
-			w, eseq := unpackWS(p)
-			if eseq >= seq {
-				return true
-			}
-			return fn(VertexID(k), w)
-		})
-		s.deltaScans.Add(uint64(n))
-		return
+	if n > seg {
+		s.deltaScans.Add(uint64(n - seg))
 	}
-	for i := range a.small {
-		if a.small[i].Seq >= seq {
-			continue
-		}
-		if !fn(a.small[i].Nbr, a.small[i].W) {
-			s.deltaScans.Add(uint64(i + 1))
-			return
-		}
+}
+
+// Share returns the vertex's edges as a header onto the store's own array,
+// for the serve plane to publish without copying. From then on the store
+// never writes below the header's length: a merge, delete or compaction
+// clones the array first. Readers must treat the result as read-only and
+// use only Nbr — a weight merged later is not reflected.
+func (s *Store) Share(slot Slot) []HalfEdge {
+	a := &s.adj[slot]
+	n := len(a.edges)
+	if n == 0 {
+		return nil
 	}
-	if len(a.small) > 0 {
-		s.deltaScans.Add(uint64(len(a.small)))
-	}
+	a.shared = true
+	return a.edges[:n:n]
+}
+
+// AdjEntries returns a copy of every half-edge of the vertex at slot as
+// full (Nbr, W, Seq) triples. Diagnostic accessor for tests and the sim
+// driver's checks; allocates per call.
+func (s *Store) AdjEntries(slot Slot) []HalfEdge {
+	return append([]HalfEdge(nil), s.adj[slot].edges...)
 }
 
 // ForEachVertex calls fn for every vertex in the shard in slot order.
@@ -454,7 +408,7 @@ func (s *Store) ForEachVertex(fn func(slot Slot, id VertexID) bool) {
 type Stats struct {
 	Vertices   int
 	Edges      uint64
-	Promoted   uint64 // vertices using the hash-table representation
+	Promoted   uint64 // tail hash indexes built (Promotions)
 	MaxDegree  int
 	Singletons int // vertices with degree 0
 }
@@ -463,7 +417,7 @@ type Stats struct {
 func (s *Store) ComputeStats() Stats {
 	st := Stats{Vertices: len(s.ids), Edges: s.edges, Promoted: s.promotions}
 	for i := range s.adj {
-		d := s.adj[i].degree()
+		d := len(s.adj[i].edges)
 		if d > st.MaxDegree {
 			st.MaxDegree = d
 		}

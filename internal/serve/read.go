@@ -244,6 +244,29 @@ func (p *Plane) TopK(algo, k int, dir Dir) ([]Entry, uint64) {
 	return h, epoch
 }
 
+// Neighbors returns v's published out-neighbours in served order, or nil
+// when v is not served. The sim driver checks them against the store.
+func (p *Plane) Neighbors(v graph.VertexID) []graph.VertexID {
+	owner := p.part.Owner(v)
+	if !p.local(owner) {
+		return nil
+	}
+	seg := p.acquire(owner)
+	defer seg.release()
+	if seg == nil {
+		return nil
+	}
+	slot, ok := seg.idx.Load().lookup(uint64(v))
+	if !ok || slot >= uint64(seg.n.Load()) {
+		return nil
+	}
+	out := make([]graph.VertexID, len(seg.adj[slot]))
+	for i, he := range seg.adj[slot] {
+		out[i] = he.Nbr
+	}
+	return out
+}
+
 // Neighborhood serves a breadth-first k-hop read rooted at root over the
 // published adjacency, up to depth hops and at most limit nodes
 // (breadth-first order, root first). Nodes owned by remote processes or

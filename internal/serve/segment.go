@@ -47,9 +47,11 @@ import (
 //     reassigned; readers only index < n. In-place appends by the owner
 //     touch indexes >= n (disjoint), and a growth reallocation leaves the
 //     old array — which published headers still point at — intact.
-//   - adj holds slice headers; the owner only mutates the underlying
-//     arrays append-beyond-len or copy-on-write (Publisher), so every
-//     index < len of a published header stays frozen.
+//   - adj holds headers onto the rank store's own edge arrays
+//     (graph.Store.Share). The store appends past a shared length in
+//     place and clones the array before any other write, so every index
+//     < len of a published header stays frozen. Readers use only Nbr: a
+//     later weight merge goes to a clone the header does not see.
 //   - idx is insert-only and shared across a publisher's segments; it may
 //     gain entries for slots >= n after publication, which the n bounds
 //     check in lookups rejects. A growth rebuild allocates a fresh table,

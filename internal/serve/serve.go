@@ -7,8 +7,9 @@
 //
 //   - Each local rank owns a Publisher. At every epoch boundary the rank
 //     (from its own goroutine, at an event boundary — never mid-event)
-//     brings a Segment up to date — vertex values copied, adjacency slice
-//     headers copied — and swaps it in with one atomic pointer store.
+//     brings a Segment up to date — vertex values copied, the headers of
+//     the store's own edge arrays copied — and swaps it in with one atomic
+//     pointer store.
 //   - The publisher keeps two segments per rank and rewrites the spare
 //     one, replaying only the slots marked dirty since the spare's content
 //     was built (RisGraph-style modified-vertex-only history), so a
@@ -17,10 +18,11 @@
 //     load (see Segment). Point and batch reads write nothing shared:
 //     they check the segment's generation after reading and retry if the
 //     writer rewrote it meanwhile. Scans pin the segment, and the writer
-//     never rewrites a pinned one. The adjacency headers point at arrays
-//     the rank only mutates copy-on-write or append-beyond-published-
-//     length (see Publisher), and the index only ever *gains* entries
-//     past the segment's bound (which the bounds check rejects).
+//     never rewrites a pinned one. The adjacency headers point at the
+//     rank store's edge arrays, which the store only appends to past a
+//     shared length and otherwise clones (graph.Store.Share), and the
+//     index only ever *gains* entries past the segment's bound (which
+//     the bounds check rejects).
 //   - No locks anywhere on the read path, no barrier, no rank parking: a
 //     point read costs a few atomic loads, a hash probe and array
 //     indexing; a pinned spare costs the writer one fresh allocation
@@ -195,28 +197,19 @@ func (p *Plane) StatsSnapshot() Stats {
 // must be called from the owning rank's goroutine only; readers never
 // touch a Publisher.
 //
-// The publisher mirrors the rank's adjacency under a copy-on-write
-// discipline keyed to what published segments can see:
-//
-//   - appending a new half-edge in place is safe: it writes an index >=
-//     the length any published slice header recorded, and if append
-//     reallocates, published headers keep the old array;
-//   - changing a weight or deleting an entry must clone the slice first,
-//     because published headers may alias the current array at indexes
-//     a concurrent reader is allowed to touch.
-//
-// Every change to a slot's value or mirrored adjacency marks the slot in
-// dirty (Touch, and the mirror hooks themselves). stale holds the slots
-// in which the spare segment differs from the current one. Together they
-// are the slots below the spare's n that a rewrite of the spare must
-// copy.
+// Served adjacency is the rank store's own edge arrays: a publish takes
+// each copied slot's header with graph.Store.Share, after which the store
+// never writes below that header's length. The rank marks
+// a slot in dirty (Touch) on every value write and every change to the
+// slot's edge set. stale holds the slots in which the spare segment
+// differs from the current one. Together they are the slots below the
+// spare's n that a rewrite of the spare must copy.
 type Publisher struct {
 	p    *Plane
 	rank int
 
-	adj  [][]graph.HalfEdge // working adjacency mirror, indexed by slot
-	idx  *table             // insert-only vertex-id -> slot index
-	idxN int                // ids[0:idxN] already inserted into idx
+	idx  *table // insert-only vertex-id -> slot index
+	idxN int    // ids[0:idxN] already inserted into idx
 
 	spare        *Segment // the segment served before the current one
 	dirty, stale []uint64 // slot bitmaps: changed since the current segment; spare vs current
@@ -236,10 +229,12 @@ func (pub *Publisher) Due() bool {
 	return pub.p.segs[pub.rank].due.Load()
 }
 
-// Touch marks slot's value as changed since the last publish. The rank
-// calls it on every live value write; the mirror hooks below call it for
-// adjacency changes. Writes made before the first publish need no Touch:
-// the first two publishes build fresh segments with a full copy.
+// Touch marks slot as changed since the last publish. The rank calls it
+// on every live value write and whenever the slot gains or loses a
+// half-edge. A weight merge or a compaction needs none: the served header
+// keeps the old array, which holds the same neighbours. Changes made
+// before the first publish need no Touch either: the first two publishes
+// build fresh segments with a full copy.
 func (pub *Publisher) Touch(slot graph.Slot) {
 	w := int(slot >> 6)
 	if w >= len(pub.dirty) {
@@ -252,96 +247,20 @@ func (pub *Publisher) growDirty(w int) {
 	pub.dirty = append(pub.dirty, make([]uint64, w+1-len(pub.dirty))...)
 }
 
-// EdgeAdded mirrors a brand-new half-edge slot -> nbr. Append-in-place is
-// safe under the COW discipline (see type comment).
-func (pub *Publisher) EdgeAdded(slot graph.Slot, nbr graph.VertexID, w graph.Weight) {
-	s := int(slot)
-	for len(pub.adj) <= s {
-		pub.adj = append(pub.adj, nil)
-	}
-	pub.adj[s] = append(pub.adj[s], graph.HalfEdge{Nbr: nbr, W: w})
-	pub.Touch(slot)
-}
-
-// EdgeWeight mirrors a weight change on an existing half-edge (duplicate
-// insert merged by the store's weight policy). No-op if the mirrored
-// weight already matches; otherwise clones the slice (readers may alias
-// the current array).
-func (pub *Publisher) EdgeWeight(slot graph.Slot, nbr graph.VertexID, w graph.Weight) {
-	s := int(slot)
-	if s >= len(pub.adj) {
-		return
-	}
-	old := pub.adj[s]
-	for i := range old {
-		if old[i].Nbr != nbr {
-			continue
-		}
-		if old[i].W == w {
-			return
-		}
-		clone := make([]graph.HalfEdge, len(old))
-		copy(clone, old)
-		clone[i].W = w
-		pub.adj[s] = clone
-		pub.Touch(slot)
-		return
-	}
-}
-
-// EdgeDeleted mirrors removal of the half-edge slot -> nbr, cloning the
-// slice without the entry.
-func (pub *Publisher) EdgeDeleted(slot graph.Slot, nbr graph.VertexID) {
-	s := int(slot)
-	if s >= len(pub.adj) {
-		return
-	}
-	old := pub.adj[s]
-	for i := range old {
-		if old[i].Nbr != nbr {
-			continue
-		}
-		clone := make([]graph.HalfEdge, 0, len(old)-1)
-		clone = append(clone, old[:i]...)
-		clone = append(clone, old[i+1:]...)
-		pub.adj[s] = clone
-		pub.Touch(slot)
-		return
-	}
-}
-
-// SegmentCompacted replaces the vertex's mirrored adjacency with the
-// store's freshly compacted segment, shared by reference. Sound because
-// the store's segments are immutable-once-built and allocated with
-// len == cap (weight merges and deletes clone; an append through an
-// aliased header must reallocate), and at the compaction instant the
-// mirror and the segment hold the same (Nbr, W) set — every merge that
-// touched the segment was also mirrored. The segment additionally carries
-// real Seq tags where the mirror held zeroes; read-plane traversals only
-// consume Nbr (and W for point reads), so the extra field is inert.
-// Published slice headers keep aliasing whatever array they recorded.
-func (pub *Publisher) SegmentCompacted(slot graph.Slot, seg []graph.HalfEdge) {
-	s := int(slot)
-	for len(pub.adj) <= s {
-		pub.adj = append(pub.adj, nil)
-	}
-	pub.adj[s] = seg
-	pub.Touch(slot)
-}
-
-// Publish brings a segment up to date and swaps it in for this rank: ids
-// is the store's append-only vertex-id slice (shared, never copied — slot
-// i is ids[i] forever), vals the rank's live per-algorithm value columns
-// (copied), and events the rank's total processed-event count, used as a
-// mutation clock: if it hasn't moved since the last publish, the served
-// segment is re-stamped with the current epoch instead.
+// Publish brings a segment up to date and swaps it in for this rank. From
+// store it shares the append-only vertex-id slice (slot i is ids[i]
+// forever) and each copied slot's edge array (Store.Share), copying
+// neither; vals are the rank's live per-algorithm value columns (copied),
+// and events the rank's total processed-event count, used as a mutation
+// clock: if it hasn't moved since the last publish, the served segment is
+// re-stamped with the current epoch instead.
 //
 // Otherwise the spare is rewritten when no scan pins it and its arrays
 // fit n slots: inside an odd generation, it receives the stale and dirty
 // slots below its old n and every slot from there to n. A pinned or
 // outgrown spare, and the first two publishes, which have none, get a
 // fresh segment with a full copy and 1.5x slack instead.
-func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint64) {
+func (pub *Publisher) Publish(store *graph.Store, vals [][]uint64, events uint64) {
 	slot := &pub.p.segs[pub.rank]
 	// Clear due before loading the epoch: if Advance lands in between,
 	// due goes true again and the next publishChores pass re-stamps at
@@ -358,6 +277,7 @@ func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint
 		return
 	}
 
+	ids := store.IDs()
 	n := len(ids)
 	for i := pub.idxN; i < n; i++ {
 		pub.idx = pub.idx.insert(uint64(ids[i]), uint64(i))
@@ -371,7 +291,7 @@ func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint
 	rewrite := fits && !pinned
 	if rewrite {
 		seg.gen.Add(1) // odd: point reads of the old content retry
-		copied = pub.replay(seg, n, vals)
+		copied = pub.replay(seg, n, store, vals)
 	} else {
 		seg = &Segment{vals: make([][]uint64, len(vals))}
 		c := n + n/2
@@ -379,7 +299,7 @@ func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint
 		for a := range seg.vals {
 			seg.vals[a] = make([]uint64, c)
 		}
-		pub.fill(seg, 0, n, vals)
+		pub.fill(seg, 0, n, store, vals)
 		copied = n
 	}
 	if pinned {
@@ -414,7 +334,7 @@ func (pub *Publisher) Publish(ids []graph.VertexID, vals [][]uint64, events uint
 
 // replay brings the retired spare seg from its content to the live state
 // over n slots and returns how many slots it copied.
-func (pub *Publisher) replay(seg *Segment, n int, vals [][]uint64) int {
+func (pub *Publisher) replay(seg *Segment, n int, store *graph.Store, vals [][]uint64) int {
 	old := int(seg.n.Load())
 	copied := 0
 	for w := 0; w*64 < old && (w < len(pub.dirty) || w < len(pub.stale)); w++ {
@@ -437,32 +357,28 @@ func (pub *Publisher) replay(seg *Segment, n int, vals [][]uint64) int {
 				}
 				atomic.StoreUint64(&seg.vals[a][s], v)
 			}
-			var he []graph.HalfEdge
-			if s < len(pub.adj) {
-				he = pub.adj[s]
-			}
-			seg.adj[s] = he
+			seg.adj[s] = store.Share(graph.Slot(s))
 			copied++
 		}
 	}
-	pub.fill(seg, old, n, vals)
+	pub.fill(seg, old, n, store, vals)
 	return copied + n - old
 }
 
 // fill copies slots [lo, n) from the live state and extends seg's
-// adjacency to n slots; values a column does not reach yet read as zero,
-// and slots the mirror does not reach have no adjacency. Point readers
-// may be reading seg below lo, never from lo up: fill runs before the
-// store of the new n.
-func (pub *Publisher) fill(seg *Segment, lo, n int, vals [][]uint64) {
+// adjacency to n slots; values a column does not reach yet read as zero.
+// Point readers may be reading seg below lo, never from lo up: fill runs
+// before the store of the new n.
+func (pub *Publisher) fill(seg *Segment, lo, n int, store *graph.Store, vals [][]uint64) {
 	for a, col := range vals {
 		dst := seg.vals[a][:n]
 		k := copy(dst[lo:], col[min(lo, len(col)):])
 		clear(dst[lo+k:])
 	}
 	seg.adj = seg.adj[:n]
-	k := copy(seg.adj[lo:], pub.adj[min(lo, len(pub.adj)):])
-	clear(seg.adj[lo+k:])
+	for s := lo; s < n; s++ {
+		seg.adj[s] = store.Share(graph.Slot(s))
+	}
 }
 
 // DropSpare releases the spare segment's arrays to the collector. The

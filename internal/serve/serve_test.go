@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,15 +18,16 @@ func allLocal(int) bool { return true }
 // onlyRank returns a local predicate admitting just r (cluster-mode shape).
 func onlyRank(r int) func(int) bool { return func(i int) bool { return i == r } }
 
-// pubWorld is a single-writer test harness standing in for a rank: an
-// append-only id slice, one value column, and a publisher.
+// pubWorld is a single-writer test harness standing in for a rank: a
+// hybrid store, one value column, and a publisher. Like the engine's
+// ranks, it touches a slot on every value write and every change to the
+// slot's edge set.
 type pubWorld struct {
 	plane  *Plane
 	pubs   []*Publisher
 	part   partition.Partitioner
-	ids    [][]graph.VertexID // per rank
-	vals   [][]uint64         // per rank, algo 0
-	slots  []map[graph.VertexID]graph.Slot
+	stores []*graph.Store // per rank
+	vals   [][]uint64     // per rank, algo 0
 	events []uint64
 }
 
@@ -34,44 +36,66 @@ func newPubWorld(ranks int) *pubWorld {
 	w := &pubWorld{
 		plane:  NewPlane(part, 1, allLocal),
 		part:   part,
-		ids:    make([][]graph.VertexID, ranks),
 		vals:   make([][]uint64, ranks),
-		slots:  make([]map[graph.VertexID]graph.Slot, ranks),
 		events: make([]uint64, ranks),
 	}
 	for r := 0; r < ranks; r++ {
 		w.pubs = append(w.pubs, w.plane.Publisher(r))
-		w.slots[r] = make(map[graph.VertexID]graph.Slot)
+		st := graph.NewStore(4)
+		st.EnableHybrid(4)
+		w.stores = append(w.stores, st)
 	}
 	return w
 }
 
-func (w *pubWorld) set(v graph.VertexID, val uint64) {
-	r := w.part.Owner(v)
-	slot, ok := w.slots[r][v]
-	if !ok {
-		slot = graph.Slot(len(w.ids[r]))
-		w.slots[r][v] = slot
-		w.ids[r] = append(w.ids[r], v)
+// slot returns v's slot on its owner rank r, creating the vertex.
+func (w *pubWorld) slot(r int, v graph.VertexID) graph.Slot {
+	slot, created := w.stores[r].EnsureVertex(v)
+	if created {
 		w.vals[r] = append(w.vals[r], 0)
 	}
+	return slot
+}
+
+func (w *pubWorld) set(v graph.VertexID, val uint64) {
+	r := w.part.Owner(v)
+	slot := w.slot(r, v)
 	w.vals[r][slot] = val
 	w.pubs[r].Touch(slot)
 	w.events[r]++
 }
 
+// addEdge inserts from->to, or merges the weight of an existing edge
+// (WeightMin), which needs no Touch.
 func (w *pubWorld) addEdge(from, to graph.VertexID, weight graph.Weight) {
 	r := w.part.Owner(from)
-	if _, ok := w.slots[r][from]; !ok {
-		w.set(from, 0)
+	slot := w.slot(r, from)
+	if _, _, isNew := w.stores[r].AddEdge(from, to, weight, 0); isNew {
+		w.pubs[r].Touch(slot)
 	}
-	w.pubs[r].EdgeAdded(w.slots[r][from], to, weight)
 	w.events[r]++
+}
+
+func (w *pubWorld) deleteEdge(from, to graph.VertexID) {
+	r := w.part.Owner(from)
+	if w.stores[r].DeleteEdge(from, to) {
+		slot, _ := w.stores[r].SlotOf(from)
+		w.pubs[r].Touch(slot)
+	}
+	w.events[r]++
+}
+
+// compact runs every queued compaction, which needs no Touch.
+func (w *pubWorld) compact() {
+	for _, st := range w.stores {
+		for _, _, ok := st.CompactNext(); ok; _, _, ok = st.CompactNext() {
+		}
+	}
 }
 
 func (w *pubWorld) publishAll() {
 	for r, pub := range w.pubs {
-		pub.Publish(w.ids[r], [][]uint64{w.vals[r]}, w.events[r])
+		pub.Publish(w.stores[r], [][]uint64{w.vals[r]}, w.events[r])
 	}
 }
 
@@ -148,7 +172,7 @@ func TestGetBatchMinEpoch(t *testing.T) {
 	w.publishAll()
 	w.plane.Advance()
 	r1 := w.part.Owner(b)
-	w.pubs[r1].Publish(w.ids[r1], [][]uint64{w.vals[r1]}, w.events[r1])
+	w.pubs[r1].Publish(w.stores[r1], [][]uint64{w.vals[r1]}, w.events[r1])
 
 	out, epoch := w.plane.GetBatch(0, []graph.VertexID{a, b}, nil)
 	if len(out) != 2 || !out[0].Found || !out[1].Found {
@@ -264,9 +288,10 @@ func TestCopyOnWriteIsolation(t *testing.T) {
 
 	// Mutations after publish must not disturb the published view.
 	w.addEdge(1, 3, 9) // in-place append beyond published len
-	w.pubs[0].EdgeWeight(w.slots[0][1], 2, 99)
-	w.pubs[0].EdgeDeleted(w.slots[0][1], 2)
-	slot := uint64(w.slots[0][1])
+	w.addEdge(1, 2, 1) // weight merge: clones the shared array
+	w.deleteEdge(1, 2)
+	w.compact()
+	slot := uint64(w.slot(0, 1))
 	if got := seg.adj[slot]; len(got) != 1 || got[0].Nbr != 2 || got[0].W != 7 {
 		t.Fatalf("published adjacency mutated: %+v", got)
 	}
@@ -320,7 +345,9 @@ func TestRemoteRanksReadNotFound(t *testing.T) {
 			remote = v
 		}
 	}
-	pub.Publish([]graph.VertexID{local}, [][]uint64{{5}}, 1)
+	st := graph.NewStore(0)
+	st.EnsureVertex(local)
+	pub.Publish(st, [][]uint64{{5}}, 1)
 	if val, _ := plane.Get(0, local); !val.Found || val.Val != 5 {
 		t.Fatalf("local read: %+v", val)
 	}
@@ -356,8 +383,12 @@ func TestConcurrentReadersUnderChurn(t *testing.T) {
 			for j := 0; j < 8; j++ {
 				v := graph.VertexID(rng.Intn(64) + 1)
 				w.set(v, uint64(i+1))
-				w.addEdge(v, graph.VertexID(rng.Intn(64)+1), graph.Weight(j+1))
+				w.addEdge(v, graph.VertexID(rng.Intn(64)+1), graph.Weight(rng.Intn(9)))
+				if rng.Intn(4) == 0 {
+					w.deleteEdge(v, graph.VertexID(rng.Intn(64)+1))
+				}
 			}
+			w.compact()
 			w.plane.Advance()
 			w.publishAll()
 		}
@@ -560,37 +591,42 @@ func TestLoadSeesRewrite(t *testing.T) {
 }
 
 // TestRewriteMatchesLiveState is a differential check of the dirty-slot
-// replay: random value writes, edge adds, weight changes, deletes and new
-// vertices, a publish after each burst, and pins held across publishes
-// (which send the writer down the fresh-segment path and keep the pinned
-// spare lagging). After every publish the served segment must equal the
-// live state slot for slot.
+// replay: random value writes, edge adds, weight merges, deletes,
+// compactions and new vertices, a publish after each burst, and pins held
+// across publishes (which send the writer down the fresh-segment path and
+// keep the pinned spare lagging). After every publish the served segment
+// must equal the live state slot for slot: the values exactly, the
+// adjacency as a neighbour multiset — a weight merge or a compaction
+// leaves the served header on the old array, which holds the same
+// neighbours.
 func TestRewriteMatchesLiveState(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	w := newPubWorld(1)
-	pub := w.pubs[0]
+	st := w.stores[0]
 	var held []*Segment
 	for round := 0; round < 300; round++ {
 		nv := 8 + 8*round // the vertex set keeps growing past the slack
 		for k := rng.Intn(40); k > 0; k-- {
 			v := graph.VertexID(rng.Intn(nv) + 1)
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
 				w.set(v, rng.Uint64())
 			case 1:
 				w.addEdge(v, graph.VertexID(rng.Intn(nv)+1), graph.Weight(rng.Intn(9)))
 			case 2, 3:
-				s, ok := w.slots[0][v]
-				if !ok || int(s) >= len(pub.adj) || len(pub.adj[s]) == 0 {
+				s, ok := st.SlotOf(v)
+				if !ok || st.Degree(s) == 0 {
 					continue
 				}
-				nbr := pub.adj[s][rng.Intn(len(pub.adj[s]))].Nbr
+				edges := st.AdjEntries(s)
+				nbr := edges[rng.Intn(len(edges))].Nbr
 				if rng.Intn(2) == 0 {
-					pub.EdgeWeight(s, nbr, graph.Weight(rng.Intn(9)))
+					w.addEdge(v, nbr, graph.Weight(rng.Intn(9)))
 				} else {
-					pub.EdgeDeleted(s, nbr)
+					w.deleteEdge(v, nbr)
 				}
-				w.events[0]++
+			case 4:
+				st.CompactNext()
 			}
 		}
 		w.plane.Advance()
@@ -598,19 +634,16 @@ func TestRewriteMatchesLiveState(t *testing.T) {
 
 		seg := w.plane.acquire(0)
 		n := int(seg.n.Load())
-		if n != len(w.ids[0]) {
-			t.Fatalf("round %d: served n %d, live %d", round, n, len(w.ids[0]))
+		if n != st.NumVertices() {
+			t.Fatalf("round %d: served n %d, live %d", round, n, st.NumVertices())
 		}
 		for s := 0; s < n; s++ {
 			if seg.vals[0][s] != w.vals[0][s] {
 				t.Fatalf("round %d slot %d: served value %d, live %d", round, s, seg.vals[0][s], w.vals[0][s])
 			}
-			var live []graph.HalfEdge
-			if s < len(pub.adj) {
-				live = pub.adj[s]
-			}
-			if len(seg.adj[s]) != len(live) || (len(live) > 0 && &seg.adj[s][0] != &live[0]) {
-				t.Fatalf("round %d slot %d: served adjacency %v, live %v", round, s, seg.adj[s], live)
+			served, live := nbrs(seg.adj[s]), nbrs(st.AdjEntries(graph.Slot(s)))
+			if !slices.Equal(served, live) {
+				t.Fatalf("round %d slot %d: served neighbours %v, live %v", round, s, served, live)
 			}
 		}
 		// Hold some segments across a few publishes.
@@ -638,8 +671,18 @@ func TestRewriteMatchesLiveState(t *testing.T) {
 		w.publishAll()
 	}
 	if got := w.plane.StatsSnapshot().CopiedSlots - before; got != 2 {
-		t.Fatalf("steady-state publish copied %d slots, want 2 (of %d)", got, len(w.ids[0]))
+		t.Fatalf("steady-state publish copied %d slots, want 2 (of %d)", got, st.NumVertices())
 	}
+}
+
+// nbrs returns the sorted neighbour ids of an edge list.
+func nbrs(edges []graph.HalfEdge) []graph.VertexID {
+	out := make([]graph.VertexID, len(edges))
+	for i, e := range edges {
+		out[i] = e.Nbr
+	}
+	slices.Sort(out)
+	return out
 }
 
 // benchSink keeps the compiler from dropping the benchmarked reads.

@@ -471,7 +471,9 @@ func Run(cfg Config) (res Result) {
 			// nothing since its last publish, so segment == live values.)
 			// Churn runs record no floor: a delete after the quiescent cut
 			// legitimately pushes served values back below its fixpoint.
-			d.ServePublish(act.rank)
+			if err := d.ServePublish(act.rank); err != nil {
+				chk.violatef("%v", err)
+			}
 			if ch == nil {
 				if quietEdges != floorEdges || quietInits != floorInits {
 					floorEdges, floorInits = quietEdges, quietInits
@@ -530,7 +532,9 @@ func Run(cfg Config) (res Result) {
 		// exit() does) must make the read plane agree with Collect exactly
 		// — no staleness left once ingestion has quiesced for good.
 		for r := 0; r < cfg.Ranks; r++ {
-			d.ServePublish(r)
+			if err := d.ServePublish(r); err != nil {
+				chk.violatef("serve-final: %v", err)
+			}
 			res.ServePublishes++
 		}
 		servedFinal := make(map[graph.VertexID]uint64, len(final))
