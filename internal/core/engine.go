@@ -145,13 +145,16 @@ type Engine struct {
 	// shared-nothing: a reset's generation must be strictly above every
 	// generation any in-flight event anywhere can carry, which a per-rank
 	// counter cannot guarantee. One uncontended CAS per *unsafe deletion*
-	// — never on the add/update hot path. A cluster node mints only
-	// generations ≡ genNode (mod genNodes), so no two nodes mint the same
-	// one; both stay 0/1 unless a TCP transport binds them.
-	genCounter        atomic.Uint32
+	// — never on the add/update hot path.
+	genCounter atomic.Uint32
+	triggers   []trigger
+	ranks      []*rank
+
+	// genNode/genNodes split generations between cluster nodes: this node
+	// mints only g ≡ genNode (mod genNodes), so no two nodes mint the same
+	// one. They stay 0/1 unless a TCP transport binds them.
 	genNode, genNodes uint32
-	triggers          []trigger
-	ranks             []*rank
+
 	// traces is the cascade-lineage table (nil when Options.SampleEvery is
 	// negative — the only check the untraced hot path ever makes is
 	// Event.Trace == 0).

@@ -242,7 +242,7 @@ func (s *Store) AddEdge(src, dst VertexID, w Weight, seq uint32) (srcSlot Slot, 
 		// 1, 2, 4, 8, 12, ... 32, 36, 40, 45, ... Doubling would leave up
 		// to half of every array idle; most vertices have a handful of
 		// edges, and the edge mass sits in hubs that the eighth keeps
-		// within about 6% of their length (EXPERIMENTS.md "PR 29").
+		// within about 6% of their length (EXPERIMENTS.md, "One adjacency").
 		n := len(a.edges)
 		grown := make([]HalfEdge, n, n+max(1, min(n, 4), n/8))
 		copy(grown, a.edges)

@@ -85,11 +85,10 @@ func (w *pubWorld) deleteEdge(from, to graph.VertexID) {
 	w.events[r]++
 }
 
-// compact runs every queued compaction, which needs no Touch.
+// compact sorts every tail into its prefix, which needs no Touch.
 func (w *pubWorld) compact() {
 	for _, st := range w.stores {
-		for _, _, ok := st.CompactNext(); ok; _, _, ok = st.CompactNext() {
-		}
+		st.CompactAll()
 	}
 }
 
