@@ -26,12 +26,14 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Escape check: the rank hands every callback one reused Ctx, so the
-# compiler must never move a ctx/pctx to the heap in internal/core (one
-# allocation per callback on the hot path). The CI test job runs this.
+# Escape check: the rank hands every callback one reused Ctx, and
+# rank.warm keeps its read-ahead slot buffer on the stack, so the compiler
+# must never move a ctx/pctx or warm's slots to the heap in internal/core
+# (an allocation per callback or per drain window on the hot path). The
+# CI test job runs this.
 escape:
-	@out="$$($(GO) build -gcflags=-m ./internal/core 2>&1 | grep -E 'moved to heap: p?ctx$$' || true)"; \
-		if [ -n "$$out" ]; then echo "Ctx escapes to the heap:"; echo "$$out"; exit 1; fi
+	@out="$$($(GO) build -gcflags=-m ./internal/core 2>&1 | grep -E 'moved to heap: (p?ctx|slots)$$' || true)"; \
+		if [ -n "$$out" ]; then echo "Hot-path buffer escapes to the heap:"; echo "$$out"; exit 1; fi
 
 # Deterministic-simulation sweep: SIM_SEEDS seeds × every algorithm ×
 # coalescing on/off under the seeded scheduler (see internal/sim), built
@@ -53,6 +55,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim/ -fuzz FuzzSimDifferential -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/sim/ -fuzz FuzzDeleteInterleaving -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./cmd/ingest/ -fuzz FuzzQueryRequest -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/graph/ -fuzz FuzzSegFind -fuzztime $(FUZZTIME) -run '^$$'
 
 # Multi-OS-process loopback smoke: a real cluster run of cmd/ingest
 # (PROCS processes joined over 127.0.0.1), its merged -dump shards diffed

@@ -212,8 +212,9 @@ func processOne(r *rank, ev Event) {
 
 // TestHotHandlersNoAllocs pins the insert-only hot path: on a warmed
 // undirected SSSP rank, ADD, REVERSE_ADD and UPDATE must not allocate per
-// event (each callback used to heap-allocate its Ctx). The events hit
-// existing vertices and edges, so no buffer grows during the measurement.
+// event (each callback used to heap-allocate its Ctx), nor may a self-ring
+// drain with its read-ahead. The events hit existing vertices and edges,
+// so no buffer grows during the measurement.
 func TestHotHandlersNoAllocs(t *testing.T) {
 	e := New(Options{Ranks: 1, Undirected: true}, ssspStub{})
 	r := e.ranks[0]
@@ -230,6 +231,31 @@ func TestHotHandlersNoAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, func() { processOne(r, ev) }); allocs != 0 {
 			t.Errorf("%s %d→%d allocates %.2f times per event", ev.Kind, ev.From, ev.To, allocs)
 		}
+	}
+
+	// A self-ring drain reads ahead (warm) before each window of events;
+	// that must not allocate either. The drain covers more than one window,
+	// and vertex 1's 33 neighbours make a prefix past the 16 entries the
+	// store scans linearly, so Peek takes its interpolation probe.
+	for v := graph.VertexID(10); v < 42; v++ {
+		processOne(r, Event{Kind: KindAdd, Algo: NoAlgo, To: 1, From: v, W: 3})
+		processOne(r, Event{Kind: KindReverseAdd, Algo: 0, To: v, From: 1, Val: 1, W: 3})
+	}
+	r.store.CompactAll()
+	var drain []Event
+	for v := graph.VertexID(10); len(drain) < 3*warmN; v++ {
+		drain = append(drain,
+			Event{Kind: KindAdd, Algo: NoAlgo, To: 1, From: v, W: 3},
+			Event{Kind: KindReverseAdd, Algo: 0, To: v, From: 1, Val: 1, W: 3})
+	}
+	drainOnce := func() {
+		r.self = append(r.self[:0], drain...)
+		r.drainSelf()
+	}
+	drainOnce() // grow the self ring to the drain's size
+	if allocs := testing.AllocsPerRun(200, drainOnce); allocs != 0 {
+		t.Errorf("a warmed drain of %d ADD/REVERSE_ADD events allocates %.2f times per event",
+			len(drain), allocs/float64(len(drain)))
 	}
 }
 

@@ -110,6 +110,10 @@ type rank struct {
 	// tune is the rank's feedback controller (nil unless Options.AutoTune).
 	tune *tuner
 
+	// warmSink keeps the words warm read, so the compiler keeps the loads;
+	// nothing reads it.
+	warmSink uint64
+
 	// pub is this rank's single-writer handle onto the MVCC read plane
 	// (nil unless Options.Serve and the rank is local): value writes and
 	// edge-set changes Touch their slot, and publishChores swaps in a
@@ -204,7 +208,11 @@ func (r *rank) loop() {
 					r.drainLeft = latDrainStride
 					t0 = time.Now().UnixNano()
 				}
+				warmed := 0
 				for i := range batch {
+					if i == warmed {
+						warmed += r.warm(batch[i:])
+					}
 					r.process(&batch[i])
 				}
 				if t0 != 0 {
@@ -474,7 +482,11 @@ func (r *rank) drainSelf() {
 	if !r.selfPending() {
 		return
 	}
+	warmed := r.selfHead
 	for r.selfHead < len(r.self) {
+		if r.selfHead == warmed {
+			warmed += r.warm(r.self[r.selfHead:])
+		}
 		ev := r.self[r.selfHead]
 		r.selfHead++
 		r.process(&ev)
@@ -482,6 +494,38 @@ func (r *rank) drainSelf() {
 	r.self = r.self[:0]
 	r.selfHead = 0
 	r.coal.barrier(r.id)
+}
+
+// warmN is how many upcoming events of a drain warm reads ahead for.
+const warmN = 16
+
+// warm reads ahead for the first warmN events of evs and returns how many
+// it covered. For each topology event (ADD, REVERSE_ADD, DELETE,
+// REVERSE_DELETE) it looks up the target's slot, then, once every slot is
+// known, peeks at the store memory the event's edge lookup will touch
+// (graph.Store.Peek). The lookups of one window do not depend on each
+// other, so the core overlaps their cache misses, and processing the
+// window then finds its adjacency in cache. It changes nothing and
+// reorders nothing. UPDATEs are not covered: their vertex state is mostly
+// in cache already, and warming them cost more than it saved.
+func (r *rank) warm(evs []Event) int {
+	n := min(len(evs), warmN)
+	var slots [warmN]graph.Slot
+	for i := range n {
+		slots[i] = graph.NoSlot
+		switch evs[i].Kind {
+		case KindAdd, KindReverseAdd, KindDelete, KindReverseDelete:
+			slots[i], _ = r.store.SlotOf(evs[i].To)
+		}
+	}
+	var mix uint64
+	for i := range n {
+		if slots[i] != graph.NoSlot {
+			mix ^= r.store.Peek(slots[i], evs[i].From)
+		}
+	}
+	r.warmSink = mix
+	return n
 }
 
 // drainSelfOne processes exactly one self-ring event (the sim driver's

@@ -6,12 +6,18 @@ import (
 )
 
 // Hybrid CSR-delta storage tier (the RisGraph/DegAwareRHH idea): each
-// vertex's edge array keeps its cold bulk as an Nbr-sorted prefix — a
+// vertex's edge array keeps its cold bulk as a sorted prefix — a
 // per-vertex CSR row — while recent arrivals accumulate in the tail behind
 // it, found by a scan or, past smallCap, by the tail hash index.
 // Compaction sorts the tail into the prefix; it never pauses ingestion
 // because the owning rank runs it as a chore between events, on its own
 // shard only (shared-nothing, zero locking).
+//
+// The prefix is sorted by nbrKey, the rhh mix of the neighbour ID, not by
+// the ID: mixed keys are spread evenly, so a lookup in a long prefix
+// starts with an interpolation probe whose position is known before the
+// lookup runs (firstProbe). That lets the rank touch it ahead of time
+// (Store.Peek). Prefixes of at most linearCut entries are scanned on Nbr.
 //
 // Compaction is a write below the array's length, so it follows the one
 // sharing rule (see adjacency): a shared array is cloned first, and
@@ -21,7 +27,8 @@ import (
 // DefaultCompactCap is the default tail length that queues a vertex for
 // compaction. It matches DefaultSmallCap so that, in steady state, a
 // vertex's tail is compacted around the point it would otherwise get a
-// hash index — lookups stay binary searches over flat arrays.
+// hash index — most lookups stay in flat arrays: a short scan or a few
+// interpolation probes into the prefix.
 const DefaultCompactCap = 16
 
 // EnableHybrid switches the store into hybrid CSR-delta mode. Call before
@@ -103,32 +110,48 @@ func (s *Store) CompactNext() (slot Slot, compacted, ok bool) {
 	return slot, s.CompactSlot(slot), true
 }
 
-// CompactSlot sorts the vertex's tail into its prefix, reporting whether
-// any entries moved. Weights and Seq tags carry over bit-exact, so
-// NeighborsBefore and the weight-policy invariants are layout-independent
-// — only iteration order changes, which REMO commutativity makes
-// irrelevant (DESIGN.md "Hybrid storage tier").
+// keyedEdge is a tail entry with its nbrKey, as CompactSlot sorts it, so
+// that the sort hashes each entry once rather than in every comparison.
+type keyedEdge struct {
+	key uint64
+	e   HalfEdge
+}
+
+// CompactSlot sorts the vertex's tail into its prefix by nbrKey,
+// reporting whether any entries moved. Weights and Seq tags carry over
+// bit-exact, so NeighborsBefore and the weight-policy invariants are
+// layout-independent — only iteration order changes, which REMO
+// commutativity makes irrelevant (DESIGN.md "Hybrid storage tier").
 func (s *Store) CompactSlot(slot Slot) bool {
 	a := &s.adj[slot]
 	seg, n := int(a.seg), len(a.edges)
 	if n == seg {
 		return false
 	}
-	tail := append(s.scratch[:0], a.edges[seg:]...)
-	slices.SortFunc(tail, func(x, y HalfEdge) int { return cmp.Compare(x.Nbr, y.Nbr) })
+	tail := s.scratch[:0]
+	for _, e := range a.edges[seg:] {
+		tail = append(tail, keyedEdge{nbrKey(e.Nbr), e})
+	}
+	slices.SortFunc(tail, func(x, y keyedEdge) int { return cmp.Compare(x.key, y.key) })
 	s.scratch = tail
 	s.own(a)
 	// Merge from the back, so every prefix entry is read before its
 	// position is overwritten. Prefix and tail are disjoint by
-	// construction (AddEdge checks the prefix first).
+	// construction (AddEdge checks the prefix first), so keys never tie.
 	e := a.edges
 	i, j := seg-1, len(tail)-1
+	var ki uint64
+	if i >= 0 {
+		ki = nbrKey(e[i].Nbr)
+	}
 	for k := n - 1; j >= 0; k-- {
-		if i >= 0 && e[i].Nbr > tail[j].Nbr {
+		if i >= 0 && ki > tail[j].key {
 			e[k] = e[i]
-			i--
+			if i--; i >= 0 {
+				ki = nbrKey(e[i].Nbr)
+			}
 		} else {
-			e[k] = tail[j]
+			e[k] = tail[j].e
 			j--
 		}
 	}

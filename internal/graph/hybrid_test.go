@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -31,49 +32,103 @@ type hybridOp struct {
 // requires every observable — edge sets with weights and seq tags, degree,
 // edge count, point lookups, seq-filtered iteration — to be identical.
 // This is the storage half of the satellite property: the hybrid tier is a
-// pure representation change.
+// pure representation change. After every compaction the compacted
+// prefix must be strictly key-sorted with every entry found by segFind.
+// The second pass draws long op sequences over a wider neighbour space,
+// which grows prefixes past linearCut, so segFind's interpolation runs.
 func TestHybridEquivalenceQuick(t *testing.T) {
 	for _, policy := range []WeightPolicy{WeightMin, WeightMax, WeightFirst} {
-		policy := policy
-		check := func(ops []hybridOp, compactCap uint8) bool {
-			hyb := NewStore(4) // tiny smallCap: exercise promotions too
-			hyb.SetWeightPolicy(policy)
-			hyb.EnableHybrid(int(compactCap%8) + 1)
-			pure := NewStore(4)
-			pure.SetWeightPolicy(policy)
-			for _, op := range ops {
-				src := VertexID(op.Src % 16) // dense id space: high collision rate
-				dst := VertexID(op.Dst % 16)
-				switch op.Kind % 8 {
-				case 6:
-					hr := hyb.DeleteEdge(src, dst)
-					pr := pure.DeleteEdge(src, dst)
-					if hr != pr {
-						t.Logf("DeleteEdge(%d,%d): hybrid=%v pure=%v", src, dst, hr, pr)
-						return false
-					}
-				case 7:
-					hyb.CompactNext()
-				default:
-					hs, hc, hn := hyb.AddEdge(src, dst, Weight(op.W), uint32(op.Seq))
-					ps, pc, pn := pure.AddEdge(src, dst, Weight(op.W), uint32(op.Seq))
-					if hs != ps || hc != pc || hn != pn {
-						t.Logf("AddEdge(%d,%d): hybrid=(%v,%v,%v) pure=(%v,%v,%v)",
-							src, dst, hs, hc, hn, ps, pc, pn)
-						return false
-					}
-				}
-			}
-			return storesEqual(t, hyb, pure)
+		dense := func(ops []hybridOp, compactCap uint8) bool {
+			return hybridMatchesPure(t, ops, compactCap, policy, 16)
 		}
-		if err := quick.Check(check, &quick.Config{
+		if err := quick.Check(dense, &quick.Config{
 			MaxCount: 60,
 			Rand:     rand.New(rand.NewSource(int64(policy) + 7)),
-			Values:   nil,
 		}); err != nil {
 			t.Errorf("policy %d: %v", policy, err)
 		}
+		wide := func(ops []hybridOp, compactCap uint8) bool {
+			return hybridMatchesPure(t, ops, compactCap, policy, 64)
+		}
+		if err := quick.Check(wide, &quick.Config{
+			MaxCount: 30,
+			Rand:     rand.New(rand.NewSource(int64(policy) + 71)),
+			Values:   longOps(1200),
+		}); err != nil {
+			t.Errorf("policy %d, long sequences: %v", policy, err)
+		}
 	}
+}
+
+// longOps is a quick.Config.Values generator for (ops, compactCap)
+// arguments with up to max ops, far past testing/quick's default slice
+// length.
+func longOps(max int) func([]reflect.Value, *rand.Rand) {
+	return func(args []reflect.Value, r *rand.Rand) {
+		ops := make([]hybridOp, r.Intn(max+1))
+		for i := range ops {
+			v, _ := quick.Value(reflect.TypeOf(hybridOp{}), r)
+			ops[i] = v.Interface().(hybridOp)
+		}
+		args[0] = reflect.ValueOf(ops)
+		args[1] = reflect.ValueOf(uint8(r.Intn(256)))
+	}
+}
+
+// hybridMatchesPure runs one TestHybridEquivalenceQuick case: ops on 16
+// source ids (dense: a high duplicate rate) and nbrs neighbour ids.
+func hybridMatchesPure(t *testing.T, ops []hybridOp, compactCap uint8, policy WeightPolicy, nbrs uint8) bool {
+	hyb := NewStore(4) // tiny smallCap: exercise promotions too
+	hyb.SetWeightPolicy(policy)
+	hyb.EnableHybrid(int(compactCap%8) + 1)
+	pure := NewStore(4)
+	pure.SetWeightPolicy(policy)
+	for _, op := range ops {
+		src := VertexID(op.Src % 16)
+		dst := VertexID(op.Dst % nbrs)
+		switch op.Kind % 8 {
+		case 6:
+			hr := hyb.DeleteEdge(src, dst)
+			pr := pure.DeleteEdge(src, dst)
+			if hr != pr {
+				t.Logf("DeleteEdge(%d,%d): hybrid=%v pure=%v", src, dst, hr, pr)
+				return false
+			}
+		case 7:
+			if slot, compacted, _ := hyb.CompactNext(); compacted && !prefixFindable(t, hyb, slot) {
+				return false
+			}
+		default:
+			hs, hc, hn := hyb.AddEdge(src, dst, Weight(op.W), uint32(op.Seq))
+			ps, pc, pn := pure.AddEdge(src, dst, Weight(op.W), uint32(op.Seq))
+			if hs != ps || hc != pc || hn != pn {
+				t.Logf("AddEdge(%d,%d): hybrid=(%v,%v,%v) pure=(%v,%v,%v)",
+					src, dst, hs, hc, hn, ps, pc, pn)
+				return false
+			}
+		}
+	}
+	return storesEqual(t, hyb, pure)
+}
+
+// prefixFindable reports whether the slot's prefix is strictly sorted by
+// nbrKey and segFind finds each of its entries where it is, logging the
+// first failure.
+func prefixFindable(t *testing.T, s *Store, slot Slot) bool {
+	t.Helper()
+	a := &s.adj[slot]
+	seg := a.edges[:a.seg]
+	for i := range seg {
+		if i > 0 && nbrKey(seg[i-1].Nbr) >= nbrKey(seg[i].Nbr) {
+			t.Logf("slot %d: prefix not strictly key-sorted at %d of %d", slot, i, len(seg))
+			return false
+		}
+		if got := segFind(seg, seg[i].Nbr); got != i {
+			t.Logf("slot %d: segFind(%d) = %d, want %d (prefix of %d)", slot, seg[i].Nbr, got, i, len(seg))
+			return false
+		}
+	}
+	return true
 }
 
 // storesEqual compares every observable of two stores, logging the first
@@ -142,8 +197,8 @@ func collectBefore(s *Store, slot Slot, seq uint32) map[VertexID]Weight {
 }
 
 // TestCompactSlotBasics pins the compaction mechanics: the prefix comes
-// out sorted, the tail empties, counters move, and re-compaction with an
-// empty tail is a no-op.
+// out strictly sorted by nbrKey, the tail empties, counters move, and
+// re-compaction with an empty tail is a no-op.
 func TestCompactSlotBasics(t *testing.T) {
 	s := NewStore(4)
 	s.EnableHybrid(64) // high threshold: compaction only when forced
@@ -159,8 +214,8 @@ func TestCompactSlotBasics(t *testing.T) {
 		t.Fatalf("prefix len=%d, want 10", len(seg))
 	}
 	for i := 1; i < len(seg); i++ {
-		if seg[i-1].Nbr >= seg[i].Nbr {
-			t.Fatalf("prefix not strictly sorted at %d: %v", i, seg)
+		if nbrKey(seg[i-1].Nbr) >= nbrKey(seg[i].Nbr) {
+			t.Fatalf("prefix not strictly key-sorted at %d: %v", i, seg)
 		}
 	}
 	hs := s.Hybrid()

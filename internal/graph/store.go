@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"incregraph/internal/rhh"
@@ -14,11 +15,11 @@ import (
 const DefaultSmallCap = 16
 
 // adjacency is one vertex's out-edge set, held in a single array.
-// edges[:seg] is the Nbr-sorted prefix the last compaction wrote (see
-// hybrid.go; empty unless the store is hybrid), and edges[seg:] is the
-// tail in arrival order, except where a delete moved an entry. Once the
-// tail outgrows the store's smallCap, index maps each tail neighbour to
-// its position in edges.
+// edges[:seg] is the prefix the last compaction wrote, sorted by nbrKey
+// (see hybrid.go; empty unless the store is hybrid), and edges[seg:] is
+// the tail in arrival order, except where a delete moved an entry. Once
+// the tail outgrows the store's smallCap, index maps each tail neighbour
+// to its position in edges.
 //
 // shared reports that Share handed the array out by reference. An append
 // writes at an index >= len, which no shared header can see, so it never
@@ -55,12 +56,51 @@ func (a *adjacency) find(nbr VertexID) int {
 // (the whole adjacency when the store is not hybrid).
 func (a *adjacency) tailLen() int { return len(a.edges) - int(a.seg) }
 
-// segFind returns the index of nbr in the Nbr-sorted seg, or -1.
+// nbrKey is a neighbour's sort key in a compacted prefix: the rhh mix.
+// The mix is a bijection, so keys are unique, and its values spread evenly
+// over the uint64 range, so a key predicts its entry's position in a
+// prefix — the computable first access that lets the rank read ahead
+// (Peek).
+func nbrKey(nbr VertexID) uint64 { return rhh.Hash64(uint64(nbr)) }
+
+const (
+	// linearCut is the longest prefix segFind scans linearly on Nbr,
+	// without hashing: 16 entries are four cache lines.
+	linearCut = 16
+	// interpProbes caps segFind's interpolation probes before it falls
+	// back to a binary search of the bracket left, so IDs chosen to
+	// cluster under the mix still cost O(log n).
+	interpProbes = 4
+)
+
+// segFind returns the index of nbr in the key-sorted seg, or -1.
 func segFind(seg []HalfEdge, nbr VertexID) int {
+	if len(seg) <= linearCut {
+		for i := range seg {
+			if seg[i].Nbr == nbr {
+				return i
+			}
+		}
+		return -1
+	}
+	k := nbrKey(nbr)
+	// nbr, if present, sits in [lo, hi), whose keys all lie in [klo, khi].
 	lo, hi := 0, len(seg)
+	klo, khi := uint64(0), ^uint64(0)
+	for probe := 0; probe < interpProbes && lo < hi; probe++ {
+		p := lo + interpolate(k-klo, khi-klo, hi-lo)
+		switch pk := nbrKey(seg[p].Nbr); {
+		case pk < k:
+			lo, klo = p+1, pk+1
+		case pk > k:
+			hi, khi = p, pk-1
+		default:
+			return p
+		}
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if seg[mid].Nbr < nbr {
+		if nbrKey(seg[mid].Nbr) < k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -70,6 +110,18 @@ func segFind(seg []HalfEdge, nbr VertexID) int {
 		return lo
 	}
 	return -1
+}
+
+// interpolate estimates the position, in a bracket of n entries whose keys
+// take span+1 possible values, of the key off values above the lowest:
+// off*n/(span+1), which is below n because off <= span.
+func interpolate(off, span uint64, n int) int {
+	hi, lo := bits.Mul64(off, uint64(n))
+	if span == ^uint64(0) {
+		return int(hi) // span+1 is 2^64
+	}
+	q, _ := bits.Div64(hi, lo, span+1)
+	return int(q)
 }
 
 // WeightPolicy decides how a re-inserted edge's weight merges with the
@@ -113,7 +165,7 @@ type Store struct {
 	pending    []Slot
 	pendHead   int
 	pendingBit []uint64
-	scratch    []HalfEdge
+	scratch    []keyedEdge
 
 	// Hybrid instrumentation. The store is single-writer (rank-owned), but
 	// stats aggregation reads from arbitrary goroutines, so these are
@@ -370,6 +422,34 @@ func (s *Store) countScan(a *adjacency, n int) {
 	if n > seg {
 		s.deltaScans.Add(uint64(n - seg))
 	}
+}
+
+// Peek reads, and changes nothing, the memory a later AddEdge, DeleteEdge
+// or EdgeWeight of the edge from the vertex at slot to nbr touches first:
+// the slot's header, the prefix entry of segFind's first probe (the first
+// entry of a prefix it scans linearly), the tail index's home bucket for
+// nbr, and the array's last entry, where an append lands. The rank calls
+// it for the next few events of a drain before processing them, so their
+// cache misses overlap instead of following one another. The result is a
+// mix of the words read and means nothing; the caller keeps it only so
+// the loads are not dropped.
+func (s *Store) Peek(slot Slot, nbr VertexID) uint64 {
+	a := &s.adj[slot]
+	n := len(a.edges)
+	if n == 0 {
+		return 0
+	}
+	x := uint64(a.edges[n-1].Nbr)
+	if seg := int(a.seg); seg > linearCut {
+		// segFind's first probe: its bracket is the whole key range.
+		x ^= uint64(a.edges[interpolate(nbrKey(nbr), ^uint64(0), seg)].Nbr)
+	} else if seg > 0 {
+		x ^= uint64(a.edges[0].Nbr)
+	}
+	if a.index != nil {
+		x ^= a.index.Peek(uint64(nbr))
+	}
+	return x
 }
 
 // Share returns the vertex's edges as a header onto the store's own array,

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -166,6 +167,44 @@ func TestSelfLoop(t *testing.T) {
 	}
 	if s.NumVertices() != 1 || s.NumEdges() != 1 {
 		t.Fatalf("V=%d E=%d", s.NumVertices(), s.NumEdges())
+	}
+}
+
+// TestPeekChangesNothing covers Store.Peek on every layout a slot can
+// have — empty, a short prefix, a prefix long enough to interpolate, an
+// indexed tail — for present and absent neighbours: the store reads the
+// same before and after.
+func TestPeekChangesNothing(t *testing.T) {
+	s := NewStore(4)
+	s.EnableHybrid(64)
+	s.EnsureVertex(0) // no edges
+	for i := VertexID(1); i <= 8; i++ {
+		s.AddEdge(1, i, Weight(i), 0) // short prefix once compacted
+	}
+	for i := VertexID(1); i <= 40; i++ {
+		s.AddEdge(2, i*7, Weight(i), 0) // long prefix once compacted
+	}
+	s.CompactAll()
+	for i := VertexID(100); i <= 110; i++ {
+		s.AddEdge(2, i, 1, 0) // tail past smallCap: indexed
+	}
+	before := make([][]HalfEdge, s.NumVertices())
+	for slot := range before {
+		before[slot] = s.AdjEntries(Slot(slot))
+	}
+	hs, edges := s.Hybrid(), s.NumEdges()
+	for slot := range before {
+		for _, nbr := range []VertexID{0, 1, 5, 7, 105, 280, 1 << 40, ^VertexID(0)} {
+			s.Peek(Slot(slot), nbr)
+		}
+	}
+	for slot := range before {
+		if got := s.AdjEntries(Slot(slot)); !slices.Equal(got, before[slot]) {
+			t.Fatalf("slot %d changed under Peek: %v, want %v", slot, got, before[slot])
+		}
+	}
+	if s.Hybrid() != hs || s.NumEdges() != edges {
+		t.Fatalf("counters changed under Peek: %+v, %d edges", s.Hybrid(), s.NumEdges())
 	}
 }
 

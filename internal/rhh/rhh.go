@@ -203,6 +203,17 @@ func (m *Map[V]) Get(key uint64) (V, bool) {
 	}
 }
 
+// Peek loads key's home bucket and returns its stored key, changing
+// nothing. It is a read-ahead hint: touching the bucket some time before a
+// Get or GetOrPut of key lets the miss on it overlap other work. The
+// result means nothing; a caller keeps it only so the load is not dropped.
+func (m *Map[V]) Peek(key uint64) uint64 {
+	if len(m.buckets) == 0 {
+		return 0
+	}
+	return m.buckets[Hash64(key)&m.mask].key
+}
+
 // Ptr returns a pointer to the value stored for key, or nil if absent.
 // The pointer is invalidated by the next Put or Delete.
 func (m *Map[V]) Ptr(key uint64) *V {

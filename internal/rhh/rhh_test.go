@@ -110,6 +110,23 @@ func TestPtr(t *testing.T) {
 	}
 }
 
+// TestPeek pins the read-ahead hint: it reads the key's home bucket and
+// changes nothing, on an empty map too.
+func TestPeek(t *testing.T) {
+	var m Map[int]
+	if got := m.Peek(7); got != 0 {
+		t.Fatalf("Peek on empty map = %d, want 0", got)
+	}
+	m.Put(7, 70)
+	if got := m.Peek(7); got != 7 {
+		t.Fatalf("Peek(7) = %d, want 7 (the only key sits in its home bucket)", got)
+	}
+	m.Peek(8)
+	if v, ok := m.Get(7); m.Len() != 1 || !ok || v != 70 {
+		t.Fatalf("after Peek: Len=%d Get(7)=%d,%v", m.Len(), v, ok)
+	}
+}
+
 func TestRangeAndKeys(t *testing.T) {
 	var m Map[int]
 	want := map[uint64]int{10: 1, 20: 2, 30: 3}
