@@ -16,7 +16,7 @@ import (
 // The prefix is sorted by nbrKey, the rhh mix of the neighbour ID, not by
 // the ID: mixed keys are spread evenly, so a lookup in a long prefix
 // starts with an interpolation probe whose position is known before the
-// lookup runs (firstProbe). That lets the rank touch it ahead of time
+// lookup runs (segFind). That lets the rank touch it ahead of time
 // (Store.Peek). Prefixes of at most linearCut entries are scanned on Nbr.
 //
 // Compaction is a write below the array's length, so it follows the one
