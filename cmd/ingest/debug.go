@@ -167,8 +167,8 @@ func startDebugServer(addr string, g *incregraph.Graph) error {
 	return nil
 }
 
-// writeStatsSummary renders an EngineStats snapshot for humans, reusing the
-// harness's formatting helpers so curl output reads like paperbench tables.
+// writeStatsSummary renders an EngineStats snapshot for humans, with the
+// metrics package's human-readable count and rate formatting.
 func writeStatsSummary(w http.ResponseWriter, s incregraph.EngineStats) {
 	fmt.Fprintf(w, "state:     %s\n", s.State)
 	fmt.Fprintf(w, "uptime:    %s\n", s.Uptime.Round(time.Millisecond))

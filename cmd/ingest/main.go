@@ -43,9 +43,9 @@ import (
 	"incregraph"
 	"incregraph/internal/gen"
 	"incregraph/internal/graph"
-	"incregraph/internal/harness"
 	"incregraph/internal/metrics"
 	"incregraph/internal/rmat"
+	"incregraph/internal/static"
 	"incregraph/internal/stream"
 )
 
@@ -332,7 +332,7 @@ func buildAlgo(name string, edges []graph.Edge, sources int, src graph.VertexID,
 		if srcSet {
 			return src
 		}
-		return harness.LargestComponentVertex(edges)
+		return static.LargestComponentVertex(edges)
 	}
 	switch name {
 	case "con":

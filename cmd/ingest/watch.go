@@ -86,12 +86,8 @@ func renderWatch(out io.Writer, cur, prev incregraph.EngineStats, dt time.Durati
 	line("ingest    %12s   (total %s)", rate(cur.Ingested, prev.Ingested), metrics.HumanCount(cur.Ingested))
 	line("applied   %12s   topo, %12s algo", rate(cur.Events.Topo(), prev.Events.Topo()),
 		rate(cur.Events.Algo(), prev.Events.Algo()))
-	ingestLag := int64(cur.Ingested) - int64(cur.Events.Topo())
-	if ingestLag < 0 {
-		ingestLag = 0
-	}
 	line("lag       ingested−applied %d, in-flight %d, mailbox depth %d (hwm %s)",
-		ingestLag, cur.InFlight, cur.MailboxDepth, metrics.HumanCount(cur.MailboxHWM))
+		cur.IngestLag(), cur.InFlight, cur.MailboxDepth, metrics.HumanCount(cur.MailboxHWM))
 	line("traffic   %12s msgs   %12s combined away   %12s self",
 		rate(cur.MessagesSent, prev.MessagesSent),
 		rate(cur.CombinedAway, prev.CombinedAway),
@@ -103,7 +99,7 @@ func renderWatch(out io.Writer, cur, prev incregraph.EngineStats, dt time.Durati
 		for i, p := range ts.Peers {
 			sent += p.SentEvents
 			recv += p.RecvEvents
-			unacked += p.SentEvents - p.AckedEvents
+			unacked += p.Unacked()
 			sentB += p.SentBytes
 			recvB += p.RecvBytes
 			if p.AckRTT.Count > rtt.Count {

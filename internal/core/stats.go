@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"incregraph/internal/graph"
 )
 
 // Engine instrumentation: every rank owns one padded rankCounters block and
@@ -139,40 +141,7 @@ type RankEngineStats struct {
 
 // StorageStats is the hybrid CSR-delta storage tier's counter view (see
 // internal/graph/hybrid.go for the per-counter semantics).
-type StorageStats struct {
-	// Hybrid reports whether the tier is enabled.
-	Hybrid bool `json:"hybrid"`
-	// Compactions counts completed delta→segment merges; SegmentEdges is
-	// the current number of segment-resident edges (gauge); SegClones
-	// counts copy-on-write segment clones.
-	Compactions  uint64 `json:"compactions"`
-	SegmentEdges uint64 `json:"segment_edges"`
-	SegClones    uint64 `json:"seg_clones"`
-	// SegScanned / DeltaScanned count adjacency entries iterated per tier
-	// during neighbor walks.
-	SegScanned   uint64 `json:"seg_scanned"`
-	DeltaScanned uint64 `json:"delta_scanned"`
-}
-
-func (s *StorageStats) add(o StorageStats) {
-	s.Hybrid = s.Hybrid || o.Hybrid
-	s.Compactions += o.Compactions
-	s.SegmentEdges += o.SegmentEdges
-	s.SegClones += o.SegClones
-	s.SegScanned += o.SegScanned
-	s.DeltaScanned += o.DeltaScanned
-}
-
-// DeltaHitRate is the fraction of adjacency-scan traffic served by the
-// mutable delta tier (0 when nothing was scanned; lower = more scans hit
-// the sequential segments).
-func (s StorageStats) DeltaHitRate() float64 {
-	total := s.SegScanned + s.DeltaScanned
-	if total == 0 {
-		return 0
-	}
-	return float64(s.DeltaScanned) / float64(total)
-}
+type StorageStats = graph.HybridStats
 
 // EngineStats is an on-demand aggregate of the engine's live counters. It
 // is legal to take in every lifecycle state — Idle, Running, mid-Pause,
@@ -205,8 +174,8 @@ type EngineStats struct {
 	MailboxHWM     uint64
 	MailboxDepth   int64
 	// InFlight is the current depth of the in-flight ring: events buffered,
-	// queued, or mid-processing right now. Together with the
-	// Ingested-vs-Events.Topo() offset gap it is the engine's lag gauge.
+	// queued, or mid-processing right now. Together with IngestLag it is
+	// the engine's lag gauge.
 	InFlight int64
 	// QueriesServed and SnapshotParts total control-plane work;
 	// SnapshotsTaken counts SnapshotAsync requests.
@@ -245,6 +214,13 @@ func (s EngineStats) EventRate() float64 {
 		return 0
 	}
 	return float64(s.Events.Topo()) / s.Uptime.Seconds()
+}
+
+// IngestLag returns the topology events pulled from streams but not yet
+// applied: Ingested minus Events.Topo(), clamped at 0 because the two
+// counters are read at slightly different moments.
+func (s EngineStats) IngestLag() uint64 {
+	return s.Ingested - min(s.Ingested, s.Events.Topo())
 }
 
 // BatchingFactor returns the achieved events-per-push ratio of inter-rank
@@ -352,16 +328,8 @@ func (e *Engine) EngineStats() EngineStats {
 	for i, r := range e.ranks {
 		rs := r.counters.snapshot(i, r.inbox.highWater())
 		rs.MailboxDepth = r.inbox.depth()
-		h := r.store.Hybrid()
-		rs.Storage = StorageStats{
-			Hybrid:       r.store.HybridEnabled(),
-			Compactions:  h.Compactions,
-			SegmentEdges: h.SegmentEdges,
-			SegClones:    h.SegClones,
-			SegScanned:   h.SegScanned,
-			DeltaScanned: h.DeltaScanned,
-		}
-		s.Storage.add(rs.Storage)
+		rs.Storage = r.store.Hybrid()
+		s.Storage.Add(rs.Storage)
 		s.TuneAdjusts += rs.TuneAdjusts
 		s.MailboxDepth += rs.MailboxDepth
 		s.Latency.IngestToQuiesce.add(r.lat.ingest.snapshot())

@@ -1241,11 +1241,14 @@ func (t *TCPTransport) transportStats() TransportStats {
 		if p == nil {
 			continue
 		}
+		// The ack is loaded first, so a credit stored between the two
+		// loads cannot lead the sends it answers.
+		acked := p.ackedEvents.Load()
 		s.Peers = append(s.Peers, PeerTransportStats{
 			Node:        p.node,
 			SentEvents:  p.sentEvents.Load(),
 			RecvEvents:  p.recvEvents.Load(),
-			AckedEvents: p.ackedEvents.Load(),
+			AckedEvents: acked,
 			SentFrames:  p.sentFrames.Load(),
 			RecvFrames:  p.recvFrames.Load(),
 			SentBytes:   p.sentBytes.Load(),
@@ -1435,6 +1438,14 @@ func (t *TCPTransport) progressFingerprint() uint64 {
 	return fp
 }
 
+// unacked is the peer's outstanding credit, clamped at 0 like
+// PeerTransportStats.Unacked.
+func (p *tcpPeer) unacked() uint64 {
+	acked := p.ackedEvents.Load()
+	sent := p.sentEvents.Load()
+	return sent - min(sent, acked)
+}
+
 // suspectPeer names the most likely stalled peer: the one sitting on the
 // most unacknowledged credit; with none outstanding, a follower suspects
 // the coordinator (the missing TERMINATE would come from there) and the
@@ -1445,7 +1456,7 @@ func (t *TCPTransport) suspectPeer() int {
 		if p == nil {
 			continue
 		}
-		if out := p.sentEvents.Load() - p.ackedEvents.Load(); out > bestOut {
+		if out := p.unacked(); out > bestOut {
 			best, bestOut = p.node, out
 		}
 	}
@@ -1489,7 +1500,7 @@ func (t *TCPTransport) stallDump(idle time.Duration, suspect int) string {
 		}
 		fmt.Fprintf(&b, "  peer %d: sent=%d recv=%d acked=%d unacked=%d frames=%d/%d lastReport=%s%s\n",
 			p.node, p.sentEvents.Load(), p.recvEvents.Load(), p.ackedEvents.Load(),
-			p.sentEvents.Load()-p.ackedEvents.Load(),
+			p.unacked(),
 			p.sentFrames.Load(), p.recvFrames.Load(), lastRep, mark)
 	}
 	fmt.Fprintf(&b, "  suspect: peer node %d\n", suspect)

@@ -116,6 +116,14 @@ type PeerTransportStats struct {
 	AckRTT     HistogramSnapshot
 }
 
+// Unacked returns the events still somewhere in the channel:
+// SentEvents - AckedEvents, or 0 when the ack leads. It can: the send
+// counter grows only after the frame is queued, so a fast peer's ack may
+// be stored first.
+func (p PeerTransportStats) Unacked() uint64 {
+	return p.SentEvents - min(p.SentEvents, p.AckedEvents)
+}
+
 // TransportStats describes the active transport in an EngineStats
 // snapshot.
 type TransportStats struct {

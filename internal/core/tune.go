@@ -102,10 +102,10 @@ func (t *tuner) step() {
 	}
 
 	// Compaction-threshold law, on the windowed tier scan counters.
-	if !r.store.HybridEnabled() {
+	h := r.store.Hybrid()
+	if !h.Hybrid {
 		return
 	}
-	h := r.store.Hybrid()
 	segW := h.SegScanned - t.prevSeg
 	deltaW := h.DeltaScanned - t.prevDelta
 	t.prevSeg, t.prevDelta = h.SegScanned, h.DeltaScanned

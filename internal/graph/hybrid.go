@@ -38,9 +38,6 @@ func (s *Store) EnableHybrid(compactCap int) {
 	s.SetCompactCap(compactCap)
 }
 
-// HybridEnabled reports whether the store runs the hybrid tier.
-func (s *Store) HybridEnabled() bool { return s.hybrid }
-
 // SetCompactCap adjusts the compaction threshold (n <= 0 selects the
 // default). Owner-goroutine only, like every store mutation; the auto-tune
 // controller uses it to trade compaction churn against scan locality.
@@ -178,33 +175,47 @@ func (s *Store) CompactAll() {
 
 // HybridStats is a point-in-time snapshot of the hybrid tier's counters
 // (all zero when the store is not hybrid, except DeltaScanned which still
-// tallies pure-dynamic scan traffic).
+// tallies pure-dynamic scan traffic). Its JSON form is the storage block
+// of the engine's stats.
 type HybridStats struct {
+	// Hybrid reports whether the tier is enabled.
+	Hybrid bool `json:"hybrid"`
 	// Compactions counts completed tail->prefix merges.
-	Compactions uint64
+	Compactions uint64 `json:"compactions"`
 	// SegmentEdges is the number of edges currently in sorted prefixes (a
 	// gauge: compactions add, prefix deletes subtract).
-	SegmentEdges uint64
+	SegmentEdges uint64 `json:"segment_edges"`
 	// SegClones counts clones of shared arrays: the copies a merge,
 	// delete or compaction makes of an array the serve plane holds.
-	SegClones uint64
+	SegClones uint64 `json:"seg_clones"`
 	// SegScanned / DeltaScanned count adjacency entries iterated from
 	// prefixes and tails during Neighbors/NeighborsBefore walks.
 	// DeltaScanned/(Seg+Delta) is the delta hit rate: the fraction of scan
 	// traffic still served by unsorted tails (lower = better locality).
-	SegScanned   uint64
-	DeltaScanned uint64
+	SegScanned   uint64 `json:"seg_scanned"`
+	DeltaScanned uint64 `json:"delta_scanned"`
 }
 
 // Hybrid reads the hybrid tier's counters; safe from any goroutine.
 func (s *Store) Hybrid() HybridStats {
 	return HybridStats{
+		Hybrid:       s.hybrid,
 		Compactions:  s.compactions.Load(),
 		SegmentEdges: s.segEdges.Load(),
 		SegClones:    s.segClones.Load(),
 		SegScanned:   s.segScans.Load(),
 		DeltaScanned: s.deltaScans.Load(),
 	}
+}
+
+// Add sums o into h (Hybrid if either is), totalling stores.
+func (h *HybridStats) Add(o HybridStats) {
+	h.Hybrid = h.Hybrid || o.Hybrid
+	h.Compactions += o.Compactions
+	h.SegmentEdges += o.SegmentEdges
+	h.SegClones += o.SegClones
+	h.SegScanned += o.SegScanned
+	h.DeltaScanned += o.DeltaScanned
 }
 
 // DeltaHitRate is DeltaScanned over total scanned entries (0 when nothing

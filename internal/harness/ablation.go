@@ -7,6 +7,7 @@ import (
 	"incregraph/internal/core"
 	"incregraph/internal/metrics"
 	"incregraph/internal/partition"
+	"incregraph/internal/static"
 	"incregraph/internal/stream"
 )
 
@@ -26,7 +27,7 @@ func Ablations(cfg Config) *Table {
 	cfg = cfg.withDefaults()
 	ranks := cfg.Ranks[len(cfg.Ranks)-1]
 	edges := TwitterSim(cfg).Edges()
-	src := LargestComponentVertex(edges)
+	src := static.LargestComponentVertex(edges)
 
 	run := func(opts core.Options) float64 {
 		opts.Ranks = ranks

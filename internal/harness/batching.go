@@ -7,6 +7,7 @@ import (
 	"incregraph/internal/core"
 	"incregraph/internal/graph"
 	"incregraph/internal/metrics"
+	"incregraph/internal/static"
 	"incregraph/internal/stream"
 )
 
@@ -22,7 +23,7 @@ func Batching(cfg Config) *Table {
 	cfg = cfg.withDefaults()
 	ranks := cfg.Ranks[len(cfg.Ranks)-1]
 	edges := TwitterSim(cfg).Edges()
-	src := LargestComponentVertex(edges)
+	src := static.LargestComponentVertex(edges)
 
 	t := &Table{
 		Title:  fmt.Sprintf("Batching baseline vs continuous engine (twitter-sim, BFS, %d events)", len(edges)),

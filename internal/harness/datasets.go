@@ -7,9 +7,6 @@ import (
 	"incregraph/internal/gen"
 	"incregraph/internal/graph"
 	"incregraph/internal/rmat"
-	"incregraph/internal/static"
-
-	"incregraph/internal/csr"
 )
 
 // Config scopes the experiments. The zero value selects sensible
@@ -115,33 +112,6 @@ func Datasets(cfg Config) []Dataset {
 // its Twitter graph).
 func TwitterSim(cfg Config) Dataset {
 	return Datasets(cfg)[1]
-}
-
-// LargestComponentVertex implements the paper's source policy: "a vertex
-// is randomly pre-chosen so that it is known to eventually lie within the
-// largest connected component" (§V-A). Deterministically, the smallest
-// vertex ID in the largest component.
-func LargestComponentVertex(edges []graph.Edge) graph.VertexID {
-	labels := static.ConnectedComponents(csr.Build(edges, true))
-	counts := map[uint64]int{}
-	for _, l := range labels {
-		if l != static.Unreached {
-			counts[l]++
-		}
-	}
-	var best uint64
-	bestN := -1
-	for l, n := range counts {
-		if n > bestN || (n == bestN && l < best) {
-			best, bestN = l, n
-		}
-	}
-	for v, l := range labels {
-		if l == best {
-			return graph.VertexID(v)
-		}
-	}
-	return 0
 }
 
 // AlgoSpec names one of the paper's evaluated algorithms and builds a

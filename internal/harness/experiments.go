@@ -76,7 +76,7 @@ func Fig3(cfg Config) *Table {
 	cfg = cfg.withDefaults()
 	ranks := cfg.Ranks[len(cfg.Ranks)-1]
 	edges := TwitterSim(cfg).Edges()
-	src := LargestComponentVertex(edges)
+	src := static.LargestComponentVertex(edges)
 
 	// Bar 1: static construction (CSR compression) + static BFS on CSR.
 	t1 := metrics.StartTimer()
@@ -196,16 +196,16 @@ func Algorithms() []AlgoSpec {
 	return []AlgoSpec{
 		{Name: "CON", Build: func([]graph.Edge) (core.Program, []graph.VertexID) { return nil, nil }},
 		{Name: "BFS", Build: func(edges []graph.Edge) (core.Program, []graph.VertexID) {
-			return algo.BFS{}, []graph.VertexID{LargestComponentVertex(edges)}
+			return algo.BFS{}, []graph.VertexID{static.LargestComponentVertex(edges)}
 		}},
 		{Name: "SSSP", Build: func(edges []graph.Edge) (core.Program, []graph.VertexID) {
-			return algo.SSSP{}, []graph.VertexID{LargestComponentVertex(edges)}
+			return algo.SSSP{}, []graph.VertexID{static.LargestComponentVertex(edges)}
 		}},
 		{Name: "CC", Build: func([]graph.Edge) (core.Program, []graph.VertexID) {
 			return algo.CC{}, nil
 		}},
 		{Name: "ST", Build: func(edges []graph.Edge) (core.Program, []graph.VertexID) {
-			src := LargestComponentVertex(edges)
+			src := static.LargestComponentVertex(edges)
 			return algo.NewMultiST([]graph.VertexID{src}), []graph.VertexID{src}
 		}},
 	}

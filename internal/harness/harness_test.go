@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"incregraph/internal/gen"
-	"incregraph/internal/graph"
 )
 
 var quick = Config{Quick: true}
@@ -54,17 +53,6 @@ func TestDatasets(t *testing.T) {
 	}
 	if TwitterSim(quick).Name != "twitter-sim" {
 		t.Fatal("TwitterSim should be the twitter stand-in")
-	}
-}
-
-func TestLargestComponentVertex(t *testing.T) {
-	// Two components: {0..4} (path) and {100..102} (triangle).
-	edges := append(gen.Path(5),
-		graph.Edge{Src: 100, Dst: 101, W: 1},
-		graph.Edge{Src: 101, Dst: 102, W: 1})
-	v := LargestComponentVertex(edges)
-	if v > 4 {
-		t.Fatalf("source %d not in the largest component", v)
 	}
 }
 

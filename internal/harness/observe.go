@@ -6,6 +6,7 @@ import (
 	"incregraph/internal/algo"
 	"incregraph/internal/core"
 	"incregraph/internal/metrics"
+	"incregraph/internal/static"
 	"incregraph/internal/stream"
 )
 
@@ -20,7 +21,7 @@ func Counters(cfg Config) *Table {
 	cfg = cfg.withDefaults()
 	ranks := cfg.Ranks[len(cfg.Ranks)-1]
 	edges := TwitterSim(cfg).Edges()
-	src := LargestComponentVertex(edges)
+	src := static.LargestComponentVertex(edges)
 
 	e := core.New(core.Options{Ranks: ranks, Undirected: true}, algo.BFS{})
 	e.InitVertex(0, src)

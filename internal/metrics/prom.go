@@ -17,6 +17,9 @@ import (
 // function of one EngineStats snapshot — WritePrometheus does no locking
 // and touches no engine state, so serving /metrics never perturbs the hot
 // path beyond the Stats() aggregation itself.
+//
+// Every family is declared once, as a row of the families table; both the
+// per-process and the federated cluster view render from it.
 
 // promFloat renders a float the way Prometheus expects ("+Inf", shortest
 // round-trip decimal otherwise).
@@ -32,400 +35,332 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func promCounter(w io.Writer, name, help string, v uint64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// family is one metric family of the exposition, a row of the families
+// table. gate, when set, leaves the family out of a snapshot that does not
+// carry it (no hybrid tier, no auto-tune, no read plane, no peers). get
+// reads its value from a snapshot: one unlabelled sample value, or a
+// []sample. fedHelp, when set, also puts the family in the federated view
+// as incregraph_cluster_*, with a node label ahead of its own labels.
+type family struct {
+	name, typ     string
+	gate          func(stats) bool
+	get           func(stats) any
+	help, fedHelp string
 }
 
-func promGauge(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, promFloat(v))
+// Short names for the table's getters.
+type (
+	stats = core.EngineStats
+	peer  = core.PeerTransportStats
+)
+
+// sample is one labelled value of a family. labels is the label list
+// without braces (`kind="add"`); v is an integer (printed %d), a float64
+// (promFloat) or a core.HistogramSnapshot (a cumulative bucket series).
+type sample struct {
+	labels string
+	v      any
 }
 
-// promHistogramSeries renders one HistogramSnapshot's sample series
-// (cumulative le buckets, +Inf overflow, _sum, _count) under an optional
-// fixed label prefix like `peer="1",`. The HELP/TYPE header is the
-// caller's job, so several labeled series can share one family. scale
-// divides the raw power-of-two bucket bounds and the sum: 1e9 turns the
-// engine's nanosecond buckets into seconds, 1 keeps byte-bound buckets as
-// bytes.
-func promHistogramSeries(w io.Writer, name, labels string, h core.HistogramSnapshot, scale float64) {
-	var cum uint64
-	for i := 0; i < core.HistBuckets-1; i++ {
-		cum += h.Buckets[i]
-		le := promFloat(float64(core.HistBucketBound(i)) / scale)
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, labels, le, cum)
+// samples reads f's samples from s.
+func (f family) samples(s stats) []sample {
+	v := f.get(s)
+	if xs, ok := v.([]sample); ok {
+		return xs
 	}
-	cum += h.Buckets[core.HistBuckets-1]
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %s\n", name, promFloat(float64(h.SumNanos)/scale))
-		fmt.Fprintf(w, "%s_count %d\n", name, cum)
-		return
-	}
-	fmt.Fprintf(w, "%s_sum{%s} %s\n", name, strings.TrimSuffix(labels, ","),
-		promFloat(float64(h.SumNanos)/scale))
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, strings.TrimSuffix(labels, ","), cum)
+	return []sample{{v: v}}
 }
 
-// promHistogram renders one unlabeled HistogramSnapshot as a Prometheus
-// histogram in seconds (the engine's power-of-two nanosecond buckets,
-// bound (2^i - 1) ns).
-func promHistogram(w io.Writer, name, help string, h core.HistogramSnapshot) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	promHistogramSeries(w, name, "", h, 1e9)
+// fedName is the family's name in the federated view.
+func (f family) fedName() string {
+	return "incregraph_cluster_" + strings.TrimPrefix(f.name, "incregraph_")
 }
 
-// promKind maps an event kind to its label value.
-var promKinds = []struct {
-	kind core.Kind
-	name string
-}{
-	{core.KindAdd, "add"},
-	{core.KindReverseAdd, "reverse_add"},
-	{core.KindUpdate, "update"},
-	{core.KindInit, "init"},
-	{core.KindDelete, "delete"},
-	{core.KindReverseDelete, "reverse_delete"},
-	{core.KindSignal, "signal"},
-	{core.KindInvalidate, "invalidate"},
+// perRank labels one value per rank.
+func perRank(get func(core.RankEngineStats) any) func(stats) any {
+	return func(s stats) any {
+		out := make([]sample, len(s.PerRank))
+		for i, r := range s.PerRank {
+			out[i] = sample{fmt.Sprintf(`rank="%d"`, r.Rank), get(r)}
+		}
+		return out
+	}
 }
 
-func kindCount(c core.EventCounts, k core.Kind) uint64 {
-	switch k {
-	case core.KindAdd:
-		return c.Adds
-	case core.KindReverseAdd:
-		return c.ReverseAdds
-	case core.KindUpdate:
-		return c.Updates
-	case core.KindInit:
-		return c.Inits
-	case core.KindDelete:
-		return c.Deletes
-	case core.KindReverseDelete:
-		return c.ReverseDeletes
-	case core.KindSignal:
-		return c.Signals
-	case core.KindInvalidate:
-		return c.Invalidates
+// perPeer labels one value per transport peer.
+func perPeer(get func(peer) any) func(stats) any {
+	return func(s stats) any {
+		out := make([]sample, len(s.Transport.Peers))
+		for i, p := range s.Transport.Peers {
+			out[i] = sample{fmt.Sprintf(`peer="%d"`, p.Node), get(p)}
+		}
+		return out
 	}
-	return 0
 }
 
-// WritePrometheus renders an EngineStats snapshot in the Prometheus text
-// exposition format: run counters, streaming progress/lag gauges, per-rank
-// mailbox gauges, and the four latency histograms as cumulative-bucket
-// histograms in seconds. The output passes LintProm by construction (a CI
-// smoke job and a golden-file test keep that true).
-func WritePrometheus(w io.Writer, s core.EngineStats) {
-	// Lifecycle + progress gauges.
-	fmt.Fprintf(w, "# HELP incregraph_state Engine lifecycle state (1 for the current state).\n")
-	fmt.Fprintf(w, "# TYPE incregraph_state gauge\n")
-	fmt.Fprintf(w, "incregraph_state{state=%q} 1\n", strings.ToLower(s.State.String()))
-	promGauge(w, "incregraph_uptime_seconds",
-		"Seconds since Start (0 before Start).", s.Uptime.Seconds())
-	promGauge(w, "incregraph_ranks",
-		"Configured rank (event-loop goroutine) count.", float64(s.Ranks))
+func hybrid(s stats) bool   { return s.Storage.Hybrid }
+func autoTune(s stats) bool { return s.AutoTune }
+func hasPeers(s stats) bool { return len(s.Transport.Peers) > 0 }
+func serving(s stats) bool  { return s.Serve.Enabled }
 
-	promCounter(w, "incregraph_ingested_events_total",
-		"Topology events pulled from ingestion streams.", s.Ingested)
-
-	fmt.Fprintf(w, "# HELP incregraph_processed_events_total Events processed, by kind.\n")
-	fmt.Fprintf(w, "# TYPE incregraph_processed_events_total counter\n")
-	for _, k := range promKinds {
-		fmt.Fprintf(w, "incregraph_processed_events_total{kind=%q} %d\n",
-			k.name, kindCount(s.Events, k.kind))
-	}
-
-	// Lag gauges: how far behind the applied state runs the ingested
-	// offset, and how much is queued or mid-cascade right now.
-	lag := int64(s.Ingested) - int64(s.Events.Topo())
-	if lag < 0 {
-		lag = 0
-	}
-	promGauge(w, "incregraph_ingest_lag_events",
-		"Ingested-offset minus applied-offset: topology events pulled but not yet processed.",
-		float64(lag))
-	promGauge(w, "incregraph_inflight_events",
+// families is the metric contract, in exposition order.
+var families = []family{
+	// Lifecycle, progress and lag.
+	{"incregraph_state", "gauge", nil, func(s stats) any {
+		return []sample{{fmt.Sprintf("state=%q", strings.ToLower(s.State.String())), 1}}
+	}, "Engine lifecycle state (1 for the current state).", ""},
+	{"incregraph_uptime_seconds", "gauge", nil, func(s stats) any { return s.Uptime.Seconds() },
+		"Seconds since Start (0 before Start).", "Seconds since the process's Start."},
+	{"incregraph_ranks", "gauge", nil, func(s stats) any { return s.Ranks },
+		"Configured rank (event-loop goroutine) count.", "Ranks hosted by the process."},
+	{"incregraph_ingested_events_total", "counter", nil, func(s stats) any { return s.Ingested },
+		"Topology events pulled from ingestion streams.",
+		"Topology events the process pulled from its ingestion streams."},
+	{"incregraph_processed_events_total", "counter", nil, func(s stats) any {
+		c := s.Events
+		return []sample{{`kind="add"`, c.Adds}, {`kind="reverse_add"`, c.ReverseAdds},
+			{`kind="update"`, c.Updates}, {`kind="init"`, c.Inits},
+			{`kind="delete"`, c.Deletes}, {`kind="reverse_delete"`, c.ReverseDeletes},
+			{`kind="signal"`, c.Signals}, {`kind="invalidate"`, c.Invalidates}}
+	}, "Events processed, by kind.", "Events processed per process, by kind."},
+	{"incregraph_ingest_lag_events", "gauge", nil, func(s stats) any { return s.IngestLag() },
+		"Ingested-offset minus applied-offset: topology events pulled but not yet processed.", ""},
+	{"incregraph_inflight_events", "gauge", nil, func(s stats) any { return s.InFlight },
 		"Current in-flight ring depth: events buffered, queued, or mid-processing.",
-		float64(s.InFlight))
-	promGauge(w, "incregraph_mailbox_depth_events",
+		"Current in-flight ring depth on the process."},
+	{"incregraph_mailbox_depth_events", "gauge", nil, func(s stats) any { return s.MailboxDepth },
 		"Current total inbound mailbox depth over all ranks (approximate).",
-		float64(s.MailboxDepth))
+		"Current total inbound mailbox depth over the process's ranks (approximate)."},
 
-	promCounter(w, "incregraph_messages_sent_total",
-		"Events delivered to other ranks' mailboxes.", s.MessagesSent)
-	promCounter(w, "incregraph_flushes_total",
-		"Outbound batch flushes that carried those messages.", s.Flushes)
-	promCounter(w, "incregraph_cascade_emits_total",
-		"Events generated by program callbacks and the undirected-edge protocol.", s.CascadeEmits)
-	promCounter(w, "incregraph_self_delivered_total",
-		"Events routed through the mailbox-bypassing self-delivery ring.", s.SelfDelivered)
-	promCounter(w, "incregraph_combined_away_total",
-		"UPDATE events eliminated by monotone coalescing before delivery.", s.CombinedAway)
-	promCounter(w, "incregraph_batches_drained_total",
-		"Non-empty mailbox drains.", s.BatchesDrained)
-	promCounter(w, "incregraph_queries_served_total",
-		"Local-state observations answered.", s.QueriesServed)
-	promCounter(w, "incregraph_snapshots_taken_total",
-		"Asynchronous snapshot requests.", s.SnapshotsTaken)
+	// Traffic and control-plane counters.
+	{"incregraph_messages_sent_total", "counter", nil, func(s stats) any { return s.MessagesSent },
+		"Events delivered to other ranks' mailboxes.",
+		"Events the process delivered to other ranks' mailboxes (local and remote)."},
+	{"incregraph_flushes_total", "counter", nil, func(s stats) any { return s.Flushes },
+		"Outbound batch flushes that carried those messages.", ""},
+	{"incregraph_cascade_emits_total", "counter", nil, func(s stats) any { return s.CascadeEmits },
+		"Events generated by program callbacks and the undirected-edge protocol.", ""},
+	{"incregraph_self_delivered_total", "counter", nil, func(s stats) any { return s.SelfDelivered },
+		"Events routed through the mailbox-bypassing self-delivery ring.", ""},
+	{"incregraph_combined_away_total", "counter", nil, func(s stats) any { return s.CombinedAway },
+		"UPDATE events eliminated by monotone coalescing before delivery.", ""},
+	{"incregraph_batches_drained_total", "counter", nil, func(s stats) any { return s.BatchesDrained },
+		"Non-empty mailbox drains.", ""},
+	{"incregraph_queries_served_total", "counter", nil, func(s stats) any { return s.QueriesServed },
+		"Local-state observations answered.", "Local-state observations the process answered."},
+	{"incregraph_snapshots_taken_total", "counter", nil, func(s stats) any { return s.SnapshotsTaken },
+		"Asynchronous snapshot requests.", ""},
 
 	// Per-rank mailbox gauges (the saturation view: which rank is behind).
-	fmt.Fprintf(w, "# HELP incregraph_rank_mailbox_depth_events Current inbound mailbox depth per rank (approximate).\n")
-	fmt.Fprintf(w, "# TYPE incregraph_rank_mailbox_depth_events gauge\n")
-	for _, r := range s.PerRank {
-		fmt.Fprintf(w, "incregraph_rank_mailbox_depth_events{rank=\"%d\"} %d\n", r.Rank, r.MailboxDepth)
-	}
-	fmt.Fprintf(w, "# HELP incregraph_rank_mailbox_high_water_events Deepest the rank's inbound mailbox has ever been.\n")
-	fmt.Fprintf(w, "# TYPE incregraph_rank_mailbox_high_water_events gauge\n")
-	for _, r := range s.PerRank {
-		fmt.Fprintf(w, "incregraph_rank_mailbox_high_water_events{rank=\"%d\"} %d\n", r.Rank, r.MailboxHWM)
-	}
+	{"incregraph_rank_mailbox_depth_events", "gauge", nil,
+		perRank(func(r core.RankEngineStats) any { return r.MailboxDepth }),
+		"Current inbound mailbox depth per rank (approximate).", ""},
+	{"incregraph_rank_mailbox_high_water_events", "gauge", nil,
+		perRank(func(r core.RankEngineStats) any { return r.MailboxHWM }),
+		"Deepest the rank's inbound mailbox has ever been.", ""},
 
 	// Hybrid storage tier + auto-tune controller.
-	if s.Storage.Hybrid {
-		promCounter(w, "incregraph_compactions_total",
-			"Hybrid-tier delta-to-segment merges completed.", s.Storage.Compactions)
-		promGauge(w, "incregraph_segment_edges",
-			"Edges currently resident in compacted immutable segments.",
-			float64(s.Storage.SegmentEdges))
-		promCounter(w, "incregraph_segment_clones_total",
-			"Copy-on-write segment clones (weight merges and deletes on segment-resident edges).",
-			s.Storage.SegClones)
-		fmt.Fprintf(w, "# HELP incregraph_adjacency_scanned_total Adjacency entries iterated during neighbor walks, by storage tier.\n")
-		fmt.Fprintf(w, "# TYPE incregraph_adjacency_scanned_total counter\n")
-		fmt.Fprintf(w, "incregraph_adjacency_scanned_total{tier=\"segment\"} %d\n", s.Storage.SegScanned)
-		fmt.Fprintf(w, "incregraph_adjacency_scanned_total{tier=\"delta\"} %d\n", s.Storage.DeltaScanned)
-		promGauge(w, "incregraph_delta_hit_rate",
-			"Fraction of adjacency-scan traffic served by the mutable delta tier (lower = better locality).",
-			s.Storage.DeltaHitRate())
-	}
-	if s.AutoTune {
-		promCounter(w, "incregraph_autotune_adjusts_total",
-			"Auto-tune controller decisions that changed a knob.", s.TuneAdjusts)
-		fmt.Fprintf(w, "# HELP incregraph_rank_effective_batch_size Effective outbound batch size per rank (auto-tuned).\n")
-		fmt.Fprintf(w, "# TYPE incregraph_rank_effective_batch_size gauge\n")
-		for _, r := range s.PerRank {
-			fmt.Fprintf(w, "incregraph_rank_effective_batch_size{rank=\"%d\"} %d\n", r.Rank, r.EffBatch)
-		}
-	}
+	{"incregraph_compactions_total", "counter", hybrid, func(s stats) any { return s.Storage.Compactions },
+		"Hybrid-tier delta-to-segment merges completed.", ""},
+	{"incregraph_segment_edges", "gauge", hybrid, func(s stats) any { return s.Storage.SegmentEdges },
+		"Edges currently resident in compacted immutable segments.", ""},
+	{"incregraph_segment_clones_total", "counter", hybrid, func(s stats) any { return s.Storage.SegClones },
+		"Copy-on-write segment clones (weight merges and deletes on segment-resident edges).", ""},
+	{"incregraph_adjacency_scanned_total", "counter", hybrid, func(s stats) any {
+		return []sample{{`tier="segment"`, s.Storage.SegScanned}, {`tier="delta"`, s.Storage.DeltaScanned}}
+	}, "Adjacency entries iterated during neighbor walks, by storage tier.", ""},
+	{"incregraph_delta_hit_rate", "gauge", hybrid, func(s stats) any { return s.Storage.DeltaHitRate() },
+		"Fraction of adjacency-scan traffic served by the mutable delta tier (lower = better locality).", ""},
+	{"incregraph_autotune_adjusts_total", "counter", autoTune, func(s stats) any { return s.TuneAdjusts },
+		"Auto-tune controller decisions that changed a knob.", ""},
+	{"incregraph_rank_effective_batch_size", "gauge", autoTune,
+		perRank(func(r core.RankEngineStats) any { return r.EffBatch }),
+		"Effective outbound batch size per rank (auto-tuned).", ""},
 
-	// Cascade sampler accounting + the latency histograms.
-	promGauge(w, "incregraph_trace_sample_every",
-		"Cascade sampling stride (one traced cascade per this many ingests per rank; 0 = disabled).",
-		float64(s.Latency.SampleEvery))
-	promCounter(w, "incregraph_trace_sampled_total",
-		"Cascades traced to quiescence.", s.Latency.Sampled)
-	promCounter(w, "incregraph_trace_dropped_total",
-		"Sampling points skipped because every trace slot was busy.", s.Latency.Dropped)
-	promGauge(w, "incregraph_trace_active",
-		"Traces currently in flight.", float64(s.Latency.Active))
+	// Cascade sampler accounting.
+	{"incregraph_trace_sample_every", "gauge", nil, func(s stats) any { return s.Latency.SampleEvery },
+		"Cascade sampling stride (one traced cascade per this many ingests per rank; 0 = disabled).", ""},
+	{"incregraph_trace_sampled_total", "counter", nil, func(s stats) any { return s.Latency.Sampled },
+		"Cascades traced to quiescence.", "Cascades the process's lineage sampler traced to quiescence."},
+	{"incregraph_trace_dropped_total", "counter", nil, func(s stats) any { return s.Latency.Dropped },
+		"Sampling points skipped because every trace slot was busy.", ""},
+	{"incregraph_trace_active", "gauge", nil, func(s stats) any { return s.Latency.Active },
+		"Traces currently in flight.", ""},
 
 	// Transport: which update plane is active and — for multi-process
 	// runs — the per-peer wire counters the termination protocol compares.
-	fmt.Fprintf(w, "# HELP incregraph_transport_info Active transport (the 1-valued series names the kind; node/nodes locate this process).\n")
-	fmt.Fprintf(w, "# TYPE incregraph_transport_info gauge\n")
-	fmt.Fprintf(w, "incregraph_transport_info{kind=%q,node=\"%d\",nodes=\"%d\"} 1\n",
-		s.Transport.Kind, s.Transport.Node, s.Transport.Nodes)
-	if len(s.Transport.Peers) > 0 {
-		peerCounter := func(name, help string, get func(core.PeerTransportStats) uint64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-			for _, p := range s.Transport.Peers {
-				fmt.Fprintf(w, "%s{peer=\"%d\"} %d\n", name, p.Node, get(p))
-			}
-		}
-		peerCounter("incregraph_transport_sent_events_total",
-			"Engine events shipped to the peer.",
-			func(p core.PeerTransportStats) uint64 { return p.SentEvents })
-		peerCounter("incregraph_transport_recv_events_total",
-			"Engine events received from the peer.",
-			func(p core.PeerTransportStats) uint64 { return p.RecvEvents })
-		peerCounter("incregraph_transport_acked_events_total",
-			"Cumulative receive count the peer last acknowledged.",
-			func(p core.PeerTransportStats) uint64 { return p.AckedEvents })
-		peerCounter("incregraph_transport_sent_frames_total",
-			"Wire frames (event and control) written to the peer.",
-			func(p core.PeerTransportStats) uint64 { return p.SentFrames })
-		peerCounter("incregraph_transport_recv_frames_total",
-			"Wire frames read from the peer.",
-			func(p core.PeerTransportStats) uint64 { return p.RecvFrames })
-		peerCounter("incregraph_transport_reconnects_total",
-			"Dial attempts beyond each connection's first.",
-			func(p core.PeerTransportStats) uint64 { return p.Reconnects })
-		peerCounter("incregraph_transport_sent_bytes_total",
-			"Wire bytes written to the peer (frame headers included).",
-			func(p core.PeerTransportStats) uint64 { return p.SentBytes })
-		peerCounter("incregraph_transport_recv_bytes_total",
-			"Wire bytes read from the peer (frame headers included).",
-			func(p core.PeerTransportStats) uint64 { return p.RecvBytes })
-		peerCounter("incregraph_transport_backoffs_total",
-			"Dial-retry backoff sleeps taken before the peer channel connected.",
-			func(p core.PeerTransportStats) uint64 { return p.Backoffs })
-		fmt.Fprintf(w, "# HELP incregraph_transport_frame_bytes Outbound wire frame sizes per peer, in bytes.\n")
-		fmt.Fprintf(w, "# TYPE incregraph_transport_frame_bytes histogram\n")
-		for _, p := range s.Transport.Peers {
-			promHistogramSeries(w, "incregraph_transport_frame_bytes",
-				fmt.Sprintf("peer=\"%d\",", p.Node), p.FrameBytes, 1)
-		}
-		fmt.Fprintf(w, "# HELP incregraph_transport_ack_rtt_seconds Event send to credit acknowledgement round trip per peer.\n")
-		fmt.Fprintf(w, "# TYPE incregraph_transport_ack_rtt_seconds histogram\n")
-		for _, p := range s.Transport.Peers {
-			promHistogramSeries(w, "incregraph_transport_ack_rtt_seconds",
-				fmt.Sprintf("peer=\"%d\",", p.Node), p.AckRTT, 1e9)
-		}
-	}
+	{"incregraph_transport_info", "gauge", nil, func(s stats) any {
+		t := s.Transport
+		return []sample{{fmt.Sprintf(`kind=%q,node="%d",nodes="%d"`, t.Kind, t.Node, t.Nodes), 1}}
+	}, "Active transport (the 1-valued series names the kind; node/nodes locate this process).", ""},
+	{"incregraph_transport_sent_events_total", "counter", hasPeers, perPeer(func(p peer) any { return p.SentEvents }),
+		"Engine events shipped to the peer.", "Engine events shipped node to peer."},
+	{"incregraph_transport_recv_events_total", "counter", hasPeers, perPeer(func(p peer) any { return p.RecvEvents }),
+		"Engine events received from the peer.", "Engine events received node from peer."},
+	{"incregraph_transport_acked_events_total", "counter", hasPeers, perPeer(func(p peer) any { return p.AckedEvents }),
+		"Cumulative receive count the peer last acknowledged.", ""},
+	{"incregraph_transport_sent_frames_total", "counter", hasPeers, perPeer(func(p peer) any { return p.SentFrames }),
+		"Wire frames (event and control) written to the peer.", ""},
+	{"incregraph_transport_recv_frames_total", "counter", hasPeers, perPeer(func(p peer) any { return p.RecvFrames }),
+		"Wire frames read from the peer.", ""},
+	{"incregraph_transport_reconnects_total", "counter", hasPeers, perPeer(func(p peer) any { return p.Reconnects }),
+		"Dial attempts beyond each connection's first.", "Dial attempts beyond each peer connection's first."},
+	{"incregraph_transport_sent_bytes_total", "counter", hasPeers, perPeer(func(p peer) any { return p.SentBytes }),
+		"Wire bytes written to the peer (frame headers included).",
+		"Wire bytes written node to peer (frame headers included)."},
+	{"incregraph_transport_recv_bytes_total", "counter", hasPeers, perPeer(func(p peer) any { return p.RecvBytes }),
+		"Wire bytes read from the peer (frame headers included).",
+		"Wire bytes read node from peer (frame headers included)."},
+	{"incregraph_transport_backoffs_total", "counter", hasPeers, perPeer(func(p peer) any { return p.Backoffs }),
+		"Dial-retry backoff sleeps taken before the peer channel connected.", ""},
+	{"incregraph_transport_frame_bytes", "histogram", hasPeers, perPeer(func(p peer) any { return p.FrameBytes }),
+		"Outbound wire frame sizes per peer, in bytes.", ""},
+	{"incregraph_transport_ack_rtt_seconds", "histogram", hasPeers, perPeer(func(p peer) any { return p.AckRTT }),
+		"Event send to credit acknowledgement round trip per peer.", ""},
 
 	// Flight recorder + stall watchdog (always present — the ring is
 	// armed on every engine, the watchdog only on multi-process ones).
-	promCounter(w, "incregraph_flightrec_recorded_total",
+	{"incregraph_flightrec_recorded_total", "counter", nil, func(s stats) any { return s.Flight.Recorded },
 		"Protocol-level events the flight recorder has seen (ring keeps the newest incregraph_flightrec_capacity).",
-		s.Flight.Recorded)
-	promGauge(w, "incregraph_flightrec_capacity",
-		"Flight recorder ring capacity (entries retained).", float64(s.Flight.Capacity))
-	promCounter(w, "incregraph_stall_watchdog_fires_total",
+		"Protocol-level events the process's flight recorder has seen."},
+	{"incregraph_flightrec_capacity", "gauge", nil, func(s stats) any { return s.Flight.Capacity },
+		"Flight recorder ring capacity (entries retained).", ""},
+	{"incregraph_stall_watchdog_fires_total", "counter", nil, func(s stats) any { return s.Flight.WatchdogFires },
 		"Times the stall watchdog detected no protocol progress past the deadline and dumped state.",
-		s.Flight.WatchdogFires)
+		"Stall-watchdog fires on the process."},
 
 	// MVCC read plane: epochs, publications, per-verb read counters, and
-	// the query latency histograms. Emitted only when the plane is on so
-	// ingest-only deployments keep their exposition unchanged.
-	if s.Serve.Enabled {
-		promGauge(w, "incregraph_serve_epoch",
-			"Current read-plane epoch.", float64(s.Serve.Epoch))
-		promGauge(w, "incregraph_serve_published_epoch",
-			"Minimum epoch across published segments (staleness floor of every read).",
-			float64(s.Serve.PublishedEpoch))
-		promCounter(w, "incregraph_serve_publishes_total",
-			"Read-plane segment publications with new content.", s.Serve.Publishes)
-		promCounter(w, "incregraph_serve_restamps_total",
-			"Publications elided because the rank processed nothing since its last segment.",
-			s.Serve.Restamps)
-		promCounter(w, "incregraph_serve_copied_slots_total",
-			"Vertex slots copied into read-plane segments by publications.",
-			s.Serve.CopiedSlots)
-		fmt.Fprintf(w, "# HELP incregraph_query_reads_total Read-plane queries served, by verb.\n")
-		fmt.Fprintf(w, "# TYPE incregraph_query_reads_total counter\n")
-		fmt.Fprintf(w, "incregraph_query_reads_total{verb=\"point\"} %d\n", s.Serve.PointReads)
-		fmt.Fprintf(w, "incregraph_query_reads_total{verb=\"batch\"} %d\n", s.Serve.BatchReads)
-		fmt.Fprintf(w, "incregraph_query_reads_total{verb=\"topk\"} %d\n", s.Serve.TopKReads)
-		fmt.Fprintf(w, "incregraph_query_reads_total{verb=\"neighborhood\"} %d\n", s.Serve.NbhdReads)
-		promCounter(w, "incregraph_query_read_vertices_total",
-			"Vertices returned across all read-plane queries.", s.Serve.ReadVertices)
-		promHistogram(w, "incregraph_query_point_seconds",
-			"Read-plane point lookups: request to value (sampled).", s.Latency.QueryPoint)
-		promHistogram(w, "incregraph_query_batch_seconds",
-			"Read-plane batch lookups: request to last value (sampled).", s.Latency.QueryBatch)
-		promHistogram(w, "incregraph_query_topk_seconds",
-			"Read-plane top-k scans (sampled).", s.Latency.QueryTopK)
-		promHistogram(w, "incregraph_query_neighborhood_seconds",
-			"Read-plane k-hop neighborhood reads (sampled).", s.Latency.QueryNbhd)
-	}
+	// the query latency histograms. Gated so ingest-only deployments keep
+	// their exposition unchanged.
+	{"incregraph_serve_epoch", "gauge", serving, func(s stats) any { return s.Serve.Epoch },
+		"Current read-plane epoch.", ""},
+	{"incregraph_serve_published_epoch", "gauge", serving, func(s stats) any { return s.Serve.PublishedEpoch },
+		"Minimum epoch across published segments (staleness floor of every read).", ""},
+	{"incregraph_serve_publishes_total", "counter", serving, func(s stats) any { return s.Serve.Publishes },
+		"Read-plane segment publications with new content.", ""},
+	{"incregraph_serve_restamps_total", "counter", serving, func(s stats) any { return s.Serve.Restamps },
+		"Publications elided because the rank processed nothing since its last segment.", ""},
+	{"incregraph_serve_copied_slots_total", "counter", serving, func(s stats) any { return s.Serve.CopiedSlots },
+		"Vertex slots copied into read-plane segments by publications.", ""},
+	{"incregraph_query_reads_total", "counter", serving, func(s stats) any {
+		v := s.Serve
+		return []sample{{`verb="point"`, v.PointReads}, {`verb="batch"`, v.BatchReads},
+			{`verb="topk"`, v.TopKReads}, {`verb="neighborhood"`, v.NbhdReads}}
+	}, "Read-plane queries served, by verb.", ""},
+	{"incregraph_query_read_vertices_total", "counter", serving, func(s stats) any { return s.Serve.ReadVertices },
+		"Vertices returned across all read-plane queries.", ""},
+	{"incregraph_query_point_seconds", "histogram", serving, func(s stats) any { return s.Latency.QueryPoint },
+		"Read-plane point lookups: request to value (sampled).", ""},
+	{"incregraph_query_batch_seconds", "histogram", serving, func(s stats) any { return s.Latency.QueryBatch },
+		"Read-plane batch lookups: request to last value (sampled).", ""},
+	{"incregraph_query_topk_seconds", "histogram", serving, func(s stats) any { return s.Latency.QueryTopK },
+		"Read-plane top-k scans (sampled).", ""},
+	{"incregraph_query_neighborhood_seconds", "histogram", serving, func(s stats) any { return s.Latency.QueryNbhd },
+		"Read-plane k-hop neighborhood reads (sampled).", ""},
 
-	promHistogram(w, "incregraph_ingest_to_quiesce_seconds",
-		"Sampled edge events: stream pull to cascade quiescence.", s.Latency.IngestToQuiesce)
-	promHistogram(w, "incregraph_mailbox_residency_seconds",
-		"Inbound batches: producer push to consumer drain (sampled).", s.Latency.MailboxResidency)
-	promHistogram(w, "incregraph_batch_drain_seconds",
-		"Processing time of one drained mailbox batch (sampled).", s.Latency.BatchDrain)
-	promHistogram(w, "incregraph_flush_interval_seconds",
-		"Interval between consecutive outbound flushes of a rank.", s.Latency.FlushInterval)
+	// The engine's latency histograms.
+	{"incregraph_ingest_to_quiesce_seconds", "histogram", nil, func(s stats) any { return s.Latency.IngestToQuiesce },
+		"Sampled edge events: stream pull to cascade quiescence.", ""},
+	{"incregraph_mailbox_residency_seconds", "histogram", nil, func(s stats) any { return s.Latency.MailboxResidency },
+		"Inbound batches: producer push to consumer drain (sampled).", ""},
+	{"incregraph_batch_drain_seconds", "histogram", nil, func(s stats) any { return s.Latency.BatchDrain },
+		"Processing time of one drained mailbox batch (sampled).", ""},
+	{"incregraph_flush_interval_seconds", "histogram", nil, func(s stats) any { return s.Latency.FlushInterval },
+		"Interval between consecutive outbound flushes of a rank.", ""},
 }
 
-// WriteClusterPrometheus renders a federated cluster view: one sample per
-// process for each incregraph_cluster_* family, labeled by the process's
-// node index (and peer, for the cross-node transport counters). The input
+// writeHeader writes a family's HELP and TYPE lines.
+func writeHeader(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// writeSample renders one sample of family name. A histogram becomes its
+// cumulative le buckets, the +Inf overflow, _sum and _count; a family
+// named *_seconds has its power-of-two nanosecond bucket bounds and sum
+// scaled to seconds, any other keeps raw bounds (bytes).
+func writeSample(w io.Writer, name, labels string, v any) {
+	braced := labels
+	if labels != "" {
+		braced = "{" + labels + "}"
+	}
+	switch v := v.(type) {
+	case float64:
+		fmt.Fprintf(w, "%s%s %s\n", name, braced, promFloat(v))
+	case core.HistogramSnapshot:
+		scale := 1.0
+		if strings.HasSuffix(name, "_seconds") {
+			scale = 1e9
+		}
+		le := labels
+		if le != "" {
+			le += ","
+		}
+		var cum uint64
+		for i := 0; i < core.HistBuckets-1; i++ {
+			cum += v.Buckets[i]
+			bound := promFloat(float64(core.HistBucketBound(i)) / scale)
+			fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, le, bound, cum)
+		}
+		cum += v.Buckets[core.HistBuckets-1]
+		fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, cum)
+		fmt.Fprintf(w, "%s_sum%s %s\n", name, braced, promFloat(float64(v.SumNanos)/scale))
+		fmt.Fprintf(w, "%s_count%s %d\n", name, braced, cum)
+	default:
+		fmt.Fprintf(w, "%s%s %d\n", name, braced, v)
+	}
+}
+
+// WritePrometheus renders an EngineStats snapshot in the Prometheus text
+// exposition format: every families row whose gate the snapshot passes.
+// The output passes LintProm by construction (a CI smoke job and a
+// golden-file test keep that true).
+func WritePrometheus(w io.Writer, s core.EngineStats) {
+	for _, f := range families {
+		if f.gate != nil && !f.gate(s) {
+			continue
+		}
+		writeHeader(w, f.name, f.typ, f.help)
+		for _, x := range f.samples(s) {
+			writeSample(w, f.name, x.labels, x.v)
+		}
+	}
+}
+
+// WriteClusterPrometheus renders a federated cluster view: the families
+// rows with a federated help text, renamed incregraph_cluster_*, with one
+// sample set per process labelled by the process's node index. The input
 // is a ClusterStats result — the coordinator's snapshot plus every peer
 // snapshot that answered the stats poll; absent peers simply have no
 // samples. Like WritePrometheus, the output passes LintProm by
 // construction.
 func WriteClusterPrometheus(w io.Writer, cluster []core.NodeEngineStats) {
-	nodeGauge := func(name, help string, get func(core.EngineStats) float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		for _, n := range cluster {
-			fmt.Fprintf(w, "%s{node=\"%d\"} %s\n", name, n.Node, promFloat(get(n.Stats)))
-		}
-	}
-	nodeCounter := func(name, help string, get func(core.EngineStats) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, n := range cluster {
-			fmt.Fprintf(w, "%s{node=\"%d\"} %d\n", name, n.Node, get(n.Stats))
-		}
-	}
-	peerCounter := func(name, help string, get func(core.PeerTransportStats) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, n := range cluster {
-			for _, p := range n.Stats.Transport.Peers {
-				fmt.Fprintf(w, "%s{node=\"%d\",peer=\"%d\"} %d\n", name, n.Node, p.Node, get(p))
-			}
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP incregraph_cluster_nodes Processes that answered the federated stats poll.\n")
-	fmt.Fprintf(w, "# TYPE incregraph_cluster_nodes gauge\n")
+	writeHeader(w, "incregraph_cluster_nodes", "gauge", "Processes that answered the federated stats poll.")
 	fmt.Fprintf(w, "incregraph_cluster_nodes %d\n", len(cluster))
-	fmt.Fprintf(w, "# HELP incregraph_cluster_node_info Per-process identity (the 1-valued series carries state and transport kind).\n")
-	fmt.Fprintf(w, "# TYPE incregraph_cluster_node_info gauge\n")
+	writeHeader(w, "incregraph_cluster_node_info", "gauge",
+		"Per-process identity (the 1-valued series carries state and transport kind).")
 	for _, n := range cluster {
 		fmt.Fprintf(w, "incregraph_cluster_node_info{node=\"%d\",state=%q,kind=%q} 1\n",
 			n.Node, strings.ToLower(n.Stats.State.String()), n.Stats.Transport.Kind)
 	}
-
-	nodeGauge("incregraph_cluster_uptime_seconds",
-		"Seconds since the process's Start.",
-		func(s core.EngineStats) float64 { return s.Uptime.Seconds() })
-	nodeGauge("incregraph_cluster_ranks",
-		"Ranks hosted by the process.",
-		func(s core.EngineStats) float64 { return float64(s.Ranks) })
-	nodeCounter("incregraph_cluster_ingested_events_total",
-		"Topology events the process pulled from its ingestion streams.",
-		func(s core.EngineStats) uint64 { return s.Ingested })
-
-	fmt.Fprintf(w, "# HELP incregraph_cluster_processed_events_total Events processed per process, by kind.\n")
-	fmt.Fprintf(w, "# TYPE incregraph_cluster_processed_events_total counter\n")
-	for _, n := range cluster {
-		for _, k := range promKinds {
-			fmt.Fprintf(w, "incregraph_cluster_processed_events_total{node=\"%d\",kind=%q} %d\n",
-				n.Node, k.name, kindCount(n.Stats.Events, k.kind))
+	for _, f := range families {
+		if f.fedHelp == "" {
+			continue
+		}
+		name := f.fedName()
+		writeHeader(w, name, f.typ, f.fedHelp)
+		for _, n := range cluster {
+			if f.gate != nil && !f.gate(n.Stats) {
+				continue
+			}
+			for _, x := range f.samples(n.Stats) {
+				labels := fmt.Sprintf(`node="%d"`, n.Node)
+				if x.labels != "" {
+					labels += "," + x.labels
+				}
+				writeSample(w, name, labels, x.v)
+			}
 		}
 	}
-
-	nodeCounter("incregraph_cluster_messages_sent_total",
-		"Events the process delivered to other ranks' mailboxes (local and remote).",
-		func(s core.EngineStats) uint64 { return s.MessagesSent })
-	nodeCounter("incregraph_cluster_queries_served_total",
-		"Local-state observations the process answered.",
-		func(s core.EngineStats) uint64 { return s.QueriesServed })
-	nodeGauge("incregraph_cluster_inflight_events",
-		"Current in-flight ring depth on the process.",
-		func(s core.EngineStats) float64 { return float64(s.InFlight) })
-	nodeGauge("incregraph_cluster_mailbox_depth_events",
-		"Current total inbound mailbox depth over the process's ranks (approximate).",
-		func(s core.EngineStats) float64 { return float64(s.MailboxDepth) })
-	nodeCounter("incregraph_cluster_trace_sampled_total",
-		"Cascades the process's lineage sampler traced to quiescence.",
-		func(s core.EngineStats) uint64 { return s.Latency.Sampled })
-
-	peerCounter("incregraph_cluster_transport_sent_events_total",
-		"Engine events shipped node to peer.",
-		func(p core.PeerTransportStats) uint64 { return p.SentEvents })
-	peerCounter("incregraph_cluster_transport_recv_events_total",
-		"Engine events received node from peer.",
-		func(p core.PeerTransportStats) uint64 { return p.RecvEvents })
-	peerCounter("incregraph_cluster_transport_sent_bytes_total",
-		"Wire bytes written node to peer (frame headers included).",
-		func(p core.PeerTransportStats) uint64 { return p.SentBytes })
-	peerCounter("incregraph_cluster_transport_recv_bytes_total",
-		"Wire bytes read node from peer (frame headers included).",
-		func(p core.PeerTransportStats) uint64 { return p.RecvBytes })
-	peerCounter("incregraph_cluster_transport_reconnects_total",
-		"Dial attempts beyond each peer connection's first.",
-		func(p core.PeerTransportStats) uint64 { return p.Reconnects })
-
-	nodeCounter("incregraph_cluster_flightrec_recorded_total",
-		"Protocol-level events the process's flight recorder has seen.",
-		func(s core.EngineStats) uint64 { return s.Flight.Recorded })
-	nodeCounter("incregraph_cluster_stall_watchdog_fires_total",
-		"Stall-watchdog fires on the process.",
-		func(s core.EngineStats) uint64 { return s.Flight.WatchdogFires })
 }
 
 // LintProm validates Prometheus text exposition data: comment/metadata
@@ -461,7 +396,7 @@ func LintProm(data []byte) error {
 			}
 			switch fields[0] {
 			case "HELP":
-				if !validMetricName(fields[1]) {
+				if !validName(fields[1], true) {
 					return fmt.Errorf("line %d: bad metric name %q in HELP", ln, fields[1])
 				}
 				if helped[fields[1]] {
@@ -478,7 +413,7 @@ func LintProm(data []byte) error {
 				default:
 					return fmt.Errorf("line %d: unknown metric type %q", ln, fields[2])
 				}
-				if !validMetricName(fields[1]) {
+				if !validName(fields[1], true) {
 					return fmt.Errorf("line %d: bad metric name %q in TYPE", ln, fields[1])
 				}
 				if _, dup := types[fields[1]]; dup {
@@ -612,27 +547,14 @@ func promBase(name string, types map[string]string) string {
 	return name
 }
 
-func validMetricName(s string) bool {
+// validName checks the metric-name grammar, or with colon false the
+// label-name grammar (the same, minus ':').
+func validName(s string, colon bool) bool {
 	if s == "" {
 		return false
 	}
 	for i, c := range s {
-		ok := c == '_' || c == ':' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func validLabelName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, c := range s {
-		ok := c == '_' ||
+		ok := c == '_' || (colon && c == ':') ||
 			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
 			(i > 0 && c >= '0' && c <= '9')
 		if !ok {
@@ -676,7 +598,7 @@ func parsePromSample(line string) (name string, labels map[string]string, value 
 		name = rest[:sp]
 		rest = rest[sp:]
 	}
-	if !validMetricName(name) {
+	if !validName(name, true) {
 		return "", nil, "", fmt.Errorf("bad metric name %q", name)
 	}
 	fields := strings.Fields(rest)
@@ -705,7 +627,7 @@ func parsePromLabels(s string) (map[string]string, string, error) {
 			return nil, "", fmt.Errorf("label without '='")
 		}
 		lname := strings.TrimSpace(s[:eq])
-		if !validLabelName(lname) {
+		if !validName(lname, false) {
 			return nil, "", fmt.Errorf("bad label name %q", lname)
 		}
 		s = s[eq+1:]

@@ -160,6 +160,32 @@ func TestWriteClusterPrometheusGolden(t *testing.T) {
 	}
 }
 
+// TestPromFamiliesCovered checks that every families row reaches a golden
+// file: its TYPE line in metrics.golden and, for a federated row, its
+// cluster twin's in cluster_metrics.golden. A row whose gate the fixture
+// leaves off would otherwise land untested.
+func TestPromFamiliesCovered(t *testing.T) {
+	read := func(name string) string {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	local, cluster := read("metrics.golden"), read("cluster_metrics.golden")
+	for _, f := range families {
+		if line := "# TYPE " + f.name + " " + f.typ + "\n"; !strings.Contains(local, line) {
+			t.Errorf("metrics.golden lacks %q", line)
+		}
+		if f.fedHelp == "" {
+			continue
+		}
+		if line := "# TYPE " + f.fedName() + " " + f.typ + "\n"; !strings.Contains(cluster, line) {
+			t.Errorf("cluster_metrics.golden lacks %q", line)
+		}
+	}
+}
+
 // TestWriteClusterPrometheusLints keeps the federated writer honest against
 // the same lint the per-process exposition passes, including the degenerate
 // inputs /cluster/metrics can serve: an empty poll result and a

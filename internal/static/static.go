@@ -19,6 +19,7 @@ package static
 import (
 	"container/heap"
 
+	"incregraph/internal/csr"
 	"incregraph/internal/graph"
 )
 
@@ -322,4 +323,31 @@ func newState(t Topology) []uint64 {
 		s[i] = Unreached
 	}
 	return s
+}
+
+// LargestComponentVertex implements the paper's source policy: "a vertex
+// is randomly pre-chosen so that it is known to eventually lie within the
+// largest connected component" (§V-A). Deterministically, the smallest
+// vertex ID in the largest component.
+func LargestComponentVertex(edges []graph.Edge) graph.VertexID {
+	labels := ConnectedComponents(csr.Build(edges, true))
+	counts := map[uint64]int{}
+	for _, l := range labels {
+		if l != Unreached {
+			counts[l]++
+		}
+	}
+	var best uint64
+	bestN := -1
+	for l, n := range counts {
+		if n > bestN || (n == bestN && l < best) {
+			best, bestN = l, n
+		}
+	}
+	for v, l := range labels {
+		if l == best {
+			return graph.VertexID(v)
+		}
+	}
+	return 0
 }

@@ -220,3 +220,14 @@ func BenchmarkStaticBFS(b *testing.B) {
 		BFS(g, 0)
 	}
 }
+
+func TestLargestComponentVertex(t *testing.T) {
+	// Two components: {0..4} (path) and {100..102} (triangle).
+	edges := append(gen.Path(5),
+		graph.Edge{Src: 100, Dst: 101, W: 1},
+		graph.Edge{Src: 101, Dst: 102, W: 1})
+	v := LargestComponentVertex(edges)
+	if v > 4 {
+		t.Fatalf("source %d not in the largest component", v)
+	}
+}
