@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race escape sim fuzz-smoke proc-smoke query-smoke churn-smoke bench bench-ab metrics-smoke watch-demo examples clean
+.PHONY: check fmt vet build test race escape api sim fuzz-smoke proc-smoke query-smoke churn-smoke bench bench-ab metrics-smoke watch-demo examples clean
 
 check: fmt vet build test race
 
@@ -34,6 +34,14 @@ race:
 escape:
 	@out="$$($(GO) build -gcflags=-m ./internal/core 2>&1 | grep -E 'moved to heap: (p?ctx|slots)$$' || true)"; \
 		if [ -n "$$out" ]; then echo "Hot-path buffer escapes to the heap:"; echo "$$out"; exit 1; fi
+
+# Public-API size guard: the facade's `go doc -short .` listing (one line
+# per exported name) must stay at or below API_MAX lines. The CI test job
+# runs this.
+API_MAX ?= 70
+api:
+	@n=$$($(GO) doc -short . | wc -l); echo "go doc -short . : $$n lines (max $(API_MAX))"; \
+		if [ "$$n" -gt $(API_MAX) ]; then echo "public API grew past $(API_MAX) lines"; exit 1; fi
 
 # Deterministic-simulation sweep: SIM_SEEDS seeds × every algorithm ×
 # coalescing on/off under the seeded scheduler (see internal/sim), built

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -23,50 +24,6 @@ var (
 	publishOnce sync.Once
 )
 
-// clusterPoller serves the federated view. A live poll is one stats-frame
-// round trip per peer, but the stats verb dies with the transport when the
-// run quiesces — so the poller keeps the freshest snapshot that reached at
-// least as many processes as any before it, and /cluster/* fall back to
-// that cache during -linger inspection after the run. A background
-// refresher (started for multi-process graphs only) keeps the cache warm
-// while the run is live so the fallback is never empty.
-type clusterPoller struct {
-	g    *incregraph.Graph
-	mu   sync.Mutex
-	last []incregraph.NodeEngineStats
-}
-
-func newClusterPoller(g *incregraph.Graph) *clusterPoller {
-	cp := &clusterPoller{g: g}
-	if g.Stats().Transport.Nodes > 1 {
-		go cp.refreshLoop()
-	}
-	return cp
-}
-
-// snapshot polls live and returns the best federation known: the live
-// result when it is at least as complete as the cache, the cache otherwise.
-func (cp *clusterPoller) snapshot() []incregraph.NodeEngineStats {
-	live := cp.g.ClusterStats(2 * time.Second)
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if len(live) >= len(cp.last) {
-		cp.last = live
-	}
-	return cp.last
-}
-
-func (cp *clusterPoller) refreshLoop() {
-	for {
-		if cp.g.Stats().State == incregraph.StateStopped {
-			cp.snapshot() // one final poll; peers may still be lingering
-			return
-		}
-		cp.snapshot()
-		time.Sleep(2 * time.Second)
-	}
-}
-
 // newDebugMux builds the engine's observability surface:
 //
 //	/debug/vars       expvar JSON, including the live EngineStats under "engine"
@@ -74,9 +31,13 @@ func (cp *clusterPoller) refreshLoop() {
 //	/debug/flightrec  the protocol flight recorder + any stall-watchdog dump
 //	/stats            human-readable counters; ?format=json for the raw struct
 //	/metrics          Prometheus text exposition (counters, gauges, histograms)
-//	/cluster/stats    every process's EngineStats as JSON (federated poll)
+//	/cluster/stats    every process's EngineStats as JSON (Graph.ClusterStats)
 //	/cluster/metrics  node-labeled Prometheus exposition of the whole job
 //	/lineage          the most recent sampled cascades as causal trees
+//
+// The /cluster views poll live peers while the mesh is up; after the run
+// they answer from the parting snapshots every process sent at
+// termination, so a -linger inspection still sees every node.
 func newDebugMux(g *incregraph.Graph) *http.ServeMux {
 	dbgGraph.Store(g)
 	publishOnce.Do(func() {
@@ -110,16 +71,15 @@ func newDebugMux(g *incregraph.Graph) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		metrics.WritePrometheus(w, g.Stats())
 	})
-	cp := newClusterPoller(g)
 	mux.HandleFunc("/cluster/stats", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(cp.snapshot()) //nolint:errcheck // best-effort response write
+		enc.Encode(g.ClusterStats(2 * time.Second)) //nolint:errcheck // best-effort response write
 	})
 	mux.HandleFunc("/cluster/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		metrics.WriteClusterPrometheus(w, cp.snapshot())
+		metrics.WriteClusterPrometheus(w, g.ClusterStats(2*time.Second))
 	})
 	mux.HandleFunc("/debug/flightrec", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -168,8 +128,9 @@ func startDebugServer(addr string, g *incregraph.Graph) error {
 }
 
 // writeStatsSummary renders an EngineStats snapshot for humans, with the
-// metrics package's human-readable count and rate formatting.
-func writeStatsSummary(w http.ResponseWriter, s incregraph.EngineStats) {
+// metrics package's human-readable count and rate formatting. It is both
+// the /stats page and the end-of-run report.
+func writeStatsSummary(w io.Writer, s incregraph.EngineStats) {
 	fmt.Fprintf(w, "state:     %s\n", s.State)
 	fmt.Fprintf(w, "uptime:    %s\n", s.Uptime.Round(time.Millisecond))
 	fmt.Fprintf(w, "ingested:  %s topology events (%s)\n",
@@ -215,6 +176,20 @@ func writeStatsSummary(w http.ResponseWriter, s incregraph.EngineStats) {
 			metrics.HumanCount(sv.TopKReads), metrics.HumanCount(sv.NbhdReads),
 			metrics.HumanCount(sv.ReadVertices),
 			s.Latency.QueryPoint.Quantile(0.99), s.Latency.QueryBatch.Quantile(0.99))
+	}
+	if ts := s.Transport; ts.Kind != "inproc" {
+		for _, p := range ts.Peers {
+			fmt.Fprintf(w, "transport: %s peer %d: sent %s recv %s acked %s events (%s/%s frames, %s/%s bytes, %d reconnects)\n",
+				ts.Kind, p.Node, metrics.HumanCount(p.SentEvents), metrics.HumanCount(p.RecvEvents),
+				metrics.HumanCount(p.AckedEvents), metrics.HumanCount(p.SentFrames),
+				metrics.HumanCount(p.RecvFrames),
+				metrics.HumanCount(p.SentBytes), metrics.HumanCount(p.RecvBytes), p.Reconnects)
+			if p.AckRTT.Count > 0 {
+				fmt.Fprintf(w, "transport:   peer %d ack rtt p50=%s p99=%s, frame size p50=%sB (n=%d)\n",
+					p.Node, p.AckRTT.Quantile(0.50), p.AckRTT.Quantile(0.99),
+					metrics.HumanCount(uint64(p.FrameBytes.Quantile(0.50))), p.FrameBytes.Count)
+			}
+		}
 	}
 	fmt.Fprintf(w, "\n%-5s %10s %10s %10s %10s %10s %10s %8s %8s %9s\n",
 		"rank", "topo", "algo", "sent", "self", "combined", "drains", "hwm", "depth", "parked")

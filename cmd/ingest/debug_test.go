@@ -202,3 +202,28 @@ func keysOf(m map[string]json.RawMessage) []string {
 	}
 	return out
 }
+
+// TestStatsSummaryTransportLines: the one renderer behind /stats and the
+// end-of-run report prints a "transport:" line per peer of a multi-process
+// run (scripts/proc_smoke.sh greps them from the report) and none for an
+// in-process one.
+func TestStatsSummaryTransportLines(t *testing.T) {
+	s := incregraph.EngineStats{
+		State: incregraph.StateStopped,
+		Transport: incregraph.TransportStats{Kind: "tcp", Node: 0, Nodes: 3,
+			Peers: []incregraph.PeerTransportStats{{Node: 1, SentEvents: 40, AckedEvents: 40}, {Node: 2}}},
+	}
+	var b strings.Builder
+	writeStatsSummary(&b, s)
+	for _, want := range []string{"transport: tcp peer 1: sent 40 ", "transport: tcp peer 2: "} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("summary missing %q:\n%s", want, b.String())
+		}
+	}
+	s.Transport = incregraph.TransportStats{Kind: "inproc", Nodes: 1}
+	b.Reset()
+	writeStatsSummary(&b, s)
+	if strings.Contains(b.String(), "transport:") {
+		t.Errorf("in-process summary has transport lines:\n%s", b.String())
+	}
+}

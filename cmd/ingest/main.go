@@ -43,7 +43,6 @@ import (
 	"incregraph"
 	"incregraph/internal/gen"
 	"incregraph/internal/graph"
-	"incregraph/internal/metrics"
 	"incregraph/internal/rmat"
 	"incregraph/internal/static"
 	"incregraph/internal/stream"
@@ -220,41 +219,9 @@ func main() {
 		}
 		fatal(err)
 	}
-	fmt.Printf("ingested: %s\n", stats)
-	fmt.Printf("rate: %s (topology events)\n", metrics.HumanRate(stats.EventsPerSec))
-	es := g.Stats()
-	fmt.Printf("engine: %s msgs in %s flushes (%.1f ev/flush), %s cascade emissions, mailbox hwm %s\n",
-		metrics.HumanCount(es.MessagesSent), metrics.HumanCount(es.Flushes),
-		es.BatchingFactor(), metrics.HumanCount(es.CascadeEmits),
-		metrics.HumanCount(es.MailboxHWM))
-	if lat := es.Latency; lat.SampleEvery > 0 && lat.IngestToQuiesce.Count > 0 {
-		h := lat.IngestToQuiesce
-		fmt.Printf("latency: ingest→quiesce p50=%s p99=%s p99.9=%s (n=%d, 1/%d sampled)\n",
-			h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), h.Count, lat.SampleEvery)
-	}
-	if sv := es.Serve; sv.Enabled {
-		fmt.Printf("serve: epoch %d (published %d), %s publishes (%s restamps, %s slots copied), reads %s point / %s batch / %s topk / %s nbhd\n",
-			sv.Epoch, sv.PublishedEpoch,
-			metrics.HumanCount(sv.Publishes), metrics.HumanCount(sv.Restamps), metrics.HumanCount(sv.CopiedSlots),
-			metrics.HumanCount(sv.PointReads), metrics.HumanCount(sv.BatchReads),
-			metrics.HumanCount(sv.TopKReads), metrics.HumanCount(sv.NbhdReads))
-	}
+	writeStatsSummary(os.Stdout, stats)
 	if err := g.Err(); err != nil {
 		fatal(err)
-	}
-	if ts := es.Transport; ts.Kind != "inproc" {
-		for _, p := range ts.Peers {
-			fmt.Printf("transport: %s peer %d: sent %s recv %s acked %s events (%s/%s frames, %s/%s bytes, %d reconnects)\n",
-				ts.Kind, p.Node, metrics.HumanCount(p.SentEvents), metrics.HumanCount(p.RecvEvents),
-				metrics.HumanCount(p.AckedEvents), metrics.HumanCount(p.SentFrames),
-				metrics.HumanCount(p.RecvFrames),
-				metrics.HumanCount(p.SentBytes), metrics.HumanCount(p.RecvBytes), p.Reconnects)
-			if p.AckRTT.Count > 0 {
-				fmt.Printf("transport:   peer %d ack rtt p50=%s p99=%s, frame size p50=%sB (n=%d)\n",
-					p.Node, p.AckRTT.Quantile(0.50), p.AckRTT.Quantile(0.99),
-					metrics.HumanCount(uint64(p.FrameBytes.Quantile(0.50))), p.FrameBytes.Count)
-			}
-		}
 	}
 	if *dump != "" {
 		if err := dumpShard(g, *dump, prog != nil); err != nil {

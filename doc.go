@@ -36,7 +36,7 @@
 //	res := g.Query(0, someVertex)     // live local state
 //	snap := g.Snapshot(0).Wait()      // consistent global state, no pause
 //	live.Close()
-//	stats := g.Wait()
+//	stats := g.Wait()                 // final Stats: stats.EventRate() is the run's rate
 //
 // See examples/ for complete programs, cmd/paperbench for the harness that
 // regenerates the paper's tables and figures, and bench/ for the benchmark

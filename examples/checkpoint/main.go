@@ -80,7 +80,7 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("restored at stream offset %d, ingested %d more events at %.0f ev/s\n",
-		meta.Ingested, stats.TopoEvents, stats.EventsPerSec)
+		meta.Ingested, stats.Events.Topo(), stats.EventRate())
 
 	// Reference: an uninterrupted run over the full stream.
 	ref := incregraph.New(incregraph.Config{Ranks: 4}, programs...)

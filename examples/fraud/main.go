@@ -83,7 +83,7 @@ func main() {
 	stats := g.Wait()
 
 	fmt.Printf("\nprocessed %d payments at %.0f events/sec (%d taint alerts, %d volume alerts)\n",
-		stats.TopoEvents, stats.EventsPerSec, taintAlerts.Load(), degreeAlerts.Load())
+		stats.Events.Topo(), stats.EventRate(), taintAlerts.Load(), degreeAlerts.Load())
 
 	// Post-hoc audit: how far did each flagged source's taint spread?
 	taint := g.CollectMap(stAlgo)
@@ -99,7 +99,7 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("taint spread: %d/%d accounts reachable from any flagged source\n", tainted, stats.Vertices)
+	fmt.Printf("taint spread: %d/%d accounts reachable from any flagged source\n", tainted, g.Topology().NumVertices())
 	for i, f := range flagged {
 		fmt.Printf("  source %4d reaches %d accounts\n", f, perSource[i])
 	}

@@ -82,7 +82,7 @@ func main() {
 
 	final := g.CollectMap(0)
 	fmt.Printf("\nfinal: %d communities across %d vertices; rate %.0f events/sec; watched user merged: %v\n",
-		countCommunities(final), len(final), stats.EventsPerSec, merged.Load())
+		countCommunities(final), len(final), stats.EventRate(), merged.Load())
 
 	// Largest community size via the final labels.
 	sizes := map[uint64]int{}

@@ -49,7 +49,7 @@ func main() {
 	}
 	live.Close()
 	stats := g.Wait()
-	fmt.Printf("crawl ingested %d links at %.0f events/sec\n\n", stats.TopoEvents, stats.EventsPerSec)
+	fmt.Printf("crawl ingested %d links at %.0f events/sec\n\n", stats.Events.Topo(), stats.EventRate())
 
 	// Phase 2: link rot. Re-play the same crawl, deleting 10% of links
 	// afterwards, and verify depths re-converge to the static answer on the

@@ -27,10 +27,8 @@ type (
 	Program = core.Program
 	// Ctx is a callback's window onto the visited vertex.
 	Ctx = core.Ctx
-	// Stats summarizes a run.
-	Stats = core.Stats
 	// EngineStats is an on-demand aggregate of the engine's live counters
-	// (see Graph.Stats).
+	// (see Graph.Stats), and the run report Wait returns.
 	EngineStats = core.EngineStats
 	// RankEngineStats is one rank's share of an EngineStats snapshot.
 	RankEngineStats = core.RankEngineStats
@@ -64,10 +62,6 @@ type (
 	State = core.State
 	// CheckpointMeta is the run metadata recorded in a checkpoint.
 	CheckpointMeta = core.CheckpointMeta
-	// Transport is the engine's update plane: what moves flushed event
-	// batches between ranks (in-process mailboxes by default; TCP for
-	// multi-process graphs, see ClusterConfig).
-	Transport = core.Transport
 	// TransportStats describes the active transport in a Stats() snapshot:
 	// its kind, this process's place in the cluster, and per-peer counters.
 	TransportStats = core.TransportStats
@@ -334,11 +328,13 @@ func NewCluster(cfg Config, programs ...Program) (*Graph, error) {
 func (g *Graph) Start(streams ...Stream) error { return g.eng.Start(streams) }
 
 // Wait blocks until every stream is exhausted and all cascades have
-// converged, then returns run statistics.
-func (g *Graph) Wait() Stats { return g.eng.Wait() }
+// converged (or a Stop completed), then returns the final Stats snapshot:
+// frozen at termination, so Uptime is the run's duration and EventRate its
+// topology-event rate, and every later Stats call agrees with it.
+func (g *Graph) Wait() EngineStats { return g.eng.Wait() }
 
 // Run is Start followed by Wait.
-func (g *Graph) Run(streams ...Stream) (Stats, error) { return g.eng.Run(streams) }
+func (g *Graph) Run(streams ...Stream) (EngineStats, error) { return g.eng.Run(streams) }
 
 // Pause halts ingestion, drains every in-flight cascade to a quiescent
 // point, and parks the engine's rank goroutines at an event boundary.
@@ -491,8 +487,8 @@ func (g *Graph) ReadNeighborhood(algo int, root VertexID, depth, limit int) ([]N
 // counts, and pause-barrier time. It is legal in every lifecycle state —
 // Idle, Running, mid-Pause, Paused, Stopped — and never blocks event
 // processing; each counter is individually exact, but the set is only a
-// consistent cut when the graph is quiescent. (Wait's Stats remains the
-// end-of-run summary; this is the live view.)
+// consistent cut when the graph is quiescent. Once the graph has stopped,
+// Uptime and EventRate are frozen at their values at termination.
 func (g *Graph) Stats() EngineStats { return g.eng.EngineStats() }
 
 // Lineage returns the completed causal trees of the most recently sampled

@@ -41,8 +41,8 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	}
 	live.Close()
 	stats := g.Wait()
-	if stats.TopoEvents != 99 || stats.Vertices != 100 {
-		t.Fatalf("stats = %+v", stats)
+	if stats.Events.Topo() != 99 || g.Topology().NumVertices() != 100 {
+		t.Fatalf("stats = %+v, %d vertices", stats, g.Topology().NumVertices())
 	}
 	// Static algorithm over the finished dynamic topology.
 	levels := incregraph.StaticBFS(g.Topology(), 0)
@@ -129,7 +129,7 @@ func TestFacadeStreamFuncAndRateLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TopoEvents != 10 {
+	if stats.Events.Topo() != 10 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	// One path: every vertex shares a label, the minimum CCLabelOf.

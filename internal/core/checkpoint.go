@@ -28,28 +28,24 @@ import (
 // fired-once bitmaps are not persisted — the once-only guarantee is per
 // engine lifetime.
 
-// Format versions: v2 adds the run-metadata block (ingested count, paused
-// flag) between the flags word and the program count; v3 adds, after each
-// vertex's program values, one witness block per witness-capable program
-// (generation, lane mask, and the recorded witness per set lane). Witness
-// state MUST be persisted: loading values without their witnesses would
-// misclassify every later deletion as safe (empty masks silently skip
-// invalidation), while treating them all as unsafe would reset values —
-// like an Init'd source — that no replayed event can rebuild. v1/v2
-// checkpoints are still readable and load with zero metadata / no witness
-// state, which is only sound for add-only resumed streams.
-var (
-	ckptMagicV1 = [8]byte{'I', 'G', 'C', 'K', 'P', 'T', '0', '1'}
-	ckptMagicV2 = [8]byte{'I', 'G', 'C', 'K', 'P', 'T', '0', '2'}
-	ckptMagic   = [8]byte{'I', 'G', 'C', 'K', 'P', 'T', '0', '3'}
-)
+// Format v3 (the only one read or written): after the rank count and flags
+// words comes the run-metadata block (ingested count, paused flag,
+// generation counter), and after each vertex's program values one witness
+// block per witness-capable program (generation, lane mask, and the
+// recorded witness per set lane). Witness state MUST be persisted: loading
+// values without their witnesses would misclassify every later deletion as
+// safe (empty masks silently skip invalidation), while treating them all
+// as unsafe would reset values — like an Init'd source — that no replayed
+// event can rebuild. That is why v1 and v2 files, which carry no witness
+// state, are rejected rather than loaded.
+var ckptMagic = [8]byte{'I', 'G', 'C', 'K', 'P', 'T', '0', '3'}
 
 // maxCheckpointRanks bounds the rank count a checkpoint header may claim.
 // Far above any real deployment; its job is to keep a corrupt header from
 // sizing the engine allocation.
 const maxCheckpointRanks = 1 << 16
 
-// CheckpointMeta is the run metadata recorded in a (v2) checkpoint.
+// CheckpointMeta is the run metadata recorded in a checkpoint.
 type CheckpointMeta struct {
 	// Ingested is the number of topology events the writing run had pulled
 	// from its streams when the checkpoint was taken — the stream offset a
@@ -61,8 +57,7 @@ type CheckpointMeta struct {
 }
 
 // CheckpointMeta returns the metadata block of the checkpoint this engine
-// was loaded from (the zero value for an engine built fresh or loaded from
-// a v1 checkpoint).
+// was loaded from (the zero value for an engine built fresh).
 func (e *Engine) CheckpointMeta() CheckpointMeta { return e.loadedMeta }
 
 // WriteCheckpoint serializes the engine's state. The engine must not be
@@ -86,14 +81,14 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	}
 	flags |= uint32(e.opts.WeightPolicy) << 1
 	writeU32(flags)
-	// v2 run-metadata block.
+	// Run-metadata block.
 	writeU64(e.ingested.Load())
 	pausedByte := byte(0)
 	if e.State() == StatePaused {
 		pausedByte = 1
 	}
 	bw.WriteByte(pausedByte)
-	// v3: the generation counter, so resumed runs keep minting generations
+	// The generation counter, so resumed runs keep minting generations
 	// strictly above every generation the checkpointed state carries.
 	writeU32(e.genCounter.Load())
 	writeU32(uint32(len(e.programs)))
@@ -108,7 +103,7 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 				}
 				writeU64(v)
 			}
-			// v3 witness blocks, one per witness-capable program: the
+			// Witness blocks, one per witness-capable program: the
 			// vertex's generation, its witnessed-lane mask, and the witness
 			// of each set lane in ascending lane order.
 			for a := range e.programs {
@@ -147,8 +142,8 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 // ReadCheckpoint builds a fresh, not-yet-started engine from a checkpoint.
 // opts must describe the same rank count and partitioner as the writer
 // (vertex placement is validated); programs must match the writer's
-// program count and order. The checkpoint's metadata block (if present) is
-// available through CheckpointMeta — for a paused-run checkpoint it tells
+// program count and order. The checkpoint's metadata block is available
+// through CheckpointMeta — for a paused-run checkpoint it tells
 // the caller where to resume the interrupted streams.
 func ReadCheckpoint(r io.Reader, opts Options, programs ...Program) (*Engine, error) {
 	br := bufio.NewReader(r)
@@ -156,7 +151,11 @@ func ReadCheckpoint(r io.Reader, opts Options, programs ...Program) (*Engine, er
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: checkpoint header: %w", err)
 	}
-	if magic != ckptMagic && magic != ckptMagicV2 && magic != ckptMagicV1 {
+	switch string(magic[:]) {
+	case string(ckptMagic[:]):
+	case "IGCKPT01", "IGCKPT02":
+		return nil, fmt.Errorf("core: checkpoint format %q has no witness state and is no longer read (a later delete would skip invalidation); only %q is", magic[:], ckptMagic[:])
+	default:
 		return nil, fmt.Errorf("core: not a checkpoint (bad magic %q)", magic[:])
 	}
 	readU32 := func() (uint32, error) {
@@ -184,21 +183,17 @@ func ReadCheckpoint(r io.Reader, opts Options, programs ...Program) (*Engine, er
 		return nil, err
 	}
 	var meta CheckpointMeta
-	var genCounter uint32
-	if magic == ckptMagic || magic == ckptMagicV2 {
-		if meta.Ingested, err = readU64(); err != nil {
-			return nil, fmt.Errorf("core: checkpoint metadata: %w", err)
-		}
-		pausedByte, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint metadata: %w", err)
-		}
-		meta.Paused = pausedByte != 0
+	if meta.Ingested, err = readU64(); err != nil {
+		return nil, fmt.Errorf("core: checkpoint metadata: %w", err)
 	}
-	if magic == ckptMagic {
-		if genCounter, err = readU32(); err != nil {
-			return nil, fmt.Errorf("core: checkpoint metadata: %w", err)
-		}
+	pausedByte, err := br.ReadByte()
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint metadata: %w", err)
+	}
+	meta.Paused = pausedByte != 0
+	genCounter, err := readU32()
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint metadata: %w", err)
 	}
 	nProgs, err := readU32()
 	if err != nil {
@@ -243,34 +238,32 @@ func ReadCheckpoint(r io.Reader, opts Options, programs ...Program) (*Engine, er
 				// first two publishes copy every slot.
 				rk.values[a][slot] = v
 			}
-			if magic == ckptMagic {
-				for a := range programs {
-					if e.witness[a] == nil {
-						continue
-					}
-					gen, err := readU32()
+			for a := range programs {
+				if e.witness[a] == nil {
+					continue
+				}
+				gen, err := readU32()
+				if err != nil {
+					return nil, err
+				}
+				mask, err := readU64()
+				if err != nil {
+					return nil, err
+				}
+				lanes := rk.witLanes[a]
+				if lanes < 64 && mask>>lanes != 0 {
+					return nil, fmt.Errorf("core: vertex %d witness mask %#x has bits beyond program %d's %d lanes",
+						id, mask, a, lanes)
+				}
+				rk.gens[a][slot] = gen
+				rk.witMask[a][slot] = mask
+				base := int(slot) * lanes
+				for m := mask; m != 0; m &= m - 1 {
+					wit, err := readU64()
 					if err != nil {
 						return nil, err
 					}
-					mask, err := readU64()
-					if err != nil {
-						return nil, err
-					}
-					lanes := rk.witLanes[a]
-					if lanes < 64 && mask>>lanes != 0 {
-						return nil, fmt.Errorf("core: vertex %d witness mask %#x has bits beyond program %d's %d lanes",
-							id, mask, a, lanes)
-					}
-					rk.gens[a][slot] = gen
-					rk.witMask[a][slot] = mask
-					base := int(slot) * lanes
-					for m := mask; m != 0; m &= m - 1 {
-						wit, err := readU64()
-						if err != nil {
-							return nil, err
-						}
-						rk.wits[a][base+bits.TrailingZeros64(m)] = graph.VertexID(wit)
-					}
+					rk.wits[a][base+bits.TrailingZeros64(m)] = graph.VertexID(wit)
 				}
 			}
 			deg, err := readU32()

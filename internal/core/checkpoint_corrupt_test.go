@@ -3,6 +3,8 @@ package core_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"incregraph/internal/algo"
@@ -50,7 +52,7 @@ func validCheckpoint(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestReadCheckpointCorrupt drives the v2 decoder through the corrupt
+// TestReadCheckpointCorrupt drives the v3 decoder through the corrupt
 // inputs a damaged or hostile file could present. Every case must return
 // an error — never panic, never silently coerce.
 func TestReadCheckpointCorrupt(t *testing.T) {
@@ -62,16 +64,17 @@ func TestReadCheckpointCorrupt(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"bad magic", craft("NOTACKPT", uint32(1))},
-		{"future version", craft("IGCKPT03", uint32(1), uint32(0))},
-		{"v1 magic with v2 body", append([]byte("IGCKPT01"), valid[8:]...)},
+		{"future version", craft("IGCKPT04", valid[8:])},
+		{"v1 magic with v3 body", craft("IGCKPT01", valid[8:])},
+		{"v2 magic with v3 body", craft("IGCKPT02", valid[8:])},
 		{"rank count zero", craft(magic, uint32(0))},
 		{"rank count huge", craft(magic, uint32(1)<<20)},
 		{"rank count above cap", craft(magic, uint32(1)<<16+1)},
 		{"vertex count huge, no data", craft(magic, uint32(1), uint32(1),
-			uint64(0), byte(0), uint32(1), uint32(0xFFFFFFFF))},
+			uint64(0), byte(0), uint32(0), uint32(1), uint32(0xFFFFFFFF))},
 		{"degree huge, no data", craft(magic, uint32(1), uint32(1),
-			uint64(0), byte(0), uint32(1), uint32(1),
-			uint64(0), uint64(7), uint32(0xFFFFFFFF))},
+			uint64(0), byte(0), uint32(0), uint32(1), uint32(1),
+			uint64(0), uint64(7), uint32(0), uint64(0), uint32(0xFFFFFFFF))},
 		{"trailing garbage", append(append([]byte{}, valid...), 0x00)},
 	}
 	for i := 1; i < len(valid); i++ {
@@ -90,6 +93,14 @@ func TestReadCheckpointCorrupt(t *testing.T) {
 	if _, err := core.ReadCheckpoint(bytes.NewReader(valid), core.Options{}, algo.BFS{}); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
 	}
+	// v1 and v2 files carry no witness state; the rejection says so rather
+	// than reading as an arbitrary bad magic.
+	for _, old := range []string{"IGCKPT01", "IGCKPT02"} {
+		_, err := core.ReadCheckpoint(bytes.NewReader(craft(old, valid[8:])), core.Options{}, algo.BFS{})
+		if err == nil || !strings.Contains(err.Error(), "no witness state") {
+			t.Errorf("%s: error %v, want a no-witness-state rejection", old, err)
+		}
+	}
 }
 
 // TestReadCheckpointRankCountRegression pins the bug the checkpoint fuzz
@@ -100,11 +111,14 @@ func TestReadCheckpointCorrupt(t *testing.T) {
 // a single shard byte was validated. Both must now fail fast with a
 // bounds error.
 func TestReadCheckpointRankCountRegression(t *testing.T) {
-	magic := []byte("IGCKPT02")
+	magic := []byte("IGCKPT03")
 	for _, ranks := range []uint32{0, 1 << 16 << 1, 0xFFFFFFFF} {
-		in := craft(magic, ranks, uint32(0), uint64(0), byte(0), uint32(1), uint32(0))
-		if _, err := core.ReadCheckpoint(bytes.NewReader(in), core.Options{}, algo.BFS{}); err == nil {
+		in := craft(magic, ranks, uint32(0), uint64(0), byte(0), uint32(0), uint32(1), uint32(0))
+		_, err := core.ReadCheckpoint(bytes.NewReader(in), core.Options{}, algo.BFS{})
+		if err == nil {
 			t.Errorf("rank count %d accepted", ranks)
+		} else if want := fmt.Sprintf("rank count %d out of range", ranks); !strings.Contains(err.Error(), want) {
+			t.Errorf("rank count %d: error %q does not name it (want %q)", ranks, err, want)
 		}
 	}
 }
@@ -115,9 +129,9 @@ func TestReadCheckpointRankCountRegression(t *testing.T) {
 func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(validCheckpoint(f))
 	f.Add([]byte{})
-	f.Add([]byte("IGCKPT02"))
-	f.Add(craft("IGCKPT02", uint32(0)))
-	f.Add(craft("IGCKPT02", uint32(1), uint32(1), uint64(0), byte(0), uint32(1), uint32(0)))
+	f.Add([]byte("IGCKPT03"))
+	f.Add(craft("IGCKPT03", uint32(0)))
+	f.Add(craft("IGCKPT03", uint32(1), uint32(1), uint64(0), byte(0), uint32(0), uint32(1), uint32(0)))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		e, err := core.ReadCheckpoint(bytes.NewReader(in), core.Options{}, algo.BFS{})
 		if err != nil {

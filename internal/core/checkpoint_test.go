@@ -43,7 +43,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 	// Topology survives too.
-	if gotE, wantE := loaded.Topology().NumEdges(), e.Wait().Edges; gotE != wantE {
+	if gotE, wantE := loaded.Topology().NumEdges(), e.Topology().NumEdges(); gotE != wantE {
 		t.Fatalf("edges: %d vs %d", gotE, wantE)
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,12 +64,13 @@ func TestConstructionOnlyCounts(t *testing.T) {
 	for _, ranks := range []int{1, 2, 3, 8} {
 		e := runDynamic(t, edges, ranks, true, nil)
 		stats := e.Wait()
-		if stats.TopoEvents != uint64(len(edges)) {
-			t.Fatalf("ranks=%d: topo events %d, want %d", ranks, stats.TopoEvents, len(edges))
+		if stats.Events.Topo() != uint64(len(edges)) {
+			t.Fatalf("ranks=%d: topo events %d, want %d", ranks, stats.Events.Topo(), len(edges))
 		}
+		topo := e.Topology()
 		want := presentIDs(edges)
-		if stats.Vertices != len(want) {
-			t.Fatalf("ranks=%d: vertices %d, want %d", ranks, stats.Vertices, len(want))
+		if topo.NumVertices() != len(want) {
+			t.Fatalf("ranks=%d: vertices %d, want %d", ranks, topo.NumVertices(), len(want))
 		}
 		// Undirected: each unique directed pair contributes one entry on
 		// each side; verify against the CSR count of unique pairs.
@@ -77,8 +79,8 @@ func TestConstructionOnlyCounts(t *testing.T) {
 			uniq[[2]graph.VertexID{ed.Src, ed.Dst}] = true
 			uniq[[2]graph.VertexID{ed.Dst, ed.Src}] = true
 		}
-		if stats.Edges != uint64(len(uniq)) {
-			t.Fatalf("ranks=%d: edges %d, want %d", ranks, stats.Edges, len(uniq))
+		if topo.NumEdges() != uint64(len(uniq)) {
+			t.Fatalf("ranks=%d: edges %d, want %d", ranks, topo.NumEdges(), len(uniq))
 		}
 	}
 }
@@ -576,8 +578,8 @@ func TestEmptyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TopoEvents != 0 || stats.Vertices != 0 {
-		t.Fatalf("stats = %+v", stats)
+	if stats.Events.Topo() != 0 || e.Topology().NumVertices() != 0 {
+		t.Fatalf("stats = %+v, %d vertices", stats, e.Topology().NumVertices())
 	}
 	if got := e.Collect(0); len(got) != 0 {
 		t.Fatalf("collect on empty engine = %v", got)
@@ -655,7 +657,7 @@ func TestConvergenceDeterminism(t *testing.T) {
 func TestStatsString(t *testing.T) {
 	e := runDynamic(t, gen.Path(10), 2, true, nil)
 	s := e.Wait()
-	if s.String() == "" || s.EventsPerSec <= 0 {
+	if !strings.HasPrefix(s.String(), "state=stopped ") || s.EventRate() <= 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 }

@@ -229,11 +229,11 @@ type Engine struct {
 
 	// snapRequests counts SnapshotAsync calls (EngineStats.SnapshotsTaken).
 	snapRequests atomic.Uint64
-	// startNanos is Start's wall-clock time in UnixNano (0 before Start);
-	// atomic so EngineStats can read it concurrently with Start.
-	startNanos atomic.Int64
-	stats      Stats
-	statsOnce  sync.Once
+	// startNanos and finishNanos are Start's and finish's wall-clock times
+	// in UnixNano (0 until they happen); atomic so EngineStats can read them
+	// concurrently. A set finishNanos freezes EngineStats.Uptime.
+	startNanos  atomic.Int64
+	finishNanos atomic.Int64
 }
 
 // New builds an engine hosting the given programs. Multiple programs
@@ -348,11 +348,7 @@ func (e *Engine) Start(streams []stream.Stream) error {
 	// runs, Send can reach every peer.
 	if err := e.tr.start(); err != nil {
 		e.stopReq.Store(true)
-		e.finishOnce.Do(func() {
-			e.finished.Store(true)
-			e.state.Store(int32(StateStopped))
-			close(e.done)
-		})
+		e.finish()
 		return fmt.Errorf("core: transport start: %w", err)
 	}
 	e.state.Store(int32(StateRunning))
@@ -420,44 +416,20 @@ func (e *Engine) Quiescent() bool {
 }
 
 // Wait blocks until the engine terminates — all streams exhausted and all
-// cascades quiescent, or a Stop completed — and returns the run
-// statistics.
-func (e *Engine) Wait() Stats {
+// cascades quiescent, or a Stop completed — and returns the final
+// EngineStats: the run report, frozen at termination (Uptime is Start to
+// finish, EventRate the run's topology-event rate).
+func (e *Engine) Wait() EngineStats {
 	<-e.done
 	e.wg.Wait()
-	e.statsOnce.Do(func() {
-		e.tr.stop()
-		s := Stats{Ranks: e.opts.Ranks}
-		if start := e.startNanos.Load(); start != 0 {
-			s.Duration = time.Duration(time.Now().UnixNano() - start)
-		}
-		for i, r := range e.ranks {
-			ev := r.counters.snapshot(i, 0).Events
-			rs := RankStats{
-				TopoEvents: ev.Topo(),
-				AlgoEvents: ev.Algo(),
-				Vertices:   r.store.NumVertices(),
-				Edges:      r.store.NumEdges(),
-			}
-			s.PerRank = append(s.PerRank, rs)
-			s.TopoEvents += rs.TopoEvents
-			s.AlgoEvents += rs.AlgoEvents
-			s.TotalEvents += ev.Total()
-			s.Vertices += rs.Vertices
-			s.Edges += rs.Edges
-		}
-		if s.Duration > 0 {
-			s.EventsPerSec = float64(s.TopoEvents) / s.Duration.Seconds()
-		}
-		e.stats = s
-	})
-	return e.stats
+	e.tr.stop()
+	return e.EngineStats()
 }
 
 // Run is Start followed by Wait.
-func (e *Engine) Run(streams []stream.Stream) (Stats, error) {
+func (e *Engine) Run(streams []stream.Stream) (EngineStats, error) {
 	if err := e.Start(streams); err != nil {
-		return Stats{}, err
+		return EngineStats{}, err
 	}
 	return e.Wait(), nil
 }
@@ -604,14 +576,22 @@ func (e *Engine) tryFinish() bool {
 	if !e.tr.readyToFinish() {
 		return false
 	}
+	e.finish()
+	e.signalQuiesce()
+	return true
+}
+
+// finish terminates the engine, exactly once, whichever path got there:
+// it records the finish instant (freezing EngineStats.Uptime), moves the
+// state to Stopped with its flight-recorder note, and closes done.
+func (e *Engine) finish() {
 	e.finishOnce.Do(func() {
+		e.finishNanos.Store(time.Now().UnixNano())
 		e.finished.Store(true)
 		e.state.Store(int32(StateStopped))
 		e.flight.note("state", -1, "Stopped", 0, 0)
 		close(e.done)
 	})
-	e.signalQuiesce()
-	return true
 }
 
 // finishFromTransport closes the engine on the transport's authority: the
@@ -619,12 +599,7 @@ func (e *Engine) tryFinish() bool {
 // node's detector concluded), so no further events can arrive. Parked
 // ranks wake, observe finished, and exit.
 func (e *Engine) finishFromTransport() {
-	e.finishOnce.Do(func() {
-		e.finished.Store(true)
-		e.state.Store(int32(StateStopped))
-		e.flight.note("state", -1, "Stopped", 0, 0)
-		close(e.done)
-	})
+	e.finish()
 	e.signalQuiesce()
 	e.wakeAll()
 }
@@ -766,66 +741,4 @@ func (e *Engine) CollectMap(algo int) map[graph.VertexID]uint64 {
 		m[p.ID] = p.Val
 	}
 	return m
-}
-
-// RankStats describes one rank's share of a run — the load-balance view
-// the paper's partitioning discussion (§III-C) cares about: consistent
-// hashing balances vertices, but power-law degree skew can still unbalance
-// edges and events.
-type RankStats struct {
-	TopoEvents uint64
-	AlgoEvents uint64
-	Vertices   int
-	Edges      uint64
-}
-
-// Stats summarizes a run.
-type Stats struct {
-	// Duration is wall-clock time from Start to termination.
-	Duration time.Duration
-	// Ranks is the rank count the run used.
-	Ranks int
-	// TopoEvents is the number of topology events ingested from streams
-	// (the paper's "edge events").
-	TopoEvents uint64
-	// AlgoEvents is the number of algorithmic events processed
-	// (REVERSE_ADD, UPDATE, INIT).
-	AlgoEvents uint64
-	// TotalEvents is every event processed.
-	TotalEvents uint64
-	// Vertices and Edges describe the final topology (directed adjacency
-	// entries; an undirected graph counts each edge twice).
-	Vertices int
-	Edges    uint64
-	// EventsPerSec is TopoEvents/Duration — the paper's headline metric.
-	EventsPerSec float64
-	// PerRank breaks the totals down by rank.
-	PerRank []RankStats
-}
-
-// EventSkew returns max/mean of per-rank processed events (1.0 = perfectly
-// balanced; 0 if no events were processed).
-func (s Stats) EventSkew() float64 {
-	if len(s.PerRank) == 0 {
-		return 0
-	}
-	var max, sum uint64
-	for _, r := range s.PerRank {
-		ev := r.TopoEvents + r.AlgoEvents
-		sum += ev
-		if ev > max {
-			max = ev
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(s.PerRank))
-	return float64(max) / mean
-}
-
-func (s Stats) String() string {
-	return fmt.Sprintf("ranks=%d topo=%d algo=%d total=%d V=%d E=%d dur=%s rate=%.0f ev/s",
-		s.Ranks, s.TopoEvents, s.AlgoEvents, s.TotalEvents, s.Vertices, s.Edges,
-		s.Duration.Round(time.Millisecond), s.EventsPerSec)
 }

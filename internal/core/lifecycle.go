@@ -194,11 +194,7 @@ func (e *Engine) Stop(ctx context.Context) error {
 	switch e.State() {
 	case StateIdle:
 		e.stopReq.Store(true)
-		e.finishOnce.Do(func() {
-			e.finished.Store(true)
-			e.state.Store(int32(StateStopped))
-			close(e.done)
-		})
+		e.finish()
 		e.lifeMu.Unlock()
 		e.signalQuiesce()
 		return nil

@@ -293,8 +293,8 @@ func TestLifecycleStopFromPause(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := e.Wait()
-	if stats.Vertices != 50 {
-		t.Fatalf("stats after stop-from-pause: %+v", stats)
+	if stats.State != core.StateStopped || e.Topology().NumVertices() != 50 {
+		t.Fatalf("stats after stop-from-pause: %+v, %d vertices", stats, e.Topology().NumVertices())
 	}
 	if q := e.QueryLocal(0, 10); q.Value != 11 {
 		t.Fatalf("vertex 10 = %+v, want pre-pause level 11", q)
@@ -316,6 +316,28 @@ func TestLifecycleStopBeforeStart(t *testing.T) {
 	}
 	if err := e.Pause(); err != core.ErrStopped {
 		t.Fatalf("Pause after Stop = %v, want ErrStopped", err)
+	}
+}
+
+// TestLifecycleStopBeforeStartNotesStopped: stopping an idle engine goes
+// through the same finish as every other termination, so the flight
+// recorder shows the Stopped transition and the run report has no uptime.
+func TestLifecycleStopBeforeStartNotesStopped(t *testing.T) {
+	e := core.New(core.Options{Ranks: 1, Undirected: true}, algo.BFS{})
+	if err := e.Stop(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	stopped := 0
+	for _, fe := range e.FlightRecord() {
+		if fe.Kind == "state" && fe.Detail == "Stopped" {
+			stopped++
+		}
+	}
+	if stopped != 1 {
+		t.Fatalf("%d state/Stopped flight entries, want 1: %+v", stopped, e.FlightRecord())
+	}
+	if s := e.Wait(); s.State != core.StateStopped || s.Uptime != 0 || s.EventRate() != 0 {
+		t.Fatalf("idle-stopped run report = state %s, uptime %s, rate %v", s.State, s.Uptime, s.EventRate())
 	}
 }
 

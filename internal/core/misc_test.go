@@ -51,22 +51,26 @@ func TestStatsPerRankAndSkew(t *testing.T) {
 		t.Fatalf("PerRank = %d entries", len(s.PerRank))
 	}
 	var topo, algoEv uint64
-	var verts int
 	for _, r := range s.PerRank {
-		topo += r.TopoEvents
-		algoEv += r.AlgoEvents
-		verts += r.Vertices
+		topo += r.Events.Topo()
+		algoEv += r.Events.Algo()
 	}
-	if topo != s.TopoEvents || algoEv != s.AlgoEvents || verts != s.Vertices {
-		t.Fatalf("per-rank totals disagree: %d/%d %d/%d %d/%d",
-			topo, s.TopoEvents, algoEv, s.AlgoEvents, verts, s.Vertices)
+	if topo != s.Events.Topo() || algoEv != s.Events.Algo() {
+		t.Fatalf("per-rank totals disagree: %d/%d %d/%d",
+			topo, s.Events.Topo(), algoEv, s.Events.Algo())
+	}
+	if verts, want := e.Topology().NumVertices(), len(presentIDs(edges)); verts != want {
+		t.Fatalf("vertices = %d, want %d", verts, want)
 	}
 	skew := s.EventSkew()
 	if skew < 1.0 || skew > 4.0 {
 		t.Fatalf("event skew %.2f implausible for hashed partitioning", skew)
 	}
-	if (core.Stats{}).EventSkew() != 0 {
+	if (core.EngineStats{}).EventSkew() != 0 {
 		t.Fatal("empty stats should have zero skew")
+	}
+	if (core.EngineStats{PerRank: make([]core.RankEngineStats, 3)}).EventSkew() != 0 {
+		t.Fatal("ranks that processed nothing should have zero skew")
 	}
 }
 

@@ -51,7 +51,7 @@ func TestSignalGossip(t *testing.T) {
 	e.Signal(0, 105, 7)  // during the run
 	e.Signal(0, 105, 99) // monotone: the larger one wins
 	stats := e.Wait()
-	if stats.AlgoEvents == 0 {
+	if stats.Events.Algo() == 0 {
 		t.Fatal("signals generated no algorithmic events")
 	}
 	got := e.CollectMap(0)

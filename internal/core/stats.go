@@ -145,11 +145,13 @@ type StorageStats = graph.HybridStats
 
 // EngineStats is an on-demand aggregate of the engine's live counters. It
 // is legal to take in every lifecycle state — Idle, Running, mid-Pause,
-// Paused, Stopped — and never blocks event processing.
+// Paused, Stopped — and never blocks event processing. Taken after
+// termination it is the run report Wait returns.
 type EngineStats struct {
 	// State is the lifecycle state at aggregation time.
 	State State
-	// Uptime is the time since Start (0 before Start).
+	// Uptime is the time since Start (0 before Start); once the engine has
+	// stopped it is frozen at Start to finish, the run's duration.
 	Uptime time.Duration
 	// Ranks is the configured rank count.
 	Ranks int
@@ -208,12 +210,30 @@ type EngineStats struct {
 	PerRank []RankEngineStats
 }
 
-// EventRate returns topology events per second of uptime (0 before Start).
+// EventRate returns topology events per second of uptime (0 before Start)
+// — after termination, the run's rate: the paper's headline metric.
 func (s EngineStats) EventRate() float64 {
 	if s.Uptime <= 0 {
 		return 0
 	}
 	return float64(s.Events.Topo()) / s.Uptime.Seconds()
+}
+
+// EventSkew returns max/mean of per-rank processed events (1.0 = perfectly
+// balanced; 0 if no events were processed) — the load-balance view of the
+// paper's partitioning discussion (§III-C): consistent hashing balances
+// vertices, but power-law degree skew can still unbalance events.
+func (s EngineStats) EventSkew() float64 {
+	var hi, sum uint64
+	for _, r := range s.PerRank {
+		n := r.Events.Total()
+		sum += n
+		hi = max(hi, n)
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(hi) / (float64(sum) / float64(len(s.PerRank)))
 }
 
 // IngestLag returns the topology events pulled from streams but not yet
@@ -290,7 +310,11 @@ func (e *Engine) EngineStats() EngineStats {
 		Flight:         e.flight.stats(),
 	}
 	if start := e.startNanos.Load(); start != 0 {
-		s.Uptime = time.Duration(time.Now().UnixNano() - start)
+		end := e.finishNanos.Load()
+		if end == 0 {
+			end = time.Now().UnixNano()
+		}
+		s.Uptime = time.Duration(end - start)
 	}
 	if e.traces != nil {
 		s.Latency.SampleEvery = e.opts.SampleEvery

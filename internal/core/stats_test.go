@@ -56,14 +56,12 @@ func TestEngineStatsDeterministicTotals(t *testing.T) {
 		t.Fatal("BFS over a path must cascade updates")
 	}
 
-	// Cross-check against the end-of-run Stats: both views read the same
-	// counters, so the totals must agree exactly.
+	// Cross-check against the run report Wait returns: both read the same
+	// frozen counters and finish instant, so they must agree exactly.
 	rs := e.Wait()
-	if rs.TopoEvents != es.Events.Topo() || rs.AlgoEvents != es.Events.Algo() ||
-		rs.TotalEvents != es.Events.Total() {
-		t.Fatalf("Wait stats %d/%d/%d != EngineStats %d/%d/%d",
-			rs.TopoEvents, rs.AlgoEvents, rs.TotalEvents,
-			es.Events.Topo(), es.Events.Algo(), es.Events.Total())
+	if rs.Events != es.Events || rs.Uptime != es.Uptime {
+		t.Fatalf("Wait stats %+v/%s != EngineStats %+v/%s",
+			rs.Events, rs.Uptime, es.Events, es.Uptime)
 	}
 
 	// Every processed event travelled exactly one of three paths: the

@@ -38,7 +38,7 @@ func Ablations(cfg Config) *Table {
 		if err != nil {
 			panic(err)
 		}
-		return stats.EventsPerSec
+		return stats.EventRate()
 	}
 
 	t := &Table{

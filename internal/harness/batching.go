@@ -69,7 +69,7 @@ func Batching(cfg Config) *Table {
 	t.AddRow(
 		"continuous incremental (this paper)",
 		fmtDur(total),
-		metrics.HumanRate(stats.EventsPerSec),
+		metrics.HumanRate(stats.EventRate()),
 		"(amortized)", "(amortized)",
 		"0 events",
 	)

@@ -16,13 +16,13 @@ import (
 
 // runDynamic ingests edges into a fresh engine and returns its stats.
 // programs may be empty (construction only).
-func runDynamic(edges []graph.Edge, ranks int, programs []core.Program, inits map[int][]graph.VertexID) core.Stats {
+func runDynamic(edges []graph.Edge, ranks int, programs []core.Program, inits map[int][]graph.VertexID) core.EngineStats {
 	return runDynamicOpts(edges, core.Options{Ranks: ranks, Undirected: true}, programs, inits)
 }
 
 // runDynamicOpts is runDynamic with the full engine option surface exposed,
 // for experiments that A/B storage or tuning knobs.
-func runDynamicOpts(edges []graph.Edge, opts core.Options, programs []core.Program, inits map[int][]graph.VertexID) core.Stats {
+func runDynamicOpts(edges []graph.Edge, opts core.Options, programs []core.Program, inits map[int][]graph.VertexID) core.EngineStats {
 	e := core.New(opts, programs...)
 	for a, vs := range inits {
 		for _, v := range vs {
@@ -236,7 +236,7 @@ func Fig5(cfg Config) *Table {
 					initMap[0] = inits
 				}
 				stats := runDynamic(edges, ranks, programs, initMap)
-				row = append(row, metrics.HumanRate(stats.EventsPerSec))
+				row = append(row, metrics.HumanRate(stats.EventRate()))
 			}
 			t.AddRow(row...)
 		}
@@ -262,7 +262,7 @@ func Fig6(cfg Config) *Table {
 		for _, ranks := range cfg.Ranks {
 			stats := runDynamic(edges, ranks, []core.Program{algo.BFS{}},
 				map[int][]graph.VertexID{0: {0}})
-			row = append(row, metrics.HumanRate(stats.EventsPerSec))
+			row = append(row, metrics.HumanRate(stats.EventRate()))
 		}
 		t.AddRow(row...)
 	}
@@ -336,7 +336,7 @@ func Scaling(cfg Config) *Table {
 				}
 				lastCompactions = e.EngineStats().Storage.Compactions
 				lastEngine = e
-				row = append(row, metrics.HumanRate(stats.EventsPerSec))
+				row = append(row, metrics.HumanRate(stats.EventRate()))
 			}
 			row = append(row, metrics.HumanCount(lastCompactions))
 			// Scan side of the locality trade: full-graph adjacency sweeps
@@ -412,7 +412,7 @@ func Fig7(cfg Config) *Table {
 				initMap[0] = srcs
 			}
 			stats := runDynamic(edges, ranks, programs, initMap)
-			row = append(row, metrics.HumanRate(stats.EventsPerSec))
+			row = append(row, metrics.HumanRate(stats.EventRate()))
 		}
 		t.AddRow(row...)
 	}

@@ -65,10 +65,35 @@ func TestFacadeStatsDeterministicIngest(t *testing.T) {
 	if s.Events.Topo() != uint64(len(edges)) || s.Ingested != uint64(len(edges)) {
 		t.Fatalf("stopped totals: topo=%d ingested=%d, want %d", s.Events.Topo(), s.Ingested, len(edges))
 	}
-	// The end-of-run Stats and the live counters agree exactly.
+	// The run report Wait returns and the stopped live view agree exactly.
 	run := g.Wait()
-	if run.TopoEvents != s.Events.Topo() || run.TotalEvents != s.Events.Total() {
-		t.Fatalf("Wait stats %d/%d != live stats %d/%d",
-			run.TopoEvents, run.TotalEvents, s.Events.Topo(), s.Events.Total())
+	if run.Events != s.Events || run.Uptime != s.Uptime {
+		t.Fatalf("Wait stats %+v/%s != live stats %+v/%s",
+			run.Events, run.Uptime, s.Events, s.Uptime)
+	}
+}
+
+// TestStatsFrozenAfterWait pins the one run report: once the graph has
+// stopped, Stats keeps returning the Uptime and EventRate that Wait
+// reported, instead of dividing by a clock that keeps running.
+func TestStatsFrozenAfterWait(t *testing.T) {
+	g := incregraph.New(incregraph.Config{Ranks: 2}, incregraph.CC())
+	run, err := g.Run(incregraph.StreamEdges(gen.Path(500)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Uptime <= 0 || run.EventRate() <= 0 {
+		t.Fatalf("run report: uptime %s, rate %v", run.Uptime, run.EventRate())
+	}
+	a := g.Stats()
+	time.Sleep(20 * time.Millisecond)
+	b := g.Stats()
+	if a.Uptime != b.Uptime || a.EventRate() != b.EventRate() {
+		t.Fatalf("stopped stats drift: uptime %s -> %s, rate %v -> %v",
+			a.Uptime, b.Uptime, a.EventRate(), b.EventRate())
+	}
+	if a.Uptime != run.Uptime || a.EventRate() != run.EventRate() {
+		t.Fatalf("Stats (uptime %s, rate %v) != Wait (uptime %s, rate %v)",
+			a.Uptime, a.EventRate(), run.Uptime, run.EventRate())
 	}
 }
