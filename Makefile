@@ -36,12 +36,11 @@ escape:
 		if [ -n "$$out" ]; then echo "Hot-path buffer escapes to the heap:"; echo "$$out"; exit 1; fi
 
 # Public-API size guard: the facade's `go doc -short .` listing (one line
-# per exported name) must stay at or below API_MAX lines. The CI test job
-# runs this.
-API_MAX ?= 70
+# per exported name) must stay at or below 70 lines. The CI test job runs
+# this.
 api:
-	@n=$$($(GO) doc -short . | wc -l); echo "go doc -short . : $$n lines (max $(API_MAX))"; \
-		if [ "$$n" -gt $(API_MAX) ]; then echo "public API grew past $(API_MAX) lines"; exit 1; fi
+	@n=$$($(GO) doc -short . | wc -l); echo "go doc -short . : $$n lines (max 70)"; \
+		if [ "$$n" -gt 70 ]; then echo "public API grew past 70 lines"; exit 1; fi
 
 # Deterministic-simulation sweep: SIM_SEEDS seeds × every algorithm ×
 # coalescing on/off under the seeded scheduler (see internal/sim), built

@@ -211,3 +211,17 @@ func writeStatsSummary(w io.Writer, s incregraph.EngineStats) {
 			r.ParkedTime.Round(time.Millisecond))
 	}
 }
+
+// writeTopologySummary prints the final graph size. In a cluster the view
+// holds only this process's shards.
+func writeTopologySummary(w io.Writer, topo incregraph.Topology, local bool) {
+	scope := "whole graph"
+	if local {
+		scope = "local shards"
+	}
+	fmt.Fprintf(w, "topology:  %s vertices", metrics.HumanCount(uint64(topo.NumVertices())))
+	if c, ok := topo.(interface{ NumEdges() uint64 }); ok {
+		fmt.Fprintf(w, ", %s adjacency entries", metrics.HumanCount(c.NumEdges()))
+	}
+	fmt.Fprintf(w, " (%s)\n", scope)
+}

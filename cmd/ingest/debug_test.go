@@ -227,3 +227,14 @@ func TestStatsSummaryTransportLines(t *testing.T) {
 		t.Errorf("in-process summary has transport lines:\n%s", b.String())
 	}
 }
+
+// TestTopologySummary: the end-of-run report carries the final vertex and
+// adjacency-entry counts (a 64-vertex undirected path: 2×63 entries).
+func TestTopologySummary(t *testing.T) {
+	g := runTelemetryGraph(t)
+	var b strings.Builder
+	writeTopologySummary(&b, g.Topology(), false)
+	if want := "topology:  64 vertices, 126 adjacency entries (whole graph)\n"; b.String() != want {
+		t.Errorf("topology line %q, want %q", b.String(), want)
+	}
+}

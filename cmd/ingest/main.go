@@ -220,6 +220,7 @@ func main() {
 		fatal(err)
 	}
 	writeStatsSummary(os.Stdout, stats)
+	writeTopologySummary(os.Stdout, g.Topology(), cluster)
 	if err := g.Err(); err != nil {
 		fatal(err)
 	}

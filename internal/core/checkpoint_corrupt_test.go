@@ -65,8 +65,6 @@ func TestReadCheckpointCorrupt(t *testing.T) {
 		{"empty", nil},
 		{"bad magic", craft("NOTACKPT", uint32(1))},
 		{"future version", craft("IGCKPT04", valid[8:])},
-		{"v1 magic with v3 body", craft("IGCKPT01", valid[8:])},
-		{"v2 magic with v3 body", craft("IGCKPT02", valid[8:])},
 		{"rank count zero", craft(magic, uint32(0))},
 		{"rank count huge", craft(magic, uint32(1)<<20)},
 		{"rank count above cap", craft(magic, uint32(1)<<16+1)},

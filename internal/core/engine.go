@@ -586,12 +586,20 @@ func (e *Engine) tryFinish() bool {
 // state to Stopped with its flight-recorder note, and closes done.
 func (e *Engine) finish() {
 	e.finishOnce.Do(func() {
-		e.finishNanos.Store(time.Now().UnixNano())
+		e.stampFinish()
 		e.finished.Store(true)
 		e.state.Store(int32(StateStopped))
 		e.flight.note("state", -1, "Stopped", 0, 0)
 		close(e.done)
 	})
+}
+
+// stampFinish records the finish instant unless one is already set. The
+// TCP transport stamps it at the termination decision, ahead of finish, so
+// the parting stats snapshot it sends peers carries this node's final
+// Uptime.
+func (e *Engine) stampFinish() {
+	e.finishNanos.CompareAndSwap(0, time.Now().UnixNano())
 }
 
 // finishFromTransport closes the engine on the transport's authority: the

@@ -392,6 +392,15 @@ func (r *rank) nextTopoEvent() (Event, bool) {
 	// emissions.
 	out := Event{Kind: kind, Algo: NoAlgo, To: ev.Src, From: ev.Dst, W: ev.W}
 	r.eng.labelSeq(&out)
+	// A Stop that landed after the ingestHalted check above may already
+	// have read every in-flight counter as zero and finished the engine,
+	// with this event pulled but not yet registered. Drop it (the stopped
+	// state is the prefix ingested before it) rather than process it after
+	// termination.
+	if r.eng.stopReq.Load() {
+		r.eng.inflight[out.Seq&3].Add(-1)
+		return Event{}, false
+	}
 	// Counted only after the in-flight increment: once Ingested() reports
 	// n, all n events are either in flight or fully processed, so
 	// Ingested()==pushed && Quiescent() is a sound "drained" check.

@@ -102,7 +102,7 @@ type TCPTransport struct {
 	statsWaiters map[uint64]chan statsRespFrame
 	statsReqID   atomic.Uint64
 	finalStats   map[int]EngineStats
-	finalsSent   atomic.Bool
+	finalsOnce   sync.Once
 	finalsAll    chan struct{}
 }
 
@@ -1274,32 +1274,43 @@ func (t *TCPTransport) shipLineage(origin int, rep lineageReport) {
 	}
 }
 
-// clusterStats implements the federated stats poll: the local snapshot plus
-// one STATS_REQ/STATS_RESP round trip per peer, all under one deadline.
-// Any node can poll (the mesh is full); peers that miss the deadline are
-// absent from the result.
 // pushFinalStats queues this node's parting stats snapshot (STATS_RESP
 // with the reserved request ID 0) to every peer, once. It is called at the
 // moment termination is decided or learned, so per-connection FIFO orders
 // the snapshot ahead of the TERMINATE on each link: a peer that acts on
 // the decision has already cached our finals, and clusterStats can answer
-// a complete federation after the mesh is torn down.
+// a complete federation after the mesh is torn down. Termination is
+// already decided, so the snapshot is the node's final report: the finish
+// instant is stamped first (freezing Uptime at the value the node's own
+// run report will show) and the state reads Stopped.
+//
+// A concurrent caller blocks until the snapshot is queued: in a mesh of
+// three or more nodes two reader goroutines can learn of termination at
+// once (the coordinator's TERMINATE and a peer's echo), and the one that
+// did not send must not finish the engine — whose teardown closes the
+// peer queues — before the other's pushes are in.
 func (t *TCPTransport) pushFinalStats() {
-	if !t.finalsSent.CompareAndSwap(false, true) {
-		return
-	}
-	js, err := json.Marshal(t.e.EngineStats())
-	if err != nil || len(js) > maxStatsJSON {
-		js = []byte("{}")
-	}
-	for _, p := range t.peers {
-		if p != nil {
-			p.q.push(frameStatsResp, appendStatsRespPayload(nil,
-				statsRespFrame{Req: 0, Node: uint32(t.cfg.Node), JSON: js}), false)
+	t.finalsOnce.Do(func() {
+		t.e.stampFinish()
+		es := t.e.EngineStats()
+		es.State = StateStopped
+		js, err := json.Marshal(es)
+		if err != nil || len(js) > maxStatsJSON {
+			js = []byte("{}")
 		}
-	}
+		for _, p := range t.peers {
+			if p != nil {
+				p.q.push(frameStatsResp, appendStatsRespPayload(nil,
+					statsRespFrame{Req: 0, Node: uint32(t.cfg.Node), JSON: js}), false)
+			}
+		}
+	})
 }
 
+// clusterStats implements the federated stats poll: the local snapshot plus
+// one STATS_REQ/STATS_RESP round trip per peer, all under one deadline.
+// Any node can poll (the mesh is full); peers that miss the deadline are
+// absent from the result.
 func (t *TCPTransport) clusterStats(timeout time.Duration) []NodeEngineStats {
 	out := []NodeEngineStats{{Node: t.cfg.Node, Stats: t.e.EngineStats()}}
 	have := make(map[int]bool, t.cfg.Nodes)

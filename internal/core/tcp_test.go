@@ -347,7 +347,8 @@ func TestTCPClusterLineageStitch(t *testing.T) {
 
 			// Federation outlives the mesh: each node exchanged a parting
 			// stats snapshot with its TERMINATE, so a post-run poll on any
-			// node still covers the whole cluster.
+			// node still covers the whole cluster, and each entry is that
+			// node's final report (Stopped, with its own frozen Uptime).
 			for _, e := range engines {
 				cs := e.ClusterStats(time.Second)
 				if len(cs) != nodes {
@@ -360,6 +361,12 @@ func TestTCPClusterLineageStitch(t *testing.T) {
 					if ns.Stats.Ranks != nodes*ranksPer {
 						t.Errorf("node %d parting snapshot reports %d ranks, want %d",
 							i, ns.Stats.Ranks, nodes*ranksPer)
+					}
+					if ns.Stats.State != core.StateStopped {
+						t.Errorf("node %d post-run state %v, want Stopped", i, ns.Stats.State)
+					}
+					if got, want := ns.Stats.Uptime, engines[i].EngineStats().Uptime; got != want {
+						t.Errorf("node %d post-run uptime %v, its own report says %v", i, got, want)
 					}
 				}
 			}

@@ -69,27 +69,8 @@ func Counters(cfg Config) *Table {
 		metrics.HumanCount(es.BatchesDrained),
 		metrics.HumanCount(es.MailboxHWM))
 	t.AddNote("engine-side rate: %s over %s uptime; event skew %.2f (max/mean per-rank events)",
-		metrics.HumanRate(es.EventRate()), fmtDur(es.Uptime), eventSkew(es))
+		metrics.HumanRate(es.EventRate()), fmtDur(es.Uptime), es.EventSkew())
 	t.AddNote("transport: %s (node %d of %d) — inter-rank sends above are %s pushes",
 		es.Transport.Kind, es.Transport.Node, es.Transport.Nodes, es.Transport.Kind)
 	return t
-}
-
-// eventSkew is max/mean of per-rank processed events (1.0 = balanced).
-func eventSkew(es core.EngineStats) float64 {
-	if len(es.PerRank) == 0 {
-		return 0
-	}
-	var max, sum uint64
-	for _, r := range es.PerRank {
-		ev := r.Events.Total()
-		sum += ev
-		if ev > max {
-			max = ev
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(max) / (float64(sum) / float64(len(es.PerRank)))
 }
