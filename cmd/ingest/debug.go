@@ -143,8 +143,9 @@ func writeStatsSummary(w io.Writer, s incregraph.EngineStats) {
 		s.BatchingFactor())
 	fmt.Fprintf(w, "fastpath:  %s self-delivered, %s updates combined away\n",
 		metrics.HumanCount(s.SelfDelivered), metrics.HumanCount(s.CombinedAway))
-	fmt.Fprintf(w, "cascades:  %s emissions, mailbox high-water %s\n",
-		metrics.HumanCount(s.CascadeEmits), metrics.HumanCount(s.MailboxHWM))
+	fmt.Fprintf(w, "cascades:  %s emissions, mailbox high-water %s, %s deletes re-witnessed\n",
+		metrics.HumanCount(s.CascadeEmits), metrics.HumanCount(s.MailboxHWM),
+		metrics.HumanCount(s.Rewitnessed))
 	fmt.Fprintf(w, "lag:       %d in flight, mailbox depth %d\n",
 		s.InFlight, s.MailboxDepth)
 	if lat := s.Latency; lat.SampleEvery > 0 {

@@ -112,3 +112,22 @@ func (BFS) ChangedLanes(before, after uint64) uint64 {
 func (BFS) Reseed(ctx *core.Ctx, lanes uint64) {
 	ctx.SetValue(core.Infinity)
 }
+
+// Reproduces implements core.Certifier: a parent at a finite level offers
+// exactly one more.
+func (BFS) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
+	if p := norm(parent); p != core.Infinity && p+1 == norm(child) {
+		return 1
+	}
+	return 0
+}
+
+// SeedLanes implements core.Certifier: "no path" is the only level a
+// vertex holds without a parent (the source's level comes from Init and
+// carries no witness).
+func (BFS) SeedLanes(v graph.VertexID, val uint64) uint64 {
+	if norm(val) == core.Infinity {
+		return 1
+	}
+	return 0
+}

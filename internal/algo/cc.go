@@ -75,9 +75,10 @@ func (CC) WitnessLanes() int { return 1 }
 
 // ChangedLanes reports label progress. The Unset→self-label instantiation
 // inside ccValue counts as a change and attributes a witness to the
-// visiting neighbour; that is conservatively safe — Reseed restores the
-// identical self-label, so the spurious invalidation is a no-op beyond the
-// cascade probe.
+// visiting neighbour, even when the vertex keeps its own label. That is
+// safe but not free: deleting that edge used to flood the whole component,
+// only to Reseed the identical label. SeedLanes lets the delete path drop
+// such a witness instead.
 func (CC) ChangedLanes(before, after uint64) uint64 {
 	if before != after {
 		return 1
@@ -89,4 +90,23 @@ func (CC) ChangedLanes(before, after uint64) uint64 {
 // label and re-learns the component minimum from the intact frontier.
 func (CC) Reseed(ctx *core.Ctx, lanes uint64) {
 	ctx.SetValue(graph.CCLabel(ctx.Vertex()))
+}
+
+// Reproduces implements core.Certifier: a label passes unchanged over any
+// edge.
+func (CC) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
+	if parent != core.Unset && parent == child {
+		return 1
+	}
+	return 0
+}
+
+// SeedLanes implements core.Certifier: a vertex's own label needs no
+// parent. That includes a component minimum whose first label arrived
+// with a REVERSE_ADD and so carries a witness (see ChangedLanes).
+func (CC) SeedLanes(v graph.VertexID, val uint64) uint64 {
+	if val == graph.CCLabel(v) {
+		return 1
+	}
+	return 0
 }

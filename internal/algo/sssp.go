@@ -81,3 +81,21 @@ func (SSSP) ChangedLanes(before, after uint64) uint64 {
 func (SSSP) Reseed(ctx *core.Ctx, lanes uint64) {
 	ctx.SetValue(core.Infinity)
 }
+
+// Reproduces implements core.Certifier: a parent at a finite cost offers
+// its cost plus the edge weight.
+func (SSSP) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
+	if p := norm(parent); p != core.Infinity && p+uint64(w) == norm(child) {
+		return 1
+	}
+	return 0
+}
+
+// SeedLanes implements core.Certifier: "no path" is the only cost a vertex
+// holds without a parent.
+func (SSSP) SeedLanes(v graph.VertexID, val uint64) uint64 {
+	if norm(val) == core.Infinity {
+		return 1
+	}
+	return 0
+}

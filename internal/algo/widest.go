@@ -95,3 +95,21 @@ func (Widest) ChangedLanes(before, after uint64) uint64 {
 func (Widest) Reseed(ctx *core.Ctx, lanes uint64) {
 	ctx.SetValue(core.Unset)
 }
+
+// Reproduces implements core.Certifier: a parent offers the narrower of
+// its width and the edge's.
+func (Widest) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
+	if child != core.Unset && min(parent, uint64(w)) == child {
+		return 1
+	}
+	return 0
+}
+
+// SeedLanes implements core.Certifier: "no path yet" is the only width a
+// vertex holds without a parent.
+func (Widest) SeedLanes(v graph.VertexID, val uint64) uint64 {
+	if val == core.Unset {
+		return 1
+	}
+	return 0
+}

@@ -140,6 +140,10 @@ type Engine struct {
 	// protocol's live-edge guard requires the undirected reverse edge). A
 	// rank runs that guard only once it has removed an edge (rank.removedEdge).
 	witness []WitnessProgram
+	// certify[algo] is that program's Certifier view (nil unless witness
+	// [algo] is set and the program implements it): a doomed lane may then
+	// re-point at a certified parent instead of flooding (rank.rewitness).
+	certify []Certifier
 	// genCounter mints witness generations (see nextGen). Like the
 	// in-flight ring it is a deliberate shared-atomic deviation from
 	// shared-nothing: a reset's generation must be strictly above every
@@ -226,6 +230,10 @@ type Engine struct {
 	// never invalidate dependent values. The sim's post-delete
 	// differential oracle must catch the resulting stale state.
 	simSkipInvalidate bool
+	// simUncertified (mutation testing only) makes rank.rewitness accept
+	// any local neighbour whose offer reproduces the doomed lane, without
+	// checking its generation or walking its witness chain.
+	simUncertified bool
 
 	// snapRequests counts SnapshotAsync calls (EngineStats.SnapshotsTaken).
 	snapRequests atomic.Uint64
@@ -282,6 +290,7 @@ func New(opts Options, programs ...Program) *Engine {
 		}
 	}
 	e.witness = make([]WitnessProgram, len(programs))
+	e.certify = make([]Certifier, len(programs))
 	if opts.Undirected {
 		for i, p := range programs {
 			if wp, ok := p.(WitnessProgram); ok {
@@ -290,6 +299,7 @@ func New(opts Options, programs ...Program) *Engine {
 						i, wp.WitnessLanes()))
 				}
 				e.witness[i] = wp
+				e.certify[i], _ = p.(Certifier)
 			}
 		}
 	}

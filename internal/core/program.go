@@ -80,6 +80,22 @@ type WitnessProgram interface {
 	Reseed(ctx *Ctx, lanes uint64)
 }
 
+// Certifier is optionally implemented by WitnessPrograms so that an unsafe
+// deletion can keep a value another live parent on the same rank still
+// grounds, instead of flooding (DESIGN.md "Deletions": re-pointing a doomed
+// witness). Both methods are pure functions of their arguments.
+type Certifier interface {
+	WitnessProgram
+	// Reproduces reports which lanes of child an offer of parent across an
+	// edge of weight w yields exactly: the lanes OnUpdate would set to
+	// child's lane value on an otherwise unknowing vertex.
+	Reproduces(parent uint64, w graph.Weight, child uint64) uint64
+	// SeedLanes reports which lanes of vertex v's value val hold v's own
+	// seed: a value v holds with no parent at all (a CC vertex's own label,
+	// the no-path bottom of the distance programs).
+	SeedLanes(v graph.VertexID, val uint64) uint64
+}
+
 // SignalAware is implemented by programs that accept user-generated
 // attribute/signal events (Engine.Signal): external values delivered to a
 // single vertex, outside the topology-event flow. The REMO contract still

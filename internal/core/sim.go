@@ -366,6 +366,15 @@ func (d *SimDriver) SetSkipInvalidate(skip bool) {
 	d.e.simSkipInvalidate = skip
 }
 
+// SetUncertifiedRewitness (mutation testing) makes an unsafe deletion
+// re-point its doomed witness at any local neighbour whose offer
+// reproduces the lane, without the certificate's generation check and
+// witness-chain walk. The differential oracle must catch the circular
+// support this admits.
+func (d *SimDriver) SetUncertifiedRewitness(on bool) {
+	d.e.simUncertified = on
+}
+
 // SetCombine replaces program algo's Combine hook (mutation testing: a
 // non-monotone combine must be caught by the merge checker or the final
 // differential). The coalescers share the engine's combine table, so the

@@ -55,6 +55,10 @@ type rankCounters struct {
 	// cross-goroutine stats reads (the rank itself reads its plain field).
 	tuneAdjusts atomic.Uint64
 	effBatch    atomic.Uint64
+	// rewitnessed counts unsafe deletion endpoints resolved without a
+	// cascade: every doomed lane re-pointed at a certified parent or held
+	// its own seed.
+	rewitnessed atomic.Uint64
 
 	_ [64]byte // padding: isolate from whatever is allocated next
 }
@@ -134,6 +138,9 @@ type RankEngineStats struct {
 	// auto-tune decisions that changed a knob on this rank.
 	EffBatch    uint64
 	TuneAdjusts uint64
+	// Rewitnessed counts the rank's unsafe deletion endpoints that kept
+	// their value by re-pointing the doomed witness instead of flooding.
+	Rewitnessed uint64
 	// Storage is the rank's hybrid storage-tier counters (zero-valued
 	// except DeltaScanned when the hybrid tier is disabled).
 	Storage StorageStats
@@ -175,6 +182,11 @@ type EngineStats struct {
 	BatchesDrained uint64
 	MailboxHWM     uint64
 	MailboxDepth   int64
+	// Rewitnessed counts unsafe deletions resolved without an invalidation
+	// cascade, one per endpoint (DELETE or REVERSE_DELETE) that had a
+	// doomed witness lane: each doomed lane re-pointed at a certified
+	// parent on the same rank, or already held its own seed.
+	Rewitnessed uint64
 	// InFlight is the current depth of the in-flight ring: events buffered,
 	// queued, or mid-processing right now. Together with IngestLag it is
 	// the engine's lag gauge.
@@ -286,6 +298,7 @@ func (c *rankCounters) snapshot(rank int, hwm uint64) RankEngineStats {
 		FlushesTo:      make([]uint64, len(c.flushesTo)),
 		EffBatch:       c.effBatch.Load(),
 		TuneAdjusts:    c.tuneAdjusts.Load(),
+		Rewitnessed:    c.rewitnessed.Load(),
 	}
 	for d := range c.sentTo {
 		rs.SentTo[d] = c.sentTo[d].Load()
@@ -365,6 +378,7 @@ func (e *Engine) EngineStats() EngineStats {
 		s.CascadeEmits += rs.CascadeEmits
 		s.SelfDelivered += rs.SelfDelivered
 		s.CombinedAway += rs.CombinedAway
+		s.Rewitnessed += rs.Rewitnessed
 		s.BatchesDrained += rs.BatchesDrained
 		s.QueriesServed += rs.QueriesServed
 		s.SnapshotParts += rs.SnapshotParts

@@ -146,6 +146,9 @@ var families = []family{
 		"UPDATE events eliminated by monotone coalescing before delivery.", ""},
 	{"incregraph_batches_drained_total", "counter", nil, func(s stats) any { return s.BatchesDrained },
 		"Non-empty mailbox drains.", ""},
+	{"incregraph_deletes_rewitnessed_total", "counter", nil, func(s stats) any { return s.Rewitnessed },
+		"Unsafe edge deletions (per endpoint) resolved by re-pointing the doomed witness instead of an invalidation flood.",
+		"Unsafe edge deletions (per endpoint) the process resolved by re-pointing the doomed witness instead of flooding."},
 	{"incregraph_queries_served_total", "counter", nil, func(s stats) any { return s.QueriesServed },
 		"Local-state observations answered.", "Local-state observations the process answered."},
 	{"incregraph_snapshots_taken_total", "counter", nil, func(s stats) any { return s.SnapshotsTaken },

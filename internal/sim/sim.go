@@ -49,6 +49,13 @@ const (
 	// invalidated. The post-delete differential oracle must catch the
 	// stale state this leaves behind (requires Config.Deletes > 0).
 	MutateSkipInvalidate
+	// MutateUncertifiedRewitness lets an unsafe delete re-point its doomed
+	// witness at any local neighbour whose offer reproduces the lane,
+	// skipping the generation check and the witness-chain walk. Mutually
+	// supporting neighbours then keep a value nothing grounds; the
+	// post-delete differential oracle must catch it (requires
+	// Config.Deletes > 0 and a Certifier program).
+	MutateUncertifiedRewitness
 )
 
 // Config parameterizes one simulated run.
@@ -182,6 +189,10 @@ type Result struct {
 	// Deletes counts the edge deletions the scheduler streamed (the
 	// vacuity guard for the churn oracle — zero on add-only runs).
 	Deletes int
+	// Rewitnessed counts the unsafe deletions the engine resolved by
+	// re-pointing witnesses instead of flooding (the vacuity guard for
+	// the certificate — zero on add-only runs).
+	Rewitnessed uint64
 	// Final is the converged state of the single program.
 	Final map[graph.VertexID]uint64
 }
@@ -278,6 +289,8 @@ func Run(cfg Config) (res Result) {
 		d.SetCombine(0, worseCombine(sp.ord))
 	case MutateSkipInvalidate:
 		d.SetSkipInvalidate(true)
+	case MutateUncertifiedRewitness:
+		d.SetUncertifiedRewitness(true)
 	}
 
 	// Query sampling space: every endpoint and source, plus one fresh ID.
@@ -513,6 +526,7 @@ func Run(cfg Config) (res Result) {
 	if ch != nil {
 		expected += ch.appended
 		res.Deletes = ch.deletes
+		res.Rewitnessed = e.EngineStats().Rewitnessed
 	}
 	if len(pulled) != expected {
 		chk.violatef("ingest: pulled %d of %d stream events", len(pulled), expected)

@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"math/rand"
 	"os"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"incregraph/internal/graph"
 )
 
 // TestSimSmoke runs one seed pair per algorithm, with and without
@@ -91,9 +95,20 @@ func TestSimSweep(t *testing.T) {
 	} else if testing.Short() {
 		seeds = 3
 	}
-	failures := Sweep(seeds, nil)
+	// Vacuity guard: the CC churn cells must reach the re-pointing path,
+	// or the certificate goes unchecked by the whole sweep.
+	var ccRewitnessed uint64
+	failures := Sweep(seeds, func(cfg Config, res Result) {
+		if cfg.Algo == CC {
+			ccRewitnessed += res.Rewitnessed
+		}
+	})
+	if ccRewitnessed == 0 {
+		t.Errorf("no CC churn run re-pointed a witness across %d seeds — the certificate went unexercised", seeds)
+	}
 	if len(failures) == 0 {
-		t.Logf("sweep clean: %d seeds × %d algorithms × coalescing on/off", seeds, numAlgos)
+		t.Logf("sweep clean: %d seeds × %d algorithms × coalescing on/off; CC re-pointed %d witnesses",
+			seeds, numAlgos, ccRewitnessed)
 		return
 	}
 	if out := os.Getenv("SIM_SWEEP_OUT"); out != "" {
@@ -243,6 +258,63 @@ func TestMutationSkipInvalidateCaught(t *testing.T) {
 			failed, deletes)
 	}
 	t.Logf("skip-invalidate mutation caught in %d of 25 seeds (%d deletes streamed)", matched, deletes)
+}
+
+// labelPaths is a CC world built to strand labels: k disjoint paths of m
+// vertices, each laid out in ascending CCLabel order so its minimum sits at
+// one end and every non-final edge is a bridge to a labelled tail. The
+// whole stream repeats reps times, so churn deletes (appended after it)
+// mostly land once the labels have settled.
+func labelPaths(seed int64, k, m, reps int) []graph.Edge {
+	ids := rand.New(rand.NewSource(seed)).Perm(4 * k * m)[:k*m]
+	var es []graph.Edge
+	for p := 0; p < k; p++ {
+		path := ids[p*m : (p+1)*m]
+		sort.Slice(path, func(i, j int) bool {
+			return graph.CCLabel(graph.VertexID(path[i])) < graph.CCLabel(graph.VertexID(path[j]))
+		})
+		for i := 1; i < m; i++ {
+			es = append(es, graph.Edge{Src: graph.VertexID(path[i-1]), Dst: graph.VertexID(path[i]), W: 1})
+		}
+	}
+	n := len(es)
+	for r := 1; r < reps; r++ {
+		es = append(es, es[:n]...)
+	}
+	return es
+}
+
+// TestMutationUncertifiedRewitnessCaught proves the certificate's chain
+// walk and generation check earn their place: an engine that re-points a
+// doomed witness at any equal-valued neighbour lets a tail cut off from its
+// component minimum keep that minimum (its vertices now support each
+// other), and the post-delete differential must catch it on nearly every
+// seed. One rank keeps every chain local, so each unsafe delete reaches
+// the re-pointing path.
+func TestMutationUncertifiedRewitnessCaught(t *testing.T) {
+	tweak := func(c *Config) {
+		c.Algo, c.Ranks, c.Deletes = CC, 1, 20
+		c.Edges = labelPaths(c.GraphSeed, 5, 8, 3)
+	}
+	// Control: the certified engine converges on the same worlds.
+	for s := 0; s < 25; s++ {
+		cfg := Config{GraphSeed: int64(s), ScheduleSeed: int64(s) + 100}
+		tweak(&cfg)
+		if res := Run(cfg); res.Failed() {
+			t.Fatalf("unmutated control seed %d failed: %s", s, res.Violations[0])
+		}
+	}
+	var rewitnessed uint64
+	failed, matched, _ := mutationCaught(t, MutateUncertifiedRewitness, "final:", 25, tweak,
+		func(r Result) { rewitnessed += r.Rewitnessed })
+	if rewitnessed == 0 {
+		t.Fatal("no witness was re-pointed across 25 seeds — the mutation test is vacuous")
+	}
+	if matched < 24 {
+		t.Fatalf("uncertified re-witnessing caught on only %d of 25 seeds (%d runs failed, %d re-pointed)",
+			matched, failed, rewitnessed)
+	}
+	t.Logf("uncertified re-witnessing caught in %d of 25 seeds (%d re-pointed)", matched, rewitnessed)
 }
 
 // TestParseReplayRoundTrip pins the artifact line format.

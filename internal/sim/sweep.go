@@ -117,12 +117,10 @@ func ParseReplay(s string) (Config, error) {
 // Every run serves the MVCC read plane, so the sweep validates lock-free
 // reads against the static oracle across the full matrix; the churn cells
 // additionally stream live deletions (and occasional re-adds) and check
-// the converged state against the post-delete recompute. progress (if
-// non-nil) is called after each run with (done, total).
-func Sweep(seeds int, progress func(done, total int)) []SweepFailure {
+// the converged state against the post-delete recompute. observe (if
+// non-nil) sees every run's config and result, failing or not.
+func Sweep(seeds int, observe func(Config, Result)) []SweepFailure {
 	var failures []SweepFailure
-	total := seeds * int(numAlgos) * 2 * 2
-	done := 0
 	for seed := 0; seed < seeds; seed++ {
 		for a := Algo(0); a < numAlgos; a++ {
 			for _, noCoal := range []bool{false, true} {
@@ -136,12 +134,12 @@ func Sweep(seeds int, progress func(done, total int)) []SweepFailure {
 						Serve:        true,
 						Deletes:      deletes,
 					}
-					if res := Run(cfg); res.Failed() {
+					res := Run(cfg)
+					if res.Failed() {
 						failures = append(failures, SweepFailure{Cfg: cfg, Result: res})
 					}
-					done++
-					if progress != nil {
-						progress(done, total)
+					if observe != nil {
+						observe(cfg, res)
 					}
 				}
 			}
