@@ -353,7 +353,25 @@ func (e *Engine) Start(streams []stream.Stream) error {
 	if e.started.Swap(true) {
 		return fmt.Errorf("core: engine already started")
 	}
-	// Bring the update plane up first: a multi-process transport blocks
+	// Count every local stream before the transport starts or any rank
+	// runs: a rank whose stream is empty finishes the engine as soon as it
+	// sees streamsLeft at zero with nothing in flight, and a TCP peer may
+	// probe StreamsDone as soon as the mesh is up.
+	for i, r := range e.ranks {
+		if !e.tr.Local(i) || i >= len(streams) || streams[i] == nil {
+			// No stream here. A rank a peer process owns is an inert local
+			// shard: no goroutine, a mailbox that only buffers if a bug
+			// ever routes to it, and Collect reads it as empty.
+			r.streamDone = true
+			continue
+		}
+		r.stream = streams[i]
+		if live, ok := r.stream.(stream.Live); ok {
+			live.SetNotify(r.inbox.poke)
+		}
+		e.streamsLeft.Add(1)
+	}
+	// Bring the update plane up next: a multi-process transport blocks
 	// here until the full mesh is connected, so by the time any rank loop
 	// runs, Send can reach every peer.
 	if err := e.tr.start(); err != nil {
@@ -363,7 +381,6 @@ func (e *Engine) Start(streams []stream.Stream) error {
 	}
 	e.state.Store(int32(StateRunning))
 	e.flight.note("state", -1, "Running", 0, 0)
-	e.streamsLeft.Store(0)
 	e.startNanos.Store(time.Now().UnixNano())
 	if e.plane != nil {
 		// Epoch ticker: bump the plane's epoch and wake every rank so each
@@ -384,24 +401,10 @@ func (e *Engine) Start(streams []stream.Stream) error {
 		}()
 	}
 	for i, r := range e.ranks {
-		if !e.tr.Local(i) {
-			// A peer process owns this rank; locally it is an inert shard
-			// (no goroutine, no stream — its mailbox only buffers if a bug
-			// ever routes to it, and Collect reads it as empty).
-			r.streamDone = true
-			continue
+		if e.tr.Local(i) {
+			e.wg.Add(1)
+			go r.loop()
 		}
-		if i < len(streams) && streams[i] != nil {
-			r.stream = streams[i]
-			if live, ok := r.stream.(stream.Live); ok {
-				live.SetNotify(r.inbox.poke)
-			}
-			e.streamsLeft.Add(1)
-		} else {
-			r.streamDone = true
-		}
-		e.wg.Add(1)
-		go r.loop()
 	}
 	return nil
 }

@@ -302,3 +302,56 @@ func TestTraceTableStaleParent(t *testing.T) {
 		t.Fatalf("stale retire changed completed lineages: %d -> %d", before, got)
 	}
 }
+
+// TestTraceTableOriginReentry pins completion when a cascade leaves the
+// origin and comes back: the origin goes idle and reports while its child
+// is away, then receives a grandchild. The lineage must not finalize on
+// the remote's report — the origin's own report is stale by then — but
+// only on the origin's second one, recording one latency and every node.
+func TestTraceTableOriginReentry(t *testing.T) {
+	tt := newTraceTable(4)
+	r := testRank()
+	var shipped int
+	tt.ship = func(origin int, rep lineageReport) {
+		if origin != 0 || rep.From != 1 {
+			t.Fatalf("report from proc %d shipped to %d", rep.From, origin)
+		}
+		shipped++
+		tt.handleReport(rep)
+	}
+	ev := Event{Kind: KindUpdate}
+	root := tt.start(&Event{Kind: KindAdd}, 0, 0)
+	away := tt.child(root, &ev, 0, 0)
+	tt.wireSend(away, 0, 1)
+	tt.wireRecv(away, 1, 0)
+	tt.retire(root, r, 0) // the origin is idle and reports
+	back := tt.child(away, &ev, 1, 1)
+	tt.wireSend(back, 1, 0)
+	tt.wireRecv(back, 0, 1) // the cascade re-enters the origin
+	tt.retire(away, r, 1)   // the remote is idle and reports
+	if shipped != 1 {
+		t.Fatalf("remote shipped %d reports, want 1", shipped)
+	}
+	if got := len(tt.lineages()); got != 0 {
+		t.Fatalf("lineage finalized on the remote's report with the origin live (%d completed)", got)
+	}
+	leaf := tt.child(back, &ev, 0, 0)
+	tt.retire(leaf, r, 0)
+	tt.retire(back, r, 0) // the origin's second report completes it
+	ls := tt.lineages()
+	if len(ls) != 1 {
+		t.Fatalf("completed lineages = %d, want 1", len(ls))
+	}
+	if n := len(ls[0].Nodes); n != 4 || ls[0].Truncated {
+		t.Fatalf("lineage has %d nodes (truncated=%v), want 4", n, ls[0].Truncated)
+	}
+	if ls[0].Nodes[0].Kind != KindAdd || ls[0].Nodes[0].ID != ls[0].Nodes[0].Parent {
+		t.Fatalf("Nodes[0] = %+v, want the root", ls[0].Nodes[0])
+	}
+	if got := r.lat.ingest.snapshot().Count; got != 1 {
+		t.Fatalf("recorded %d latencies, want 1", got)
+	}
+	if tt.sampled.Load() != 1 || tt.active.Load() != 0 {
+		t.Fatalf("sampled=%d active=%d after completion", tt.sampled.Load(), tt.active.Load())
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,11 +18,6 @@ import (
 // time from stream pull to cascade quiescence, the paper's real latency
 // promise, and (b) reconstruct the causal tree of every event the cascade
 // generated, including UPDATEs that were coalesced away before delivery.
-//
-// Since wire version 3 lineage spans processes: Trace tags ride EVENTS
-// frames, every process records the cascade nodes its ranks emit into a
-// local FRAGMENT, and fragments ship delta reports (LINEAGE frames) back to
-// the originating process, which stitches the full cross-process tree.
 //
 // Trace encoding (0 = untraced, which is what every event is unless the
 // per-rank sampler picks it):
@@ -40,24 +36,33 @@ import (
 // mint colliding node words. A single-process engine has origin == proc ==
 // 0 everywhere and the encoding degenerates to the pre-v3 one.
 //
-// Completion is decided at the origin by a per-channel counter balance:
-// every process counts, per lineage and per peer channel, the traced events
-// it shipped and received; a fragment whose local pending count returns to
-// zero immediately reports its cumulative counters (and freshly recorded
-// nodes) to the origin. The origin finalizes when its own pending count is
-// zero and every channel matches (sent(p→q) == recv(q←p) for all pairs it
-// knows about). That check is sound: a hidden send (one the origin hasn't
-// seen a report for) can only happen while processing a hidden receive, and
-// walking that causal chain backwards must reach an accounted send — whose
-// matching receive is then missing from the books, breaking the balance.
-// Pure-local lineages have empty channel tables and finalize exactly as
-// before.
+// Every process records its share of a lineage in a FRAGMENT: the nodes
+// its ranks emitted, its pending count (the lineage's events still live on
+// that process, like a per-cascade in-flight ring), and its cumulative
+// per-channel counters of traced events shipped and received. The origin
+// is no exception; its fragment lives in the lineage's slot, every other
+// process's in a map keyed by (lineage, process). Whenever a fragment's
+// pending count returns to zero it reports its new nodes and its counters
+// to the origin: directly at the origin itself, in a LINEAGE frame (wire
+// version 3 on) everywhere else. Trace tags ride EVENTS frames, so the
+// origin stitches the full cross-process tree.
+//
+// The origin keeps each process's latest report, its own included, and
+// finalizes once it has reported and every channel balances (sent(p→q) ==
+// recv(q←p) for all pairs in the reports). That check is sound: a
+// fragment's pending count rises from zero only by a wire receive, so an
+// event live anywhere after its process's last report was received after
+// that report; the send behind it is either in its sender's report (and
+// the missing receive breaks the balance) or happened while the sender
+// itself was live after its last report, and walking that causal chain
+// backwards must reach an accounted send, because the root was live before
+// the origin's first report. A single-process lineage has empty channel
+// counters and finalizes at the origin's first report.
 //
 // Cost discipline: the unsampled hot path pays only Trace==0 branches — no
-// clock reads, no atomics. A sampled cascade pays one atomic pending
-// counter per event plus a short mutex-guarded append per generated node;
-// with the default 1-in-1024 sampling that cost vanishes into noise (see
-// EXPERIMENTS.md).
+// clock reads, no atomics. A sampled cascade pays a short mutex-guarded
+// update of its fragment per event; with the default 1-in-1024 sampling
+// that cost vanishes into noise (see EXPERIMENTS.md).
 
 // traceSlotCount is the number of concurrently traceable cascades. A full
 // table drops sampling points (counted in LatencyStats.Dropped) rather than
@@ -214,67 +219,47 @@ func (l Lineage) Procs() []int {
 	return out
 }
 
-// traceSlot holds one in-flight lineage at its ORIGIN process. pending
-// counts the lineage's locally-live events still unretired (like a
-// per-cascade in-flight ring); the node list is mutex-guarded because
-// children may be emitted by any rank the cascade reaches. The counter
-// cannot falsely reach zero: a child's pending increment (at emission,
-// inside the parent's callback) strictly precedes the parent's decrement
-// (after its process call returns); wire handover decrements at frame
-// enqueue and the receiving process re-increments (its fragment) before the
-// mailbox push.
-type traceSlot struct {
-	pending atomic.Int64
-
-	mu        sync.Mutex
-	id        uint32 // current generation's ID; 0 while free
-	startNS   int64
-	truncated bool
-	nodes     []LineageNode
-	// nextNode is the origin's next local node index. It is NOT len(nodes):
-	// remote fragments merge their nodes into the same list, so the local
-	// index must advance independently to keep origin node words unique.
-	nextNode uint32
-	// Cross-process accounting, nil/empty for a pure-local lineage (the
-	// common case pays only nil checks): sentTo/recvFrom are the origin's
-	// own cumulative per-channel traced-event counters; remotes holds the
-	// latest report per contributing process.
-	sentTo, recvFrom map[uint8]uint64
-	remotes          map[uint8]*remoteContrib
-}
-
-// remoteContrib is the latest lineage report from one remote process
-// (reports travel the per-node-pair FIFO connection, so "latest received"
-// is also "most recent generated").
-type remoteContrib struct {
-	sent, recv map[uint8]uint64
-}
-
-// traceFrag is one remote-origin lineage's local recording state: the
-// nodes this process emitted, its live pending count, and its cumulative
-// per-channel counters. When pending returns to zero the fragment ships a
-// delta report (nodes since the last report + the counters) to the origin.
+// traceFrag is one process's share of a lineage: the nodes it recorded
+// since its last report, its live pending count and its cumulative
+// per-channel counters. A child's pending increment (at emission, inside
+// its parent's callback) strictly precedes the parent's decrement (after
+// its process call returns); a wire send decrements at frame enqueue and
+// the receiving fragment increments before the mailbox push. So pending
+// reaches zero only when nothing of the lineage is live on the process.
 type traceFrag struct {
 	mu        sync.Mutex
+	id        uint32 // the lineage; 0 for a free origin slot
 	pending   int64
-	nodes     []LineageNode
-	nextNode  uint32
-	reported  int // nodes already shipped
+	nodes     []LineageNode // recorded since the last report
+	nextNode  uint32        // next local node index
 	truncated bool
 	sentTo    map[uint8]uint64
 	recvFrom  map[uint8]uint64
 }
 
-// fragKey names a fragment: the lineage ID plus the process recording it
-// (the proc matters only for the loopback transport, where one table
-// simulates every process; a real TCP process uses its own constant proc).
+// traceSlot is one in-flight lineage at its origin: the origin's own
+// fragment, whose mutex guards the whole slot, plus the stitched tree (the
+// root, then each report's nodes in arrival order) and the latest report
+// of every process, the origin's own included.
+type traceSlot struct {
+	traceFrag
+	startNS int64
+	tree    []LineageNode
+	reports map[uint8]lineageReport
+}
+
+// fragKey names a remote fragment: the lineage ID plus the process
+// recording it (the proc matters only for the loopback transport, where
+// one table simulates every process; a real TCP process uses its own
+// constant proc).
 type fragKey struct {
 	id   uint32
 	proc uint8
 }
 
 // traceTable owns the fixed slot pool, the remote-origin fragment map, and
-// the ring of completed lineages.
+// the ring of completed lineages. Lock order: remote fragment → origin
+// slot (its own fragment's mutex) → table.
 type traceTable struct {
 	sampled atomic.Uint64
 	dropped atomic.Uint64
@@ -289,9 +274,9 @@ type traceTable struct {
 	frags map[fragKey]*traceFrag
 	order []fragKey // fragment insertion order, for lazy eviction
 
-	// ship delivers a fragment's delta report to the lineage's origin
-	// process (set by the transport at start; nil means reports have
-	// nowhere to go, which only a pure-local table ever needs).
+	// ship delivers a report to the lineage's origin process (set by the
+	// transport at start; nil means reports have nowhere to go, which only
+	// a pure-local table ever needs). It must not retain rep.Nodes.
 	ship func(origin int, rep lineageReport)
 	// record logs a lineage finalized from a remote report into a local
 	// ingest-latency histogram (set by the engine; retire-path finalization
@@ -306,6 +291,9 @@ func newTraceTable(keep int) *traceTable {
 	t.free = make([]uint8, traceSlotCount)
 	for i := range t.free {
 		t.free[i] = uint8(i)
+		s := &t.slots[i]
+		s.sentTo, s.recvFrom = map[uint8]uint64{}, map[uint8]uint64{}
+		s.reports = map[uint8]lineageReport{}
 	}
 	return t
 }
@@ -317,6 +305,16 @@ func slotIndex(id uint32) int {
 		return -1
 	}
 	return idx
+}
+
+// lineageNode records ev, emitted by rank rankID under parent; the caller
+// assigns the node's ID.
+func lineageNode(ev *Event, parent uint32, rankID int) LineageNode {
+	return LineageNode{
+		Parent: parent, Rank: rankID,
+		Kind: ev.Kind, Algo: ev.Algo, To: ev.To, From: ev.From,
+		Val: ev.Val, W: ev.W, Seq: ev.Seq,
+	}
 }
 
 // start opens a lineage for a topology event freshly sampled by process
@@ -344,20 +342,17 @@ func (t *traceTable) start(ev *Event, rankID, proc int) uint64 {
 	t.mu.Unlock()
 
 	node := packNode(proc, 0)
+	root := lineageNode(ev, node, rankID)
+	root.ID = node
 	s := &t.slots[idx]
 	s.mu.Lock()
-	s.id = id
-	s.startNS = time.Now().UnixNano()
-	s.truncated = false
-	s.nextNode = 1
-	s.sentTo, s.recvFrom, s.remotes = nil, nil, nil
-	s.nodes = append(s.nodes[:0], LineageNode{
-		ID: node, Parent: node, Rank: rankID,
-		Kind: ev.Kind, Algo: ev.Algo, To: ev.To, From: ev.From,
-		Val: ev.Val, W: ev.W, Seq: ev.Seq,
-	})
+	s.id, s.pending, s.nextNode, s.truncated = id, 1, 1, false
+	s.nodes = s.nodes[:0]
+	clear(s.sentTo)
+	clear(s.recvFrom)
+	s.startNS, s.tree = time.Now().UnixNano(), []LineageNode{root}
+	clear(s.reports)
 	s.mu.Unlock()
-	s.pending.Store(1)
 	t.active.Add(1)
 	return packTrace(id, node)
 }
@@ -374,85 +369,86 @@ func (t *traceTable) reclaimExpired() bool {
 		if !s.mu.TryLock() {
 			continue
 		}
-		if s.id == 0 || s.pending.Load() != 0 || now-s.startNS < int64(traceSlotExpiry) {
-			s.mu.Unlock()
-			continue
+		if s.id != 0 && s.pending == 0 && now-s.startNS >= int64(traceSlotExpiry) {
+			t.finalizeLocked(idx, now, true, t.record)
+			freed = true
 		}
-		done := Lineage{
-			ID:             s.id,
-			StartUnixNanos: s.startNS,
-			Latency:        time.Duration(now - s.startNS),
-			Truncated:      true,
-			Nodes:          append([]LineageNode(nil), s.nodes...),
-		}
-		s.id = 0
 		s.mu.Unlock()
-		t.commit(done, idx, t.record)
-		freed = true
 	}
 	return freed
 }
 
+// frag returns process proc's fragment of lineage id with its mutex held,
+// or nil when the trace is stale or the fragment is gone. It is the one
+// place that tells the origin from the other processes: the origin's
+// fragment is its slot's own; any other process's comes from the fragment
+// map, created on first contact when create is set (evicting quiet
+// fragments if the map is at capacity).
+func (t *traceTable) frag(id uint32, proc int, create bool) *traceFrag {
+	var f *traceFrag
+	if traceOrigin(id) == proc {
+		if idx := slotIndex(id); idx >= 0 {
+			f = &t.slots[idx].traceFrag
+		}
+	} else {
+		k := fragKey{id: id, proc: uint8(proc)}
+		t.mu.Lock()
+		if f = t.frags[k]; f == nil && create {
+			if len(t.frags) >= maxTraceFrags {
+				t.evictFragsLocked()
+			}
+			if len(t.frags) < maxTraceFrags {
+				f = &traceFrag{id: id, sentTo: map[uint8]uint64{}, recvFrom: map[uint8]uint64{}}
+				t.frags[k] = f
+				t.order = append(t.order, k)
+			}
+		}
+		t.mu.Unlock()
+	}
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	if f.id != id {
+		f.mu.Unlock()
+		return nil
+	}
+	return f
+}
+
+// recordLocked appends n to the fragment under the next local node index
+// and returns its word; once the fragment holds maxLineageNodes it marks
+// itself truncated and records nothing.
+func (f *traceFrag) recordLocked(n LineageNode, proc int) (uint32, bool) {
+	if f.nextNode >= maxLineageNodes {
+		f.truncated = true
+		return 0, false
+	}
+	n.ID = packNode(proc, f.nextNode)
+	f.nextNode++
+	f.nodes = append(f.nodes, n)
+	return n.ID, true
+}
+
 // child records an event emitted by a traced parent on process proc and
 // returns the Trace the child must carry. Returns 0 — the child runs
-// untraced — when the lineage hit its node cap (Truncated) or the parent
-// Trace is stale. When proc is not the lineage's origin the node is
-// recorded into this process's fragment instead of the origin slot.
+// untraced — when the fragment hit its node cap (Truncated) or the parent
+// Trace is stale.
 func (t *traceTable) child(parent uint64, ev *Event, rankID, proc int) uint64 {
 	id, pnode, ok := DecodeTrace(parent)
 	if !ok {
 		return 0
 	}
-	if traceOrigin(id) != proc {
-		return t.childFrag(id, pnode, ev, rankID, proc)
-	}
-	idx := slotIndex(id)
-	if idx < 0 {
-		return 0
-	}
-	s := &t.slots[idx]
-	s.mu.Lock()
-	if s.id != id {
-		s.mu.Unlock()
-		return 0
-	}
-	if s.nextNode >= maxLineageNodes {
-		s.truncated = true
-		s.mu.Unlock()
-		return 0
-	}
-	node := packNode(proc, s.nextNode)
-	s.nextNode++
-	s.nodes = append(s.nodes, LineageNode{
-		ID: node, Parent: pnode, Rank: rankID,
-		Kind: ev.Kind, Algo: ev.Algo, To: ev.To, From: ev.From,
-		Val: ev.Val, W: ev.W, Seq: ev.Seq,
-	})
-	s.pending.Add(1)
-	s.mu.Unlock()
-	return packTrace(id, node)
-}
-
-func (t *traceTable) childFrag(id, pnode uint32, ev *Event, rankID, proc int) uint64 {
-	f := t.getFrag(id, proc, false)
+	f := t.frag(id, proc, false)
 	if f == nil {
 		return 0
 	}
-	f.mu.Lock()
-	if f.nextNode >= maxLineageNodes {
-		f.truncated = true
-		f.mu.Unlock()
+	defer f.mu.Unlock()
+	node, ok := f.recordLocked(lineageNode(ev, pnode, rankID), proc)
+	if !ok {
 		return 0
 	}
-	node := packNode(proc, f.nextNode)
-	f.nextNode++
-	f.nodes = append(f.nodes, LineageNode{
-		ID: node, Parent: pnode, Rank: rankID,
-		Kind: ev.Kind, Algo: ev.Algo, To: ev.To, From: ev.From,
-		Val: ev.Val, W: ev.W, Seq: ev.Seq,
-	})
 	f.pending++
-	f.mu.Unlock()
 	return packTrace(id, node)
 }
 
@@ -465,125 +461,44 @@ func (t *traceTable) merged(parent uint64, ev *Event, rankID, proc int, into uin
 	if !ok {
 		return
 	}
-	intoID, _, _ := DecodeTrace(into)
-	n := LineageNode{
-		ID: 0, Parent: pnode, Rank: rankID,
-		Kind: ev.Kind, Algo: ev.Algo, To: ev.To, From: ev.From,
-		Val: ev.Val, W: ev.W, Seq: ev.Seq,
-		Merged: true, MergedInto: intoID,
+	if f := t.frag(id, proc, false); f != nil {
+		n := lineageNode(ev, pnode, rankID)
+		n.Merged = true
+		n.MergedInto, _, _ = DecodeTrace(into)
+		f.recordLocked(n, proc)
+		f.mu.Unlock()
 	}
-	if traceOrigin(id) != proc {
-		if f := t.getFrag(id, proc, false); f != nil {
-			f.mu.Lock()
-			if f.nextNode < maxLineageNodes {
-				n.ID = packNode(proc, f.nextNode)
-				f.nextNode++
-				f.nodes = append(f.nodes, n)
-			} else {
-				f.truncated = true
-			}
-			f.mu.Unlock()
-		}
-		return
-	}
-	idx := slotIndex(id)
-	if idx < 0 {
-		return
-	}
-	s := &t.slots[idx]
-	s.mu.Lock()
-	if s.id == id && s.nextNode < maxLineageNodes {
-		n.ID = packNode(proc, s.nextNode)
-		s.nextNode++
-		s.nodes = append(s.nodes, n)
-	} else if s.id == id {
-		s.truncated = true
-	}
-	s.mu.Unlock()
 }
 
-// retire marks one traced event fully processed on process proc. At the
-// lineage's origin, the event that drops the pending count to zero with all
-// channels balanced is the cascade's quiescence point: the lineage is
-// finalized, its ingest-to-quiescence latency recorded into the retiring
-// rank's histogram, and the slot freed. On any other process, a pending
-// count reaching zero ships the fragment's delta report to the origin.
+// retire marks one traced event fully processed on process proc. If it
+// was the fragment's last live event the fragment reports; at the origin,
+// a report that completes the lineage records its ingest-to-quiescence
+// latency into the retiring rank's histogram.
 func (t *traceTable) retire(trace uint64, r *rank, proc int) {
 	id, _, ok := DecodeTrace(trace)
 	if !ok {
 		return
 	}
-	if traceOrigin(id) != proc {
-		if f := t.getFrag(id, proc, false); f != nil {
-			f.mu.Lock()
-			f.pending--
-			if f.pending == 0 {
-				t.shipLocked(id, proc, f)
-			}
-			f.mu.Unlock()
+	if f := t.frag(id, proc, false); f != nil {
+		rec := t.record
+		if r != nil {
+			rec = r.lat.ingest.record
 		}
-		return
+		t.leaveLocked(f, proc, rec)
 	}
-	idx := slotIndex(id)
-	if idx < 0 {
-		return
-	}
-	s := &t.slots[idx]
-	if s.pending.Add(-1) != 0 {
-		return
-	}
-	var rec func(int64)
-	if r != nil {
-		rec = r.lat.ingest.record
-	} else {
-		rec = t.record
-	}
-	t.tryFinalize(idx, id, rec)
 }
 
 // wireSend accounts a traced event leaving process proc for process dst: it
-// is no longer locally live (pending decrements; the receiver re-increments
-// before its mailbox push) and the proc→dst channel counter advances. At
-// the origin a resulting zero pending triggers a finalize attempt; at a
-// fragment it ships a delta report.
+// is no longer live here (the receiver's fragment takes it over) and the
+// proc→dst channel counter advances.
 func (t *traceTable) wireSend(trace uint64, proc, dst int) {
 	id, _, ok := DecodeTrace(trace)
 	if !ok {
 		return
 	}
-	if traceOrigin(id) != proc {
-		if f := t.getFrag(id, proc, false); f != nil {
-			f.mu.Lock()
-			if f.sentTo == nil {
-				f.sentTo = make(map[uint8]uint64, 2)
-			}
-			f.sentTo[uint8(dst)]++
-			f.pending--
-			if f.pending == 0 {
-				t.shipLocked(id, proc, f)
-			}
-			f.mu.Unlock()
-		}
-		return
-	}
-	idx := slotIndex(id)
-	if idx < 0 {
-		return
-	}
-	s := &t.slots[idx]
-	s.mu.Lock()
-	if s.id != id {
-		s.mu.Unlock()
-		return
-	}
-	if s.sentTo == nil {
-		s.sentTo = make(map[uint8]uint64, 2)
-	}
-	s.sentTo[uint8(dst)]++
-	zero := s.pending.Add(-1) == 0
-	s.mu.Unlock()
-	if zero {
-		t.tryFinalize(idx, id, t.record)
+	if f := t.frag(id, proc, false); f != nil {
+		f.sentTo[uint8(dst)]++
+		t.leaveLocked(f, proc, t.record)
 	}
 }
 
@@ -596,61 +511,25 @@ func (t *traceTable) wireRecv(trace uint64, proc, src int) {
 	if !ok {
 		return
 	}
-	if traceOrigin(id) != proc {
-		f := t.getFrag(id, proc, true)
-		if f == nil {
-			return
-		}
-		f.mu.Lock()
-		if f.recvFrom == nil {
-			f.recvFrom = make(map[uint8]uint64, 2)
-		}
+	if f := t.frag(id, proc, true); f != nil {
 		f.recvFrom[uint8(src)]++
 		f.pending++
 		f.mu.Unlock()
-		return
 	}
-	idx := slotIndex(id)
-	if idx < 0 {
-		return
-	}
-	s := &t.slots[idx]
-	s.mu.Lock()
-	if s.id != id {
-		s.mu.Unlock()
-		return
-	}
-	if s.recvFrom == nil {
-		s.recvFrom = make(map[uint8]uint64, 2)
-	}
-	s.recvFrom[uint8(src)]++
-	s.pending.Add(1)
-	s.mu.Unlock()
 }
 
-// getFrag looks up process proc's fragment for lineage id, creating it when
-// create is set (evicting quiet fragments if the map is at capacity).
-func (t *traceTable) getFrag(id uint32, proc int, create bool) *traceFrag {
-	k := fragKey{id: id, proc: uint8(proc)}
-	t.mu.Lock()
-	f := t.frags[k]
-	if f == nil && create {
-		if len(t.frags) >= maxTraceFrags {
-			t.evictFragsLocked()
-		}
-		if len(t.frags) < maxTraceFrags {
-			f = &traceFrag{}
-			t.frags[k] = f
-			t.order = append(t.order, k)
-		}
+// leaveLocked drops one live event from the fragment and releases it; the
+// last one out reports.
+func (t *traceTable) leaveLocked(f *traceFrag, proc int, rec func(int64)) {
+	if f.pending--; f.pending == 0 {
+		t.reportLocked(f, proc, rec)
 	}
-	t.mu.Unlock()
-	return f
+	f.mu.Unlock()
 }
 
 // evictFragsLocked drops fragments whose cascade went quiet (pending zero,
-// everything reported). Called with t.mu held; fragment mutexes are only
-// try-locked so the t.mu → frag.mu order can never deadlock against a
+// so everything is reported). Called with t.mu held; fragment mutexes are
+// only try-locked so the t.mu → frag.mu order can never deadlock against a
 // report path holding frag.mu.
 func (t *traceTable) evictFragsLocked() {
 	kept := t.order[:0]
@@ -661,7 +540,7 @@ func (t *traceTable) evictFragsLocked() {
 		}
 		evict := false
 		if f.mu.TryLock() {
-			evict = f.pending == 0 && f.reported == len(f.nodes)
+			evict = f.pending == 0
 			f.mu.Unlock()
 		}
 		if evict {
@@ -673,45 +552,37 @@ func (t *traceTable) evictFragsLocked() {
 	t.order = kept
 }
 
-// shipLocked builds and ships a fragment's cumulative delta report to the
-// lineage's origin. Called with f.mu held — shipping under the lock keeps
-// reports from one fragment strictly ordered, which lets the origin treat
-// the latest arrival as the freshest counters.
-func (t *traceTable) shipLocked(id uint32, proc int, f *traceFrag) {
-	if t.ship == nil {
-		return
-	}
-	rep := lineageReport{
-		ID:        id,
-		From:      uint32(proc),
-		Truncated: f.truncated,
-		Nodes:     append([]LineageNode(nil), f.nodes[f.reported:]...),
-	}
-	f.reported = len(f.nodes)
-	seen := make(map[uint8]bool, len(f.sentTo)+len(f.recvFrom))
+// reportLocked sends the fragment's share to the lineage's origin: the
+// nodes recorded since its last report and its cumulative channel
+// counters. Called with f.mu held, which keeps one fragment's reports in
+// order, so the origin can treat the latest arrival as the freshest
+// counters. rec receives the latency if the report completes the lineage.
+func (t *traceTable) reportLocked(f *traceFrag, proc int, rec func(int64)) {
+	rep := lineageReport{ID: f.id, From: uint32(proc), Truncated: f.truncated, Nodes: f.nodes}
 	for p := range f.sentTo {
-		seen[p] = true
-	}
-	for p := range f.recvFrom {
-		seen[p] = true
-	}
-	for p := range seen {
 		rep.Procs = append(rep.Procs, uint32(p))
 	}
-	sort.Slice(rep.Procs, func(i, j int) bool { return rep.Procs[i] < rep.Procs[j] })
+	for p := range f.recvFrom {
+		if _, ok := f.sentTo[p]; !ok {
+			rep.Procs = append(rep.Procs, uint32(p))
+		}
+	}
+	slices.Sort(rep.Procs)
 	rep.Sent = make([]uint64, len(rep.Procs))
 	rep.Recv = make([]uint64, len(rep.Procs))
 	for i, p := range rep.Procs {
-		rep.Sent[i] = f.sentTo[uint8(p)]
-		rep.Recv[i] = f.recvFrom[uint8(p)]
+		rep.Sent[i], rep.Recv[i] = f.sentTo[uint8(p)], f.recvFrom[uint8(p)]
 	}
-	t.ship(traceOrigin(id), rep)
+	if traceOrigin(f.id) == proc {
+		t.mergeLocked(slotIndex(f.id), rep, rec)
+	} else if t.ship != nil {
+		t.ship(traceOrigin(f.id), rep)
+	}
+	f.nodes = f.nodes[:0]
 }
 
-// handleReport merges a fragment's delta report into the origin slot and
-// attempts to finalize. Reports from one process arrive in generation order
-// (they ride the per-node-pair FIFO connection), so the counters simply
-// overwrite the previous snapshot.
+// handleReport stitches a report shipped by another process into its
+// lineage's slot.
 func (t *traceTable) handleReport(rep lineageReport) {
 	idx := slotIndex(rep.ID)
 	if idx < 0 {
@@ -719,110 +590,63 @@ func (t *traceTable) handleReport(rep lineageReport) {
 	}
 	s := &t.slots[idx]
 	s.mu.Lock()
-	if s.id != rep.ID {
-		s.mu.Unlock()
-		return
-	}
-	if rep.Truncated {
-		s.truncated = true
-	}
-	s.nodes = append(s.nodes, rep.Nodes...)
-	if s.remotes == nil {
-		s.remotes = make(map[uint8]*remoteContrib, 2)
-	}
-	rc := s.remotes[uint8(rep.From)]
-	if rc == nil {
-		rc = &remoteContrib{}
-		s.remotes[uint8(rep.From)] = rc
-	}
-	rc.sent = make(map[uint8]uint64, len(rep.Procs))
-	rc.recv = make(map[uint8]uint64, len(rep.Procs))
-	for i, p := range rep.Procs {
-		rc.sent[uint8(p)] = rep.Sent[i]
-		rc.recv[uint8(p)] = rep.Recv[i]
+	if s.id == rep.ID {
+		t.mergeLocked(idx, rep, t.record)
 	}
 	s.mu.Unlock()
-	t.tryFinalize(idx, rep.ID, t.record)
 }
 
-// balancedLocked reports whether every channel the slot knows about
-// matches: the origin's own live counters against each remote's report, and
-// each remote pair against each other. Called with s.mu held.
-func (s *traceSlot) balancedLocked(origin uint8) bool {
-	procs := make(map[uint8]bool, len(s.remotes)+2)
-	for p := range s.sentTo {
-		procs[p] = true
-	}
-	for p := range s.recvFrom {
-		procs[p] = true
-	}
-	for p := range s.remotes {
-		procs[p] = true
-	}
-	for p := range procs {
-		rc := s.remotes[p]
-		var rSent, rRecv map[uint8]uint64
-		if rc != nil {
-			rSent, rRecv = rc.sent, rc.recv
-		}
-		if s.sentTo[p] != rRecv[origin] || s.recvFrom[p] != rSent[origin] {
-			return false
-		}
-	}
-	for p, rp := range s.remotes {
-		for q, sent := range rp.sent {
-			if q == origin {
-				continue
-			}
-			var got uint64
-			if rq := s.remotes[q]; rq != nil {
-				got = rq.recv[p]
-			}
-			if sent != got {
-				return false
-			}
-		}
-		for q, recv := range rp.recv {
-			if q == origin {
-				continue
-			}
-			var sent uint64
-			if rq := s.remotes[q]; rq != nil {
-				sent = rq.sent[p]
-			}
-			if recv != sent {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// tryFinalize completes the lineage in slot idx if it is locally quiescent
-// (pending zero) and every known channel balances. rec, when non-nil,
-// receives the finalized ingest-to-quiescence latency in nanoseconds.
-func (t *traceTable) tryFinalize(idx int, id uint32, rec func(int64)) {
+// mergeLocked stitches a report into slot idx, replacing the reporter's
+// previous counters (one process's reports arrive in the order they were
+// made: the origin's directly, the others' over the per-node-pair FIFO
+// connection), and finalizes the lineage once the origin has reported and
+// every channel balances. Called with the slot's mutex held.
+func (t *traceTable) mergeLocked(idx int, rep lineageReport, rec func(int64)) {
 	s := &t.slots[idx]
-	now := time.Now().UnixNano()
-	s.mu.Lock()
-	if s.id != id || s.pending.Load() != 0 || !s.balancedLocked(uint8(traceOrigin(id))) {
-		s.mu.Unlock()
+	s.tree = append(s.tree, rep.Nodes...)
+	rep.Nodes = nil
+	s.reports[uint8(rep.From)] = rep
+	if _, ok := s.reports[uint8(traceOrigin(s.id))]; !ok {
 		return
 	}
+	truncated := false
+	for p, rp := range s.reports {
+		for i, q := range rp.Procs {
+			sent, recv := s.reports[uint8(q)].counts(uint32(p))
+			if rp.Sent[i] != recv || rp.Recv[i] != sent {
+				return
+			}
+		}
+		truncated = truncated || rp.Truncated
+	}
+	t.finalizeLocked(idx, time.Now().UnixNano(), truncated, rec)
+}
+
+// counts returns the report's counters for its channel to and from
+// process p.
+func (r lineageReport) counts(p uint32) (sent, recv uint64) {
+	for i, q := range r.Procs {
+		if q == p {
+			return r.Sent[i], r.Recv[i]
+		}
+	}
+	return 0, 0
+}
+
+// finalizeLocked completes the lineage in slot idx, hands its node list to
+// the done ring and frees the slot. rec, when non-nil, receives the
+// ingest-to-quiescence latency in nanoseconds. Called with the slot's
+// mutex held.
+func (t *traceTable) finalizeLocked(idx int, now int64, truncated bool, rec func(int64)) {
+	s := &t.slots[idx]
 	done := Lineage{
-		ID:             id,
+		ID:             s.id,
 		StartUnixNanos: s.startNS,
 		Latency:        time.Duration(now - s.startNS),
-		Truncated:      s.truncated,
-		Nodes:          append([]LineageNode(nil), s.nodes...),
+		Truncated:      truncated,
+		Nodes:          s.tree,
 	}
-	s.id = 0
-	s.mu.Unlock()
-	t.commit(done, idx, rec)
-}
-
-// commit records a finalized lineage into the done ring and frees its slot.
-func (t *traceTable) commit(done Lineage, idx int, rec func(int64)) {
+	s.id, s.tree = 0, nil
 	if rec != nil {
 		rec(int64(done.Latency))
 	}

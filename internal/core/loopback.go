@@ -24,9 +24,10 @@ import (
 // The in-flight ring needs no handover (unlike TCP): sender and receiver
 // share the ring, so the decrement-at-enqueue / increment-at-receive pair
 // would cancel exactly. Lineage fragments for all fake processes coexist
-// in the one traceTable, keyed by (id, proc); fragment reports ship by a
-// synchronous handleReport call (frag.mu → slot.mu → table.mu is the legal
-// lock chain).
+// in the one traceTable, keyed by (id, proc); a fragment ships its report
+// by a synchronous handleReport call (fragment → origin slot → table is
+// the legal lock chain; the origin's own fragment reports without
+// shipping).
 type loopbackTransport struct {
 	e        *Engine
 	procs    int

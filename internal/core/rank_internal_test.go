@@ -186,3 +186,40 @@ func TestClusterGenerationsFresh(t *testing.T) {
 		t.Fatalf("node 1 minted %d after receiving generation %d", g, seen)
 	}
 }
+
+// lingerStream is a closed live stream whose SetNotify waits (up to a
+// bound) for the engine to stop: it holds Start between launching the
+// ranks before it and launching its own.
+type lingerStream struct {
+	*stream.Chan
+	e *Engine
+}
+
+func (s lingerStream) SetNotify(fn func()) {
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end) && s.e.State() != StateStopped; {
+		time.Sleep(time.Millisecond)
+	}
+	s.Chan.SetNotify(fn)
+}
+
+// TestStartCountsStreamsFirst pins that Start counts every local stream
+// before any rank runs. Rank 0's stream is empty, so its loop finds
+// nothing in flight as soon as it starts; had rank 1's stream not been
+// counted yet, rank 0 would finish the engine and rank 1's cascade would
+// go to ranks that have already exited.
+func TestStartCountsStreamsFirst(t *testing.T) {
+	e := New(Options{Ranks: 2, Undirected: true}, stubProg{})
+	live := stream.NewChan()
+	for i := graph.VertexID(0); i < 3; i++ {
+		live.PushEdge(graph.Edge{Src: 2 * i, Dst: 2*i + 1, W: 1})
+	}
+	live.Close()
+	es, err := e.Run([]stream.Stream{stream.FromEdges(nil), lingerStream{live, e}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if es.Events.Adds != 3 || es.Events.ReverseAdds != 3 {
+		t.Fatalf("processed %d adds and %d reverse adds, want 3 and 3",
+			es.Events.Adds, es.Events.ReverseAdds)
+	}
+}

@@ -1262,11 +1262,11 @@ func (t *TCPTransport) transportStats() TransportStats {
 	return s
 }
 
-// shipLineage queues a fragment's delta report to the lineage's origin
-// node (frameQueue accepts pushes from any goroutine, including a rank
+// shipLineage queues a fragment's report to the lineage's origin node
+// (frameQueue accepts pushes from any goroutine, including a rank
 // mid-retire).
 func (t *TCPTransport) shipLineage(origin int, rep lineageReport) {
-	if origin == t.cfg.Node || origin < 0 || origin >= len(t.peers) {
+	if origin >= len(t.peers) {
 		return
 	}
 	if p := t.peers[origin]; p != nil {

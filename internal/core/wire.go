@@ -469,10 +469,11 @@ const lineageNodeWireSize = 51
 const lineageFlagTruncated = 1 << 0
 const lineageNodeFlagMerged = 1 << 0
 
-// lineageReport is one process's delta report for a remote-origin lineage:
-// the cascade nodes it recorded since its previous report plus its
-// cumulative per-channel traced-event counters for that lineage, keyed so
-// the origin can run the per-channel completion check (see lineage.go).
+// lineageReport is one process's report of its share of a lineage: the
+// cascade nodes it recorded since its previous report plus its cumulative
+// per-channel traced-event counters for that lineage, keyed so the origin
+// can run the per-channel completion check (see lineage.go). A remote
+// process ships it in a LINEAGE frame; the origin's own never leaves it.
 type lineageReport struct {
 	ID   uint32
 	From uint32 // reporting process

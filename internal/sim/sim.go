@@ -342,7 +342,10 @@ func Run(cfg Config) (res Result) {
 		if snapsLeft > 0 && curSnap == nil {
 			acts = append(acts, action{kind: actSnap})
 		}
-		if ch != nil && ch.budget > 0 && !paused {
+		// The first half of the churn budget races the adds ahead of it;
+		// the rest is offered only at a quiescent cut, so deletes also
+		// meet settled witnesses.
+		if ch != nil && ch.budget > 0 && !paused && (ch.budget > cfg.Deletes/2 || d.Idle()) {
 			acts = append(acts, action{kind: actDelete})
 		}
 		if epochsLeft > 0 {

@@ -253,9 +253,12 @@ func TestMutationSkipInvalidateCaught(t *testing.T) {
 	if deletes == 0 {
 		t.Fatal("no deletes streamed across 25 seeds — skip-invalidate mutation test is vacuous")
 	}
-	if matched == 0 {
-		t.Fatalf("skip-invalidate mutation survived 25 seeds undetected (%d runs failed, %d deletes streamed)",
-			failed, deletes)
+	// Half the delete budget is offered only at quiescent cuts, where a
+	// skipped invalidation leaves a settled value stranded: 17 of 25 seeds
+	// catch it (10 when every delete raced the adds).
+	if matched < 14 {
+		t.Fatalf("skip-invalidate mutation caught on only %d of 25 seeds (%d runs failed, %d deletes streamed)",
+			matched, failed, deletes)
 	}
 	t.Logf("skip-invalidate mutation caught in %d of 25 seeds (%d deletes streamed)", matched, deletes)
 }
