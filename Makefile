@@ -79,8 +79,9 @@ query-smoke:
 
 # Deletion-protocol smoke: cmd/ingest with -churn (live deletes and
 # re-adds interleaved by gen.Churn) across every algorithm, each run
-# -verify'd against a static recompute of the surviving topology, plus a
-# determinism check (same seed twice must -dump identically). See
+# -verify'd against a static recompute of the surviving topology; 1-rank
+# cc and st runs that must re-point witnesses; and a determinism check
+# (bfs, cc and st must -dump identically at 1 and 4 ranks). See
 # scripts/churn_smoke.sh.
 churn-smoke:
 	./scripts/churn_smoke.sh

@@ -113,7 +113,7 @@ func (BFS) Reseed(ctx *core.Ctx, lanes uint64) {
 	ctx.SetValue(core.Infinity)
 }
 
-// Reproduces implements core.Certifier: a parent at a finite level offers
+// Reproduces implements core.WitnessProgram: a parent at a finite level offers
 // exactly one more.
 func (BFS) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
 	if p := norm(parent); p != core.Infinity && p+1 == norm(child) {
@@ -122,7 +122,7 @@ func (BFS) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
 	return 0
 }
 
-// SeedLanes implements core.Certifier: "no path" is the only level a
+// SeedLanes implements core.WitnessProgram: "no path" is the only level a
 // vertex holds without a parent (the source's level comes from Init and
 // carries no witness).
 func (BFS) SeedLanes(v graph.VertexID, val uint64) uint64 {

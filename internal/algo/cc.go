@@ -92,7 +92,7 @@ func (CC) Reseed(ctx *core.Ctx, lanes uint64) {
 	ctx.SetValue(graph.CCLabel(ctx.Vertex()))
 }
 
-// Reproduces implements core.Certifier: a label passes unchanged over any
+// Reproduces implements core.WitnessProgram: a label passes unchanged over any
 // edge.
 func (CC) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
 	if parent != core.Unset && parent == child {
@@ -101,7 +101,7 @@ func (CC) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
 	return 0
 }
 
-// SeedLanes implements core.Certifier: a vertex's own label needs no
+// SeedLanes implements core.WitnessProgram: a vertex's own label needs no
 // parent. That includes a component minimum whose first label arrived
 // with a REVERSE_ADD and so carries a witness (see ChangedLanes).
 func (CC) SeedLanes(v graph.VertexID, val uint64) uint64 {

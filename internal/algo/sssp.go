@@ -82,7 +82,7 @@ func (SSSP) Reseed(ctx *core.Ctx, lanes uint64) {
 	ctx.SetValue(core.Infinity)
 }
 
-// Reproduces implements core.Certifier: a parent at a finite cost offers
+// Reproduces implements core.WitnessProgram: a parent at a finite cost offers
 // its cost plus the edge weight.
 func (SSSP) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
 	if p := norm(parent); p != core.Infinity && p+uint64(w) == norm(child) {
@@ -91,7 +91,7 @@ func (SSSP) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
 	return 0
 }
 
-// SeedLanes implements core.Certifier: "no path" is the only cost a vertex
+// SeedLanes implements core.WitnessProgram: "no path" is the only cost a vertex
 // holds without a parent.
 func (SSSP) SeedLanes(v graph.VertexID, val uint64) uint64 {
 	if norm(val) == core.Infinity {

@@ -106,3 +106,19 @@ func (m *MultiST) ChangedLanes(before, after uint64) uint64 {
 func (m *MultiST) Reseed(ctx *core.Ctx, lanes uint64) {
 	ctx.SetValue(ctx.Value() &^ lanes)
 }
+
+// Reproduces implements core.WitnessProgram: a bitmap passes unchanged over
+// any edge, so a parent reproduces exactly the source bits both hold.
+func (*MultiST) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
+	return parent & child
+}
+
+// SeedLanes implements core.WitnessProgram: an unset bit needs no parent,
+// and neither does a source's own bit (its Init sets it, with no witness).
+func (m *MultiST) SeedLanes(v graph.VertexID, val uint64) uint64 {
+	seeds := ^val
+	if i, ok := m.sources[v]; ok {
+		seeds |= 1 << uint(i)
+	}
+	return seeds
+}

@@ -96,7 +96,7 @@ func (Widest) Reseed(ctx *core.Ctx, lanes uint64) {
 	ctx.SetValue(core.Unset)
 }
 
-// Reproduces implements core.Certifier: a parent offers the narrower of
+// Reproduces implements core.WitnessProgram: a parent offers the narrower of
 // its width and the edge's.
 func (Widest) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
 	if child != core.Unset && min(parent, uint64(w)) == child {
@@ -105,7 +105,7 @@ func (Widest) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
 	return 0
 }
 
-// SeedLanes implements core.Certifier: "no path yet" is the only width a
+// SeedLanes implements core.WitnessProgram: "no path yet" is the only width a
 // vertex holds without a parent.
 func (Widest) SeedLanes(v graph.VertexID, val uint64) uint64 {
 	if val == core.Unset {

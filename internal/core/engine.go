@@ -140,10 +140,6 @@ type Engine struct {
 	// protocol's live-edge guard requires the undirected reverse edge). A
 	// rank runs that guard only once it has removed an edge (rank.removedEdge).
 	witness []WitnessProgram
-	// certify[algo] is that program's Certifier view (nil unless witness
-	// [algo] is set and the program implements it): a doomed lane may then
-	// re-point at a certified parent instead of flooding (rank.rewitness).
-	certify []Certifier
 	// genCounter mints witness generations (see nextGen). Like the
 	// in-flight ring it is a deliberate shared-atomic deviation from
 	// shared-nothing: a reset's generation must be strictly above every
@@ -225,7 +221,7 @@ type Engine struct {
 	simFlushHook   func(from, dest int, batch []Event)
 	simMutateBatch func(batch []Event)
 	simMergeHook   func(algo uint8, to graph.VertexID, old, offered, merged uint64)
-	// simSkipInvalidate (mutation testing only) makes handleDelete skip
+	// simSkipInvalidate (mutation testing only) makes witnessDelete skip
 	// the witness classification entirely — deletions remove the edge but
 	// never invalidate dependent values. The sim's post-delete
 	// differential oracle must catch the resulting stale state.
@@ -290,7 +286,6 @@ func New(opts Options, programs ...Program) *Engine {
 		}
 	}
 	e.witness = make([]WitnessProgram, len(programs))
-	e.certify = make([]Certifier, len(programs))
 	if opts.Undirected {
 		for i, p := range programs {
 			if wp, ok := p.(WitnessProgram); ok {
@@ -299,7 +294,6 @@ func New(opts Options, programs ...Program) *Engine {
 						i, wp.WitnessLanes()))
 				}
 				e.witness[i] = wp
-				e.certify[i], _ = p.(Certifier)
 			}
 		}
 	}

@@ -160,6 +160,8 @@ func TestEmitExternalNoAllocs(t *testing.T) {
 // package, so it cannot supply the real one here).
 type ssspStub struct{}
 
+var _ WitnessProgram = ssspStub{}
+
 func ssspNorm(v uint64) uint64 {
 	if v == Unset {
 		return Infinity
@@ -197,6 +199,20 @@ func (ssspStub) Reseed(c *Ctx, _ uint64)        { c.SetValue(Infinity) }
 
 func (ssspStub) ChangedLanes(before, after uint64) uint64 {
 	if ssspNorm(before) != ssspNorm(after) {
+		return 1
+	}
+	return 0
+}
+
+func (ssspStub) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
+	if p := ssspNorm(parent); p != Infinity && p+uint64(w) == ssspNorm(child) {
+		return 1
+	}
+	return 0
+}
+
+func (ssspStub) SeedLanes(_ graph.VertexID, val uint64) uint64 {
+	if ssspNorm(val) == Infinity {
 		return 1
 	}
 	return 0

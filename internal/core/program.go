@@ -50,17 +50,20 @@ type DeleteAware interface {
 
 // WitnessProgram is implemented by REMO programs that support edge
 // deletion through the parent-witness protocol (DESIGN.md "Deletions:
-// witnesses and bounded invalidation"). The engine — not the program —
-// maintains one supporting-parent witness per vertex per lane: whenever a
-// live-view OnUpdate/OnReverseAdd callback improves a lane of the vertex's
-// value, the engine records the visiting neighbour as that lane's witness.
-// On edge deletion, lanes whose witness is the removed neighbour are
-// unsafe (RisGraph's classification): the engine clears them, calls Reseed
-// to restore the lane's pre-knowledge value, and starts a bounded
-// INVALIDATE cascade; safe deletions cost nothing beyond the topology
-// update. Witness deletion is only active in the engine's undirected mode.
+// witnesses and bounded invalidation"; the engine side is deletion.go).
+// The engine — not the program — maintains one supporting-parent witness
+// per vertex per lane: whenever a live-view OnUpdate/OnReverseAdd callback
+// improves a lane of the vertex's value, the engine records the visiting
+// neighbour as that lane's witness. On edge deletion, lanes whose witness
+// is the removed neighbour are unsafe (RisGraph's classification); safe
+// deletions cost nothing beyond the topology update. An unsafe lane first
+// tries to re-point its witness at another live neighbour on the same rank
+// whose support is certified (Reproduces, SeedLanes); failing that, the
+// engine clears the vertex's witnessed lanes, calls Reseed to restore their
+// pre-knowledge value, and starts an INVALIDATE cascade. Witness deletion is
+// only active in the engine's undirected mode.
 //
-// Programs implement three pure helpers over their value encoding; they
+// Programs implement five pure helpers over their value encoding; they
 // never see the witnesses themselves.
 type WitnessProgram interface {
 	Program
@@ -78,21 +81,14 @@ type WitnessProgram interface {
 	// must only touch ctx.SetValue (no propagation — the engine's
 	// INVALIDATE cascade handles neighbours).
 	Reseed(ctx *Ctx, lanes uint64)
-}
-
-// Certifier is optionally implemented by WitnessPrograms so that an unsafe
-// deletion can keep a value another live parent on the same rank still
-// grounds, instead of flooding (DESIGN.md "Deletions": re-pointing a doomed
-// witness). Both methods are pure functions of their arguments.
-type Certifier interface {
-	WitnessProgram
 	// Reproduces reports which lanes of child an offer of parent across an
 	// edge of weight w yields exactly: the lanes OnUpdate would set to
 	// child's lane value on an otherwise unknowing vertex.
 	Reproduces(parent uint64, w graph.Weight, child uint64) uint64
 	// SeedLanes reports which lanes of vertex v's value val hold v's own
 	// seed: a value v holds with no parent at all (a CC vertex's own label,
-	// the no-path bottom of the distance programs).
+	// the no-path bottom of the distance programs, a Multi S-T bit that is
+	// unset or is the source's own).
 	SeedLanes(v graph.VertexID, val uint64) uint64
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // labelStub is undirected min-label propagation (CC) with a vertex's own
-// label at v+1, implementing the Certifier hooks the way algo.CC does, for
-// white-box tests of the delete path's certificate.
+// label at v+1, implementing the WitnessProgram hooks the way algo.CC does,
+// for white-box tests of the delete path's certificate (deletion.go).
 type labelStub struct{}
 
 func seedLabel(v graph.VertexID) uint64 { return uint64(v) + 1 }
@@ -81,14 +81,7 @@ func newDeleteWorld(t *testing.T, edges [][2]graph.VertexID, vs map[graph.Vertex
 	t.Helper()
 	e := New(Options{Ranks: 2, Undirected: true}, labelStub{})
 	r := e.ranks[0]
-	for _, ed := range edges {
-		for _, half := range [2][2]graph.VertexID{ed, {ed[1], ed[0]}} {
-			if _, local := vs[half[0]]; local {
-				slot, _, _ := r.store.AddEdge(half[0], half[1], 1, 0)
-				r.growValues(slot)
-			}
-		}
-	}
+	addLocalEdges(r, edges, vs)
 	for v, p := range vs {
 		if e.part.Owner(v) != 0 {
 			t.Fatalf("planted vertex %d is owned by rank %d", v, e.part.Owner(v))
@@ -101,6 +94,19 @@ func newDeleteWorld(t *testing.T, edges [][2]graph.VertexID, vs map[graph.Vertex
 		}
 	}
 	return deleteWorld{e, r}
+}
+
+// addLocalEdges adds to r each half of every edge whose source endpoint is
+// in local (a rank holds only its own vertices' halves).
+func addLocalEdges[T any](r *rank, edges [][2]graph.VertexID, local map[graph.VertexID]T) {
+	for _, ed := range edges {
+		for _, half := range [2][2]graph.VertexID{ed, {ed[1], ed[0]}} {
+			if _, ok := local[half[0]]; ok {
+				slot, _, _ := r.store.AddEdge(half[0], half[1], 1, 0)
+				r.growValues(slot)
+			}
+		}
+	}
 }
 
 // del processes the deletion of v's half of edge v–p and returns how many
@@ -258,6 +264,139 @@ func TestRewitnessRejections(t *testing.T) {
 			}
 			if got := w.e.EngineStats().Rewitnessed; got != 0 {
 				t.Fatalf("EngineStats.Rewitnessed = %d after a flood", got)
+			}
+		})
+	}
+}
+
+// bitStub is a two-source Multi S-T: bit i of a vertex's bitmap is set
+// once it is connected to src[i]. Its hooks are algo.MultiST's.
+type bitStub struct{ src [2]graph.VertexID }
+
+func (s bitStub) Init(c *Ctx) {
+	for i, v := range s.src {
+		if c.Vertex() == v {
+			c.SetValue(c.Value() | 1<<i)
+			c.UpdateNbrs(c.Value())
+		}
+	}
+}
+
+func (bitStub) OnAdd(*Ctx, graph.VertexID, graph.Weight) {}
+
+func (s bitStub) OnReverseAdd(c *Ctx, nbr graph.VertexID, nbrVal uint64, w graph.Weight) {
+	s.OnUpdate(c, nbr, nbrVal, w)
+}
+
+func (bitStub) OnUpdate(c *Ctx, from graph.VertexID, fromVal uint64, _ graph.Weight) {
+	switch cur := c.Value(); {
+	case cur|fromVal != cur:
+		c.SetValue(cur | fromVal)
+		c.UpdateNbrs(cur | fromVal)
+	case cur != fromVal:
+		c.UpdateNbr(from, cur)
+	}
+}
+
+func (bitStub) WitnessLanes() int                        { return 2 }
+func (bitStub) ChangedLanes(before, after uint64) uint64 { return after &^ before }
+func (bitStub) Reseed(c *Ctx, lanes uint64)              { c.SetValue(c.Value() &^ lanes) }
+func (bitStub) Reproduces(parent uint64, _ graph.Weight, child uint64) uint64 {
+	return parent & child
+}
+
+func (s bitStub) SeedLanes(v graph.VertexID, val uint64) uint64 {
+	seeds := ^val
+	for i, src := range s.src {
+		if v == src {
+			seeds |= 1 << i
+		}
+	}
+	return seeds
+}
+
+var _ WitnessProgram = bitStub{}
+
+// TestRewitnessMultiLane: on a two-lane bitmap, deleting v–a dooms only the
+// lane a witnesses at v; the other lane, witnessed by c, is safe. In
+// "local" the doomed lane 1 has a certified same-rank parent b, which holds
+// bit 1 from source s1, so the witness re-points and nothing floods. In
+// "remote" the doomed lane 0's only other holder is a vertex on rank 1,
+// whose state cannot be read, so the delete floods and resets both
+// witnessed lanes.
+func TestRewitnessMultiLane(t *testing.T) {
+	ids, far := localIDs(t, 6)
+	src := [2]graph.VertexID{ids[0], ids[1]}
+	a, b, c, v := ids[2], ids[3], ids[4], ids[5]
+	for _, tc := range []struct {
+		name    string
+		doomed  int            // the lane a witnesses at v
+		cand    graph.VertexID // v's other neighbour holding the doomed bit
+		repoint bool
+	}{
+		{name: "local", doomed: 1, cand: b, repoint: true},
+		{name: "remote", doomed: 0, cand: far},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Options{Ranks: 2, Undirected: true}, bitStub{src: src})
+			r := e.ranks[0]
+			d, safe := tc.doomed, 1-tc.doomed
+			// A zero witness entry plants no witness: the sources' own bits
+			// are roots.
+			type bitPlant struct {
+				val  uint64
+				wits [2]graph.VertexID
+			}
+			var cWits, vWits [2]graph.VertexID
+			cWits[safe] = src[safe]
+			vWits[d], vWits[safe] = a, c
+			vs := map[graph.VertexID]bitPlant{
+				src[0]: {val: 0b01},
+				src[1]: {val: 0b10},
+				a:      {val: 0b11, wits: src},
+				c:      {val: 1 << safe, wits: cWits},
+				v:      {val: 0b11, wits: vWits},
+			}
+			edges := [][2]graph.VertexID{{src[0], a}, {src[1], a}, {src[0], c}, {src[1], c},
+				{a, v}, {c, v}, {v, tc.cand}}
+			if tc.cand == b {
+				var bWits [2]graph.VertexID
+				bWits[d] = src[d]
+				vs[b] = bitPlant{val: 1 << d, wits: bWits}
+				edges = append(edges, [2]graph.VertexID{src[d], b})
+			}
+			addLocalEdges(r, edges, vs)
+			for id, p := range vs {
+				slot, _ := r.store.EnsureVertex(id)
+				r.growValues(slot)
+				r.values[0][slot] = p.val
+				for lane, wit := range p.wits {
+					if wit != 0 {
+						r.witMask[0][slot] |= 1 << lane
+						r.wits[0][int(slot)*2+lane] = wit
+					}
+				}
+			}
+			n := deleteWorld{e, r}.del(v, a)
+			slot, _ := r.store.SlotOf(v)
+			val, mask := r.values[0][slot], r.witMask[0][slot]
+			wits := r.wits[0][int(slot)*2 : int(slot)*2+2]
+			rewitnessed := e.EngineStats().Rewitnessed
+			if !tc.repoint {
+				if n == 0 || rewitnessed != 0 {
+					t.Fatalf("only candidate on rank 1: %d INVALIDATEs, Rewitnessed = %d", n, rewitnessed)
+				}
+				if val != 0 || mask != 0 {
+					t.Fatalf("flooded vertex not reset: val %#b mask %#b", val, mask)
+				}
+				return
+			}
+			if n != 0 || rewitnessed != 1 {
+				t.Fatalf("certified same-rank parent: %d INVALIDATEs, Rewitnessed = %d", n, rewitnessed)
+			}
+			if val != 0b11 || mask != 0b11 || wits[d] != tc.cand || wits[safe] != c {
+				t.Fatalf("after re-pointing: val %#b mask %#b wits %v, want lane %d at %d, lane %d at %d",
+					val, mask, wits, d, tc.cand, safe, c)
 			}
 		})
 	}

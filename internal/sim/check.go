@@ -402,10 +402,11 @@ type monitoredCombiner struct {
 func (m monitoredCombiner) Combine(old, new uint64) uint64 { return m.comb.Combine(old, new) }
 
 // monitoredWitness additionally forwards the WitnessProgram hooks, so
-// wrapping does not silently disable the deletion protocol. Reseed
-// deliberately bypasses the monotone guard: a witness reset legitimately
-// regresses the vertex, and the post-delete differential oracle (not the
-// per-callback guard) is what validates it.
+// wrapping does not silently disable the deletion protocol (or turn every
+// unsafe delete back into a flood, so that the sweep never reaches the
+// re-pointing path). Reseed deliberately bypasses the monotone guard: a
+// witness reset legitimately regresses the vertex, and the post-delete
+// differential oracle (not the per-callback guard) is what validates it.
 type monitoredWitness struct {
 	monitored
 	wit core.WitnessProgram
@@ -416,6 +417,12 @@ func (m monitoredWitness) ChangedLanes(before, after uint64) uint64 {
 	return m.wit.ChangedLanes(before, after)
 }
 func (m monitoredWitness) Reseed(ctx *core.Ctx, lanes uint64) { m.wit.Reseed(ctx, lanes) }
+func (m monitoredWitness) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
+	return m.wit.Reproduces(parent, w, child)
+}
+func (m monitoredWitness) SeedLanes(v graph.VertexID, val uint64) uint64 {
+	return m.wit.SeedLanes(v, val)
+}
 
 // monitoredWitnessCombiner carries both optional interfaces.
 type monitoredWitnessCombiner struct {
@@ -425,41 +432,13 @@ type monitoredWitnessCombiner struct {
 
 func (m monitoredWitnessCombiner) Combine(old, new uint64) uint64 { return m.comb.Combine(old, new) }
 
-// monitoredCertifier additionally forwards the Certifier hooks, so wrapping
-// does not silently turn every unsafe delete back into a flood (the sweep
-// would then never reach the re-pointing path).
-type monitoredCertifier struct {
-	monitoredWitness
-	cert core.Certifier
-}
-
-func (m monitoredCertifier) Reproduces(parent uint64, w graph.Weight, child uint64) uint64 {
-	return m.cert.Reproduces(parent, w, child)
-}
-func (m monitoredCertifier) SeedLanes(v graph.VertexID, val uint64) uint64 {
-	return m.cert.SeedLanes(v, val)
-}
-
-// monitoredCertifierCombiner carries the Certifier and Combiner hooks.
-type monitoredCertifierCombiner struct {
-	monitoredCertifier
-	comb core.Combiner
-}
-
-func (m monitoredCertifierCombiner) Combine(old, new uint64) uint64 { return m.comb.Combine(old, new) }
-
-// monitor wraps p with monotonicity checking, preserving its Combiner,
-// WitnessProgram and Certifier implementations if it has them.
+// monitor wraps p with monotonicity checking, preserving its Combiner and
+// WitnessProgram implementations if it has them.
 func monitor(p core.Program, chk *checker) core.Program {
 	m := monitored{inner: p, chk: chk}
 	comb, hasComb := p.(core.Combiner)
 	wit, hasWit := p.(core.WitnessProgram)
-	cert, hasCert := p.(core.Certifier)
 	switch {
-	case hasComb && hasCert:
-		return monitoredCertifierCombiner{monitoredCertifier{monitoredWitness{m, wit}, cert}, comb}
-	case hasCert:
-		return monitoredCertifier{monitoredWitness{m, wit}, cert}
 	case hasComb && hasWit:
 		return monitoredWitnessCombiner{monitoredWitness{m, wit}, comb}
 	case hasWit:

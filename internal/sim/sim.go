@@ -54,7 +54,7 @@ const (
 	// skipping the generation check and the witness-chain walk. Mutually
 	// supporting neighbours then keep a value nothing grounds; the
 	// post-delete differential oracle must catch it (requires
-	// Config.Deletes > 0 and a Certifier program).
+	// Config.Deletes > 0 and a witness program).
 	MutateUncertifiedRewitness
 )
 

@@ -96,19 +96,27 @@ func TestSimSweep(t *testing.T) {
 		seeds = 3
 	}
 	// Vacuity guard: the CC churn cells must reach the re-pointing path,
-	// or the certificate goes unchecked by the whole sweep.
-	var ccRewitnessed uint64
+	// or the certificate goes unchecked by the whole sweep; so must the
+	// Multi S-T cells, the only multi-lane program. (BFS is not held to
+	// it: its cells re-point nothing at 3 or 6 seeds.)
+	var ccRewitnessed, stRewitnessed uint64
 	failures := Sweep(seeds, func(cfg Config, res Result) {
-		if cfg.Algo == CC {
+		switch cfg.Algo {
+		case CC:
 			ccRewitnessed += res.Rewitnessed
+		case MultiST:
+			stRewitnessed += res.Rewitnessed
 		}
 	})
 	if ccRewitnessed == 0 {
 		t.Errorf("no CC churn run re-pointed a witness across %d seeds — the certificate went unexercised", seeds)
 	}
+	if stRewitnessed == 0 {
+		t.Errorf("no Multi S-T churn run re-pointed a witness across %d seeds — the multi-lane certificate went unexercised", seeds)
+	}
 	if len(failures) == 0 {
-		t.Logf("sweep clean: %d seeds × %d algorithms × coalescing on/off; CC re-pointed %d witnesses",
-			seeds, numAlgos, ccRewitnessed)
+		t.Logf("sweep clean: %d seeds × %d algorithms × coalescing on/off; CC re-pointed %d witnesses, Multi S-T %d",
+			seeds, numAlgos, ccRewitnessed, stRewitnessed)
 		return
 	}
 	if out := os.Getenv("SIM_SWEEP_OUT"); out != "" {
