@@ -62,7 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim/ -fuzz FuzzSimDifferential -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/sim/ -fuzz FuzzDeleteInterleaving -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./cmd/ingest/ -fuzz FuzzQueryRequest -fuzztime $(FUZZTIME) -run '^$$'
-	$(GO) test ./internal/graph/ -fuzz FuzzSegFind -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/graph/ -fuzz FuzzAdjacency -fuzztime $(FUZZTIME) -run '^$$'
 
 # Multi-OS-process loopback smoke: a real cluster run of cmd/ingest
 # (PROCS processes joined over 127.0.0.1), its merged -dump shards diffed

@@ -160,11 +160,7 @@ func writeStatsSummary(w io.Writer, s incregraph.EngineStats) {
 	fmt.Fprintf(w, "service:   %s queries, %d snapshots, parked %s\n",
 		metrics.HumanCount(s.QueriesServed), s.SnapshotsTaken,
 		s.ParkedTime.Round(time.Millisecond))
-	if st := s.Storage; st.Hybrid {
-		fmt.Fprintf(w, "storage:   hybrid, %s compactions, %s segment edges, delta hit rate %.2f (%s clones)\n",
-			metrics.HumanCount(st.Compactions), metrics.HumanCount(st.SegmentEdges),
-			st.DeltaHitRate(), metrics.HumanCount(st.SegClones))
-	}
+	fmt.Fprintf(w, "storage:   %s clones of shared edge arrays\n", metrics.HumanCount(s.Storage.SegClones))
 	if s.AutoTune {
 		fmt.Fprintf(w, "autotune:  on, %s adjustments\n", metrics.HumanCount(s.TuneAdjusts))
 	}

@@ -68,10 +68,9 @@ func main() {
 		dump    = flag.String("dump", "", "after convergence, write this process's algorithm shard as 'vertex value' lines to FILE (- for stdout)")
 		srvOn   = flag.Bool("serve", false, "enable the MVCC read plane and the batched JSON /query API on -debug.addr")
 		srvEvry = flag.Duration("serve.every", 0, "read-plane epoch cadence (0 = engine default 50ms; implies -serve)")
-		noHyb   = flag.Bool("no-hybrid", false, "disable the hybrid CSR-delta storage tier (A/B ablation)")
 		churn   = flag.Float64("churn", 0, "interleave live edge deletions (and occasional re-adds) into an add-only input: the probability of one delete after each add (0 disables)")
 		churnSd = flag.Int64("churn.seed", 1, "seed for the churn interleaving")
-		tune    = flag.Bool("autotune", false, "enable the per-rank auto-tune controller (batch size + compaction threshold)")
+		tune    = flag.Bool("autotune", false, "enable the per-rank auto-tune controller (batch size)")
 		stall   = flag.Duration("stall", 0, "cluster: stall-watchdog deadline — no protocol progress for this long dumps the flight recorder to stderr (0 = engine default 30s; negative disables)")
 		linger  = flag.Duration("linger", 0, "after the run (and -dump) completes, keep the process and its -debug.addr endpoints alive this long before exiting")
 	)
@@ -125,7 +124,6 @@ func main() {
 		SampleEvery: *sample,
 		Serve:       *srvOn || *srvEvry > 0,
 		ServeEvery:  *srvEvry,
-		NoHybrid:    *noHyb,
 		AutoTune:    *tune,
 	}
 	if cluster {

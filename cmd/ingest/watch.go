@@ -135,15 +135,11 @@ func renderWatch(out io.Writer, cur, prev incregraph.EngineStats, dt time.Durati
 				prev.Serve.PointReads+prev.Serve.BatchReads+prev.Serve.TopKReads+prev.Serve.NbhdReads),
 			cur.Latency.QueryPoint.Quantile(0.99))
 	}
-	if st := cur.Storage; st.Hybrid {
-		extra := ""
-		if cur.AutoTune {
-			extra = fmt.Sprintf("   autotune %s adjusts", metrics.HumanCount(cur.TuneAdjusts))
-		}
-		line("storage   %12s compactions   %s seg edges   delta hit %.2f%s",
-			rate(st.Compactions, prev.Storage.Compactions),
-			metrics.HumanCount(st.SegmentEdges), st.DeltaHitRate(), extra)
+	extra := ""
+	if cur.AutoTune {
+		extra = fmt.Sprintf("   autotune %s adjusts", metrics.HumanCount(cur.TuneAdjusts))
 	}
+	line("storage   %12s clones%s", metrics.HumanCount(cur.Storage.SegClones), extra)
 	line("")
 	if lat := cur.Latency; lat.SampleEvery > 0 {
 		h := lat.IngestToQuiesce

@@ -8,7 +8,7 @@ import (
 // TestCoreOptionsCarriesEveryField: every Config field that configures the
 // engine reaches the same-named core.Options field through coreOptions, and
 // no other field moves. Directed maps onto Undirected inverted; Ranks and
-// Cluster are placement, filled in by NewCluster.
+// Cluster are placement, filled in by NewCluster; NoHybrid is ignored.
 func TestCoreOptionsCarriesEveryField(t *testing.T) {
 	if !coreOptions(Config{}).Undirected || coreOptions(Config{Directed: true}).Undirected {
 		t.Fatal("Directed does not map onto Undirected inverted")
@@ -18,7 +18,7 @@ func TestCoreOptionsCarriesEveryField(t *testing.T) {
 	for i := 0; i < ct.NumField(); i++ {
 		f := ct.Field(i)
 		switch f.Name {
-		case "Ranks", "Cluster", "Directed":
+		case "Ranks", "Cluster", "Directed", "NoHybrid":
 			continue
 		}
 		var cfg Config

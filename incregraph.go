@@ -156,16 +156,13 @@ type Config struct {
 	// ServeEvery is the read plane's epoch cadence (0 selects 50ms;
 	// negative is rejected). Ignored unless Serve is set.
 	ServeEvery time.Duration
-	// NoHybrid disables the hybrid CSR-delta storage tier, leaving the
-	// pure dynamic adjacency. The hybrid tier — a sorted prefix of each
-	// vertex's edge array, extended in the background from the unsorted
-	// tail — is on by default; results are identical either way
-	// (differentially tested). Ablation knob.
+	// NoHybrid is ignored: the store has one adjacency layout. It stays
+	// only until the benchmark harness stops setting it (see
+	// internal/graph/benchcompat.go).
 	NoHybrid bool
 	// AutoTune enables the per-rank feedback controller that watches the
 	// mailbox-residency and flush-interval histograms and adjusts the
-	// effective batch size and compaction threshold online. Off by
-	// default.
+	// effective batch size online. Off by default.
 	AutoTune bool
 	// Cluster, when non-nil, spans the graph across Cluster.Procs OS
 	// processes over TCP. Ranks then counts the ranks hosted by EACH
@@ -270,7 +267,6 @@ func coreOptions(cfg Config) core.Options {
 		LineageKeep:  cfg.LineageKeep,
 		Serve:        cfg.Serve,
 		ServeEvery:   cfg.ServeEvery,
-		NoHybrid:     cfg.NoHybrid,
 		AutoTune:     cfg.AutoTune,
 	}
 }

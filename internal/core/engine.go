@@ -76,19 +76,10 @@ type Options struct {
 	// selects 50ms). Ignored unless Serve is set; sim-driven engines
 	// advance epochs via SimDriver.ServeAdvance instead of a ticker.
 	ServeEvery time.Duration
-	// NoHybrid disables the hybrid CSR-delta storage tier (see
-	// internal/graph/hybrid.go), leaving each vertex's edge array
-	// unsorted. The hybrid tier is on by default; converged results are
-	// identical either way (differentially tested). Ablation knob.
-	NoHybrid bool
-	// CompactCap is the tail length that queues a vertex for background
-	// compaction (0 selects graph.DefaultCompactCap). Ignored under
-	// NoHybrid.
-	CompactCap int
 	// AutoTune enables the per-rank feedback controller that reads the
 	// mailbox-residency and flush-interval histograms and adjusts the
-	// effective batch size and compaction threshold online (see tune.go).
-	// Off by default: the fixed BatchSize/CompactCap then apply verbatim.
+	// effective batch size online (see tune.go). Off by default: the fixed
+	// BatchSize then applies verbatim.
 	// Implies histogram sampling stays enabled on the tuned ranks.
 	AutoTune bool
 }

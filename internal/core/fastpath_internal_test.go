@@ -251,13 +251,12 @@ func TestHotHandlersNoAllocs(t *testing.T) {
 
 	// A self-ring drain reads ahead (warm) before each window of events;
 	// that must not allocate either. The drain covers more than one window,
-	// and vertex 1's 33 neighbours make a prefix past the 16 entries the
-	// store scans linearly, so Peek takes its interpolation probe.
-	for v := graph.VertexID(10); v < 42; v++ {
+	// and vertex 1's neighbours pass graph.DefaultSmallCap, so Peek reads
+	// its position index.
+	for v := graph.VertexID(10); v < 10+2*graph.DefaultSmallCap; v++ {
 		processOne(r, Event{Kind: KindAdd, Algo: NoAlgo, To: 1, From: v, W: 3})
 		processOne(r, Event{Kind: KindReverseAdd, Algo: 0, To: v, From: 1, Val: 1, W: 3})
 	}
-	r.store.CompactAll()
 	var drain []Event
 	for v := graph.VertexID(10); len(drain) < 3*warmN; v++ {
 		drain = append(drain,

@@ -12,21 +12,22 @@ import (
 )
 
 // TestHybridEquivalenceProperty runs the same weighted R-MAT stream
-// through the concurrent engine with the hybrid storage tier on (default),
-// on with a tiny compaction threshold (compaction constantly interleaving
-// with cascades), on with auto-tune, and off — and demands identical
-// converged vertex states for BFS, SSSP, CC, and Multi S-T. The storage
-// tier and the controller are pure representation/scheduling changes; this
-// is the engine-level half of the differential property (the store-level
-// half is TestHybridEquivalenceQuick, the schedule-exploring half is the
-// sim sweep's actCompact).
+// through the concurrent engine with every adjacency scanned (a threshold
+// above any degree), with every adjacency indexed (threshold 1), at the
+// default threshold, and at the default with auto-tune — and demands
+// identical converged vertex states for BFS, SSSP, CC, and Multi S-T. The
+// store's two lookup paths, array scan and position index, are a pure
+// representation choice, and the controller only reschedules; this is the
+// engine-level half of the differential property (the store-level half is
+// TestAdjacencyProperty in internal/graph, the schedule-exploring half the
+// sim sweep's index checks).
 func TestHybridEquivalenceProperty(t *testing.T) {
 	edges := rmat.Generate(rmat.Config{Scale: 10, EdgeFactor: 8, Seed: 99, MaxWeight: 6})
 	src := edges[0].Src
 	sources := []graph.VertexID{edges[0].Src, edges[1].Src, edges[2].Dst, edges[3].Src}
 	names := []string{"bfs", "sssp", "cc", "st"}
 
-	run := func(opts core.Options) (maps [4]map[graph.VertexID]uint64, stats core.EngineStats) {
+	run := func(opts core.Options) (maps [4]map[graph.VertexID]uint64) {
 		e := core.New(opts, algo.BFS{}, algo.SSSP{}, algo.CC{}, algo.NewMultiST(sources))
 		e.InitVertex(0, src)
 		e.InitVertex(1, src)
@@ -39,34 +40,25 @@ func TestHybridEquivalenceProperty(t *testing.T) {
 		for a := range maps {
 			maps[a] = e.CollectMap(a)
 		}
-		return maps, e.EngineStats()
+		return maps
 	}
 
 	for _, ranks := range []int{1, 3} {
 		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
-			base, baseStats := run(core.Options{Ranks: ranks, Undirected: true, NoHybrid: true})
-			if baseStats.Storage.Hybrid || baseStats.Storage.Compactions != 0 {
-				t.Fatalf("NoHybrid run reports hybrid storage: %+v", baseStats.Storage)
-			}
+			base := run(core.Options{Ranks: ranks, Undirected: true, SmallCap: len(edges)})
 			variants := []struct {
 				name string
 				opts core.Options
 			}{
-				{"hybrid", core.Options{Ranks: ranks, Undirected: true}},
-				{"hybrid-cap2", core.Options{Ranks: ranks, Undirected: true, CompactCap: 2}},
-				{"hybrid-autotune", core.Options{Ranks: ranks, Undirected: true, AutoTune: true}},
+				{"indexed", core.Options{Ranks: ranks, Undirected: true, SmallCap: 1}},
+				{"default", core.Options{Ranks: ranks, Undirected: true}},
+				{"autotune", core.Options{Ranks: ranks, Undirected: true, AutoTune: true}},
 			}
 			for _, vt := range variants {
-				got, st := run(vt.opts)
-				if !st.Storage.Hybrid {
-					t.Fatalf("%s: run reports hybrid tier off", vt.name)
-				}
-				if vt.name == "hybrid-cap2" && st.Storage.Compactions == 0 {
-					t.Fatalf("%s: no compactions ran — the equivalence check is vacuous", vt.name)
-				}
+				got := run(vt.opts)
 				for a := range got {
 					if len(got[a]) != len(base[a]) {
-						t.Fatalf("%s %s: %d vertices, %d without hybrid",
+						t.Fatalf("%s %s: %d vertices, %d scanned",
 							vt.name, names[a], len(got[a]), len(base[a]))
 					}
 					for v, val := range got[a] {

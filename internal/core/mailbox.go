@@ -281,12 +281,28 @@ func (m *mailbox) drainLane(i int) []Event {
 	return out
 }
 
-// recycle returns a drained slice for reuse by the next drain. Consumer
-// side only, like drain.
+// recycle returns a drained slice for reuse by the next drain, unless
+// reuseDrained releases it. Consumer side only, like drain.
 func (m *mailbox) recycle(batch []Event) {
 	if cap(batch) > cap(m.scratch) {
-		m.scratch = batch[:0]
+		m.scratch = reuseDrained(batch)
 	}
+}
+
+// drainKeepFloor is the capacity, in events, up to which a drained buffer
+// is always kept for the next drain.
+const drainKeepFloor = 16384
+
+// reuseDrained returns buf emptied for reuse, or nil when it is above
+// drainKeepFloor and the drain just finished filled under a quarter of
+// it. A flood grows the mailbox drain buffer and the self ring to its
+// backlog's size; without the release they would keep that size until
+// the rank exits. The next flood grows a fresh one.
+func reuseDrained(buf []Event) []Event {
+	if cap(buf) > drainKeepFloor && 4*len(buf) < cap(buf) {
+		return nil
+	}
+	return buf[:0]
 }
 
 // wait parks until a wake token arrives or done closes. It returns

@@ -221,3 +221,43 @@ func TestEventKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainedBuffersRelease covers reuseDrained on both drain buffers: a
+// flood-sized drain followed by small ones releases the mailbox's drain
+// buffer and the rank's self ring, and small steady drains keep theirs.
+func TestDrainedBuffersRelease(t *testing.T) {
+	flood := make([]Event, 4*drainKeepFloor)
+	small := make([]Event, 16)
+
+	m := newMailbox(2)
+	m.push(0, flood)
+	m.recycle(m.drain())
+	if got := cap(m.scratch); got < len(flood) {
+		t.Fatalf("flood drain kept a %d-event buffer, want >= %d", got, len(flood))
+	}
+	m.push(0, small)
+	m.recycle(m.drain())
+	if got := cap(m.scratch); got >= len(flood) {
+		t.Fatalf("a small drain after the flood kept the %d-event buffer", got)
+	}
+	m.push(0, small)
+	kept := m.drain()
+	m.recycle(kept)
+	m.push(0, small)
+	if again := m.drain(); &again[:1][0] != &kept[:1][0] {
+		t.Fatal("a small buffer was not reused")
+	}
+
+	e := New(Options{Ranks: 1, Undirected: true}, ssspStub{})
+	r := e.ranks[0]
+	r.self = append(r.self, flood...)
+	r.drainSelf()
+	if got := cap(r.self); got < len(flood) {
+		t.Fatalf("flood drain kept a %d-event self ring, want >= %d", got, len(flood))
+	}
+	r.self = append(r.self, small...)
+	r.drainSelf()
+	if r.self != nil {
+		t.Fatalf("a small drain after the flood kept a %d-event self ring", cap(r.self))
+	}
+}

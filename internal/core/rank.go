@@ -145,9 +145,6 @@ func newRank(e *Engine, id int) *rank {
 	}
 	r.cb.r = r
 	r.store.SetWeightPolicy(e.opts.WeightPolicy)
-	if !e.opts.NoHybrid {
-		r.store.EnableHybrid(e.opts.CompactCap)
-	}
 	r.effBatch = e.opts.BatchSize
 	r.counters.effBatch.Store(uint64(r.effBatch))
 	if e.opts.AutoTune {
@@ -176,7 +173,6 @@ func (r *rank) loop() {
 	for {
 		r.snapshotChores()
 		r.drainQueries()
-		r.compactChores()
 		r.publishChores()
 		if r.tune != nil {
 			r.tune.maybeStep()
@@ -261,14 +257,6 @@ func (r *rank) loop() {
 func (r *rank) exit() {
 	r.snapshotChores()
 	r.drainQueries()
-	// Finish the queued compactions: a converged graph would otherwise
-	// keep their long unsorted tails, each with a hash index, which costs
-	// more memory per edge than the sorted prefix they merge into.
-	for {
-		if _, _, ok := r.store.CompactNext(); !ok {
-			break
-		}
-	}
 	// Publish the converged final state unconditionally (restamps if the
 	// last epoch's segment already carries it): after termination the read
 	// plane serves exactly what Collect would return. No rewrite follows,
@@ -276,24 +264,6 @@ func (r *rank) exit() {
 	r.publishNow()
 	if r.pub != nil {
 		r.pub.DropSpare()
-	}
-}
-
-// compactBurst caps how many queued vertices a rank compacts per loop
-// iteration, keeping the chore's latency contribution bounded the way
-// drainQueries bounds query service.
-const compactBurst = 4
-
-// compactChores sorts a few queued vertices' tails into their prefixes
-// (internal/graph/hybrid.go). Runs at event boundaries only, on this
-// rank's own shard — shared-nothing, zero locking, no ingestion pause.
-// The serve plane needs no notice: a served header keeps the array it
-// was published with.
-func (r *rank) compactChores() {
-	for i := 0; i < compactBurst; i++ {
-		if _, _, ok := r.store.CompactNext(); !ok {
-			return
-		}
 	}
 }
 
@@ -485,7 +455,8 @@ func (r *rank) selfPending() bool { return r.selfHead < len(r.self) }
 // drainSelf processes every event in the self-delivery ring, including
 // ones appended by the cascades it runs (events are read by value, so
 // append-driven reallocation during iteration is safe). The ring's storage
-// is kept for reuse.
+// is kept for reuse unless the drain left a flood-sized ring mostly idle
+// (reuseDrained).
 func (r *rank) drainSelf() {
 	if !r.selfPending() {
 		return
@@ -499,7 +470,7 @@ func (r *rank) drainSelf() {
 		r.selfHead++
 		r.process(&ev)
 	}
-	r.self = r.self[:0]
+	r.self = reuseDrained(r.self)
 	r.selfHead = 0
 	r.coal.barrier(r.id)
 }
@@ -550,7 +521,7 @@ func (r *rank) drainSelfOne(pre func(Event)) bool {
 	}
 	r.process(&ev)
 	if !r.selfPending() {
-		r.self = r.self[:0]
+		r.self = reuseDrained(r.self)
 		r.selfHead = 0
 		r.coal.barrier(r.id)
 	}

@@ -295,41 +295,21 @@ func (d *SimDriver) ServePublish(rank int) error {
 	return nil
 }
 
-// CompactPending counts vertices queued for hybrid-tier compaction on
-// rank's shard. Zero when the hybrid tier is off.
-func (d *SimDriver) CompactPending(rank int) int {
-	return d.e.ranks[rank].store.PendingCompactions()
-}
-
-// CompactOne pops and compacts one queued vertex on rank's shard — the
-// scheduler-owned stand-in for the rank loop's compactChores — and
-// differentially checks the merge: the vertex's full (Nbr, W, Seq)
-// multiset must be bit-identical before and after, since compaction is a
-// pure representation change. Returns whether the queue held anything; a
-// non-nil error is a soundness violation.
-func (d *SimDriver) CompactOne(rank int) (bool, error) {
-	r := d.e.ranks[rank]
-	slot, queued := r.store.PeekCompact()
-	if !queued {
-		return false, nil
+// CheckStores reports the first rank whose adjacency store disagrees with
+// itself: an indexed vertex with an entry not indexed at its position, or
+// an index whose live count is not the degree (graph.Store.CheckIndex).
+// The check walks every store, so it runs only in invariants builds; the
+// scheduler calls it at globally quiescent cuts.
+func (d *SimDriver) CheckStores() error {
+	if !invariants {
+		return nil
 	}
-	before := sortedAdj(r.store, slot)
-	popped, _, _ := r.store.CompactNext()
-	if popped != slot {
-		return true, fmt.Errorf("compact: peeked slot %d but popped %d", slot, popped)
-	}
-	after := sortedAdj(r.store, slot)
-	if len(before) != len(after) {
-		return true, fmt.Errorf("compact rank %d slot %d: %d entries before, %d after",
-			rank, slot, len(before), len(after))
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			return true, fmt.Errorf("compact rank %d slot %d entry %d: %+v before, %+v after",
-				rank, slot, i, before[i], after[i])
+	for i, r := range d.e.ranks {
+		if err := r.store.CheckIndex(); err != nil {
+			return fmt.Errorf("store rank %d: %w", i, err)
 		}
 	}
-	return true, nil
+	return nil
 }
 
 func sortedAdj(s *graph.Store, slot graph.Slot) []graph.HalfEdge {

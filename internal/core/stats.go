@@ -141,14 +141,13 @@ type RankEngineStats struct {
 	// Rewitnessed counts the rank's unsafe deletion endpoints that kept
 	// their value by re-pointing the doomed witness instead of flooding.
 	Rewitnessed uint64
-	// Storage is the rank's hybrid storage-tier counters (zero-valued
-	// except DeltaScanned when the hybrid tier is disabled).
+	// Storage is the rank's adjacency-store counters.
 	Storage StorageStats
 }
 
-// StorageStats is the hybrid CSR-delta storage tier's counter view (see
-// internal/graph/hybrid.go for the per-counter semantics).
-type StorageStats = graph.HybridStats
+// StorageStats is the adjacency store's counter view (see
+// graph.StorageStats for the per-counter semantics).
+type StorageStats = graph.StorageStats
 
 // EngineStats is an on-demand aggregate of the engine's live counters. It
 // is legal to take in every lifecycle state — Idle, Running, mid-Pause,
@@ -212,7 +211,7 @@ type EngineStats struct {
 	// per-verb read counts (zero value when Options.Serve is off; the
 	// query latency histograms live in Latency.Query*).
 	Serve ServeStats
-	// Storage totals the hybrid storage tier's counters over all ranks;
+	// Storage totals the adjacency stores' counters over all ranks;
 	// AutoTune reports whether the feedback controller is on and
 	// TuneAdjusts totals its knob changes.
 	Storage     StorageStats
@@ -365,7 +364,7 @@ func (e *Engine) EngineStats() EngineStats {
 	for i, r := range e.ranks {
 		rs := r.counters.snapshot(i, r.inbox.highWater())
 		rs.MailboxDepth = r.inbox.depth()
-		rs.Storage = r.store.Hybrid()
+		rs.Storage = r.store.Storage()
 		s.Storage.Add(rs.Storage)
 		s.TuneAdjusts += rs.TuneAdjusts
 		s.MailboxDepth += rs.MailboxDepth

@@ -3,14 +3,14 @@ package core
 import "time"
 
 // Auto-tune: a per-rank feedback controller closing the loop from the
-// latency histograms (hist.go) back onto the knobs that shape them. Each
+// latency histograms (hist.go) back onto the batch size they depend on. Each
 // rank owns its controller and steps it between event batches, so tuning
 // follows the same shared-nothing discipline as everything else — no
 // locks, no cross-rank coordination, and per-rank workloads can settle on
 // different operating points.
 //
-// Control laws (deliberately coarse — multiplicative steps with wide
-// deadbands, so the controller converges instead of oscillating):
+// The control law is deliberately coarse — multiplicative steps with wide
+// deadbands, so the controller converges instead of oscillating:
 //
 //   - Mailbox residency p99 high → halve the effective batch size.
 //     Outbound events become visible only at flush, so big batches arrive
@@ -19,9 +19,6 @@ import "time"
 //     synchronization.
 //   - Residency p99 low AND flush gaps short → double the batch size:
 //     latency headroom is available, spend it on amortization.
-//   - Window delta hit rate high → halve the compaction threshold, moving
-//     scan traffic into the sequential segment tier sooner; hit rate very
-//     low → double it, compaction is running ahead of any scan benefit.
 //
 // All decisions read windowed histogram deltas (histDiff) rather than
 // lifetime totals, so the controller reacts to the current regime, not the
@@ -44,17 +41,10 @@ const (
 	// tuneFlushGapShort: flush gaps under this mean the rank flushes
 	// frequently enough that growing the batch cannot starve receivers.
 	tuneFlushGapShort = 500 * time.Microsecond
-	// tuneHitHigh / tuneHitLow are the delta-hit-rate deadband bounds for
-	// the compaction threshold.
-	tuneHitHigh = 0.5
-	tuneHitLow  = 0.1
-	// tuneCompactFloor / tuneCompactCeil bound the compaction threshold.
-	tuneCompactFloor = 8
-	tuneCompactCeil  = 4096
 )
 
 // tuner is one rank's controller state: the countdown to the next step and
-// the previous histogram/counter snapshots that define the current window.
+// the previous histogram snapshots that define the current window.
 type tuner struct {
 	r        *rank
 	left     int
@@ -62,8 +52,6 @@ type tuner struct {
 
 	prevMailbox HistogramSnapshot
 	prevFlush   HistogramSnapshot
-	prevSeg     uint64 // lifetime segment-entries-scanned at window start
-	prevDelta   uint64 // lifetime delta-entries-scanned at window start
 }
 
 func newTuner(r *rank) *tuner {
@@ -100,25 +88,6 @@ func (t *tuner) step() {
 			t.setBatch(r.effBatch * 2)
 		}
 	}
-
-	// Compaction-threshold law, on the windowed tier scan counters.
-	h := r.store.Hybrid()
-	if !h.Hybrid {
-		return
-	}
-	segW := h.SegScanned - t.prevSeg
-	deltaW := h.DeltaScanned - t.prevDelta
-	t.prevSeg, t.prevDelta = h.SegScanned, h.DeltaScanned
-	if total := segW + deltaW; total >= tuneMinSamples {
-		hit := float64(deltaW) / float64(total)
-		cap := r.store.CompactCap()
-		switch {
-		case hit > tuneHitHigh && cap > tuneCompactFloor:
-			t.setCompactCap(cap / 2)
-		case hit < tuneHitLow && cap < tuneCompactCeil:
-			t.setCompactCap(cap * 2)
-		}
-	}
 }
 
 func (t *tuner) setBatch(n int) {
@@ -133,20 +102,6 @@ func (t *tuner) setBatch(n int) {
 	}
 	t.r.effBatch = n
 	t.r.counters.effBatch.Store(uint64(n))
-	t.r.counters.tuneAdjusts.Add(1)
-}
-
-func (t *tuner) setCompactCap(n int) {
-	if n < tuneCompactFloor {
-		n = tuneCompactFloor
-	}
-	if n > tuneCompactCeil {
-		n = tuneCompactCeil
-	}
-	if n == t.r.store.CompactCap() {
-		return
-	}
-	t.r.store.SetCompactCap(n)
 	t.r.counters.tuneAdjusts.Add(1)
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"time"
-
-	"incregraph/internal/graph"
 )
 
 // tunerHarness builds a 1-rank idle engine with auto-tune on and returns
@@ -65,40 +63,6 @@ func TestTunerBatchLaws(t *testing.T) {
 	}
 	if r.effBatch != tuneBatchFloor {
 		t.Fatalf("halving did not clamp at floor: effBatch = %d, want %d", r.effBatch, tuneBatchFloor)
-	}
-}
-
-func TestTunerCompactCapLaw(t *testing.T) {
-	r := tunerHarness(t, 256)
-	start := r.store.CompactCap()
-
-	// All scan traffic in the delta tier: compact more eagerly.
-	for i := 0; i < 100; i++ {
-		r.store.AddEdge(1, graph.VertexID(10+i), 1, 0)
-	}
-	for r.store.PendingCompactions() > 0 {
-		r.store.CompactNext()
-	}
-	// Scans now hit the segment; seed a pure-delta window first by adding
-	// fresh delta edges and scanning them.
-	for i := 0; i < 50; i++ {
-		r.store.AddEdge(2, graph.VertexID(200+i), 1, 0)
-	}
-	slot2, _ := r.store.SlotOf(2)
-	r.store.Neighbors(slot2, func(graph.VertexID, graph.Weight) bool { return true })
-	r.tune.step()
-	if got := r.store.CompactCap(); got != start/2 {
-		t.Fatalf("delta-heavy window: CompactCap = %d, want %d", got, start/2)
-	}
-
-	// All traffic in the segment tier: back off.
-	slot1, _ := r.store.SlotOf(1)
-	for i := 0; i < 4; i++ {
-		r.store.Neighbors(slot1, func(graph.VertexID, graph.Weight) bool { return true })
-	}
-	r.tune.step()
-	if got := r.store.CompactCap(); got != start {
-		t.Fatalf("segment-heavy window: CompactCap = %d, want %d", got, start)
 	}
 }
 

@@ -1,127 +1,54 @@
 package graph
 
 import (
-	"math/bits"
+	"fmt"
 	"sync/atomic"
 
 	"incregraph/internal/rhh"
 )
 
-// DefaultSmallCap is the tail length past which a vertex's adjacency gets
-// a Robin Hood hash index. Low-degree vertices (the vast majority under
-// power-law distributions) find a neighbour by scanning their short tail;
-// high-degree vertices get O(1) duplicate checks and weight lookups from
-// the index.
-const DefaultSmallCap = 16
+// DefaultSmallCap is the degree past which a vertex's adjacency gets a
+// position index (posIndex). Up to it a lookup scans the edge array, at
+// most 32 cache lines read in order; past it, a lookup reads one index
+// group and one array entry. Most vertices of a power-law graph stay below
+// it, so the index costs memory only where the edge mass sits. On a
+// bare-store replay of con-r1's input, 128 inserted as fast as 64 with
+// 3.5% less heap, and 256 was slower (EXPERIMENTS.md, "One adjacency
+// layout").
+const DefaultSmallCap = 128
 
-// adjacency is one vertex's out-edge set, held in a single array.
-// edges[:seg] is the prefix the last compaction wrote, sorted by nbrKey
-// (see hybrid.go; empty unless the store is hybrid), and edges[seg:] is
-// the tail in arrival order, except where a delete moved an entry. Once
-// the tail outgrows the store's smallCap, index maps each tail neighbour
-// to its position in edges.
+// adjacency is one vertex's out-edge set: a single array in arrival order,
+// except that a delete moves the last entry into the hole. Once the array
+// outgrows the store's smallCap, index maps each neighbour to its position
+// in edges; it is dropped again when deletes take the array to half of
+// smallCap.
 //
 // shared reports that Share handed the array out by reference. An append
 // writes at an index >= len, which no shared header can see, so it never
-// copies. Any other write below len — a weight or seq merge, a delete, a
-// compaction — first replaces a shared array with a private clone (own).
-// A fresh array (a clone or a growth reallocation) is private.
+// copies. Any other write below len — a weight or seq merge, a delete —
+// first replaces a shared array with a private clone (own). A fresh array
+// (a clone or a growth reallocation) is private. The index is the store's
+// own and never shared.
 type adjacency struct {
 	edges  []HalfEdge
-	index  *rhh.Map[uint32] // tail nbr -> position in edges; nil until the tail outgrows smallCap
-	seg    uint32
+	index  *posIndex // nil until the array outgrows smallCap
 	shared bool
 }
 
 // find returns the position of nbr in edges, or -1.
 func (a *adjacency) find(nbr VertexID) int {
-	if i := segFind(a.edges[:a.seg], nbr); i >= 0 {
-		return i
-	}
 	if a.index != nil {
-		if p, ok := a.index.Get(uint64(nbr)); ok {
-			return int(p)
+		if slot, _ := a.index.lookup(a.edges, nbr, rhh.Hash64(uint64(nbr))); slot >= 0 {
+			return a.index.pos(slot)
 		}
 		return -1
 	}
-	for i := int(a.seg); i < len(a.edges); i++ {
+	for i := range a.edges {
 		if a.edges[i].Nbr == nbr {
 			return i
 		}
 	}
 	return -1
-}
-
-// tailLen is the number of edges that arrived since the last compaction
-// (the whole adjacency when the store is not hybrid).
-func (a *adjacency) tailLen() int { return len(a.edges) - int(a.seg) }
-
-// nbrKey is a neighbour's sort key in a compacted prefix: the rhh mix.
-// The mix is a bijection, so keys are unique, and its values spread evenly
-// over the uint64 range, so a key predicts its entry's position in a
-// prefix — the computable first access that lets the rank read ahead
-// (Peek).
-func nbrKey(nbr VertexID) uint64 { return rhh.Hash64(uint64(nbr)) }
-
-const (
-	// linearCut is the longest prefix segFind scans linearly on Nbr,
-	// without hashing: 16 entries are four cache lines.
-	linearCut = 16
-	// interpProbes caps segFind's interpolation probes before it falls
-	// back to a binary search of the bracket left, so IDs chosen to
-	// cluster under the mix still cost O(log n).
-	interpProbes = 4
-)
-
-// segFind returns the index of nbr in the key-sorted seg, or -1.
-func segFind(seg []HalfEdge, nbr VertexID) int {
-	if len(seg) <= linearCut {
-		for i := range seg {
-			if seg[i].Nbr == nbr {
-				return i
-			}
-		}
-		return -1
-	}
-	k := nbrKey(nbr)
-	// nbr, if present, sits in [lo, hi), whose keys all lie in [klo, khi].
-	lo, hi := 0, len(seg)
-	klo, khi := uint64(0), ^uint64(0)
-	for probe := 0; probe < interpProbes && lo < hi; probe++ {
-		p := lo + interpolate(k-klo, khi-klo, hi-lo)
-		switch pk := nbrKey(seg[p].Nbr); {
-		case pk < k:
-			lo, klo = p+1, pk+1
-		case pk > k:
-			hi, khi = p, pk-1
-		default:
-			return p
-		}
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if nbrKey(seg[mid].Nbr) < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(seg) && seg[lo].Nbr == nbr {
-		return lo
-	}
-	return -1
-}
-
-// interpolate estimates the position, in a bracket of n entries whose keys
-// take span+1 possible values, of the key off values above the lowest:
-// off*n/(span+1), which is below n because off <= span.
-func interpolate(off, span uint64, n int) int {
-	hi, lo := bits.Mul64(off, uint64(n))
-	if span == ^uint64(0) {
-		return int(hi) // span+1 is 2^64
-	}
-	q, _ := bits.Div64(hi, lo, span+1)
-	return int(q)
 }
 
 // WeightPolicy decides how a re-inserted edge's weight merges with the
@@ -154,28 +81,10 @@ type Store struct {
 	smallCap int
 	policy   WeightPolicy
 
-	promotions uint64 // number of tail hash indexes built (instrumentation)
-
-	// Hybrid CSR-delta tier state (hybrid.go). pending/pendingBit form the
-	// compaction queue: slots whose tail crossed the threshold, FIFO with a
-	// bitmap de-duplicating entries; pendHead is the next queue index.
-	// scratch is CompactSlot's reusable buffer for the sorted tail.
-	hybrid     bool
-	compactCap int
-	pending    []Slot
-	pendHead   int
-	pendingBit []uint64
-	scratch    []keyedEdge
-
-	// Hybrid instrumentation. The store is single-writer (rank-owned), but
-	// stats aggregation reads from arbitrary goroutines, so these are
-	// atomics — each costs one uncontended add, and the scan tallies are
-	// accumulated locally and added once per Neighbors call.
-	compactions atomic.Uint64 // completed tail->prefix merges
-	segEdges    atomic.Uint64 // edges currently in sorted prefixes (gauge)
-	segClones   atomic.Uint64 // clones of shared arrays (own)
-	segScans    atomic.Uint64 // adjacency entries iterated from sorted prefixes
-	deltaScans  atomic.Uint64 // adjacency entries iterated from tails
+	promotions uint64 // position indexes built (instrumentation)
+	// clones counts clones of shared arrays (own). The store is
+	// single-writer, but stats aggregation reads it from any goroutine.
+	clones atomic.Uint64
 }
 
 // NewStore returns an empty shard with the WeightMin policy.
@@ -214,8 +123,8 @@ func (s *Store) NumVertices() int { return len(s.ids) }
 // NumEdges returns the number of directed adjacency entries in this shard.
 func (s *Store) NumEdges() uint64 { return s.edges }
 
-// Promotions returns how many times a vertex's tail outgrew smallCap and
-// got a hash index.
+// Promotions returns how many times a vertex's array outgrew smallCap and
+// got a position index.
 func (s *Store) Promotions() uint64 { return s.promotions }
 
 // SlotOf returns the dense slot for v, or (NoSlot, false) if absent.
@@ -268,14 +177,16 @@ func (s *Store) EnsureVertex(v VertexID) (Slot, bool) {
 func (s *Store) AddEdge(src, dst VertexID, w Weight, seq uint32) (srcSlot Slot, srcCreated, isNew bool) {
 	srcSlot, srcCreated = s.EnsureVertex(src)
 	a := &s.adj[srcSlot]
-	var i int
+	var i, free int
+	var h uint64
 	if a.index == nil {
 		i = a.find(dst)
-	} else if i = segFind(a.edges[:a.seg], dst); i < 0 {
-		// One probe both finds a duplicate and records a new edge's
-		// position, which the append below fills.
-		if p, existed := a.index.GetOrPut(uint64(dst), uint32(len(a.edges))); existed {
-			i = int(*p)
+	} else {
+		// One probe both finds a duplicate and picks the slot a new
+		// edge's position goes in.
+		h = rhh.Hash64(uint64(dst))
+		if i, free = a.index.lookup(a.edges, dst, h); i >= 0 {
+			i = a.index.pos(i)
 		}
 	}
 	if i >= 0 {
@@ -301,17 +212,14 @@ func (s *Store) AddEdge(src, dst VertexID, w Weight, seq uint32) (srcSlot Slot, 
 		a.edges, a.shared = grown, false
 	}
 	a.edges = append(a.edges, HalfEdge{Nbr: dst, W: w, Seq: seq})
-	if a.index == nil && a.tailLen() > s.smallCap {
-		m := &rhh.Map[uint32]{}
-		m.Reserve(2 * a.tailLen())
-		for p := int(a.seg); p < len(a.edges); p++ {
-			m.Put(uint64(a.edges[p].Nbr), uint32(p))
-		}
-		a.index = m
+	switch {
+	case a.index != nil:
+		a.index.insert(a.edges, free, h, len(a.edges)-1)
+	case len(a.edges) > s.smallCap:
+		a.index = newPosIndex(a.edges)
 		s.promotions++
 	}
 	s.edges++
-	s.maybeQueueCompact(srcSlot, a)
 	return srcSlot, srcCreated, true
 }
 
@@ -321,41 +229,42 @@ func (s *Store) own(a *adjacency) {
 	if a.shared {
 		a.edges = append(make([]HalfEdge, 0, cap(a.edges)), a.edges...)
 		a.shared = false
-		s.segClones.Add(1)
+		s.clones.Add(1)
 	}
 }
 
 // DeleteEdge removes the directed edge src->dst, reporting whether it was
 // present. Vertices are never removed (vertex deletion is a set of edge
-// deletions in the paper's model). A tail delete moves the last entry into
-// the hole; a prefix delete closes the gap, which keeps the prefix sorted,
-// and moves the last entry into the freed first tail position.
+// deletions in the paper's model). The last entry moves into the hole,
+// and the index, if any, learns its new position.
 func (s *Store) DeleteEdge(src, dst VertexID) bool {
 	srcSlot, ok := s.SlotOf(src)
 	if !ok {
 		return false
 	}
 	a := &s.adj[srcSlot]
-	i := a.find(dst)
-	if i < 0 {
+	last := len(a.edges) - 1
+	var i int
+	if x := a.index; x != nil {
+		slot, _ := x.lookup(a.edges, dst, rhh.Hash64(uint64(dst)))
+		if slot < 0 {
+			return false
+		}
+		i = x.pos(slot)
+		x.remove(slot)
+		if i != last {
+			moved := a.edges[last].Nbr
+			ms, _ := x.lookup(a.edges, moved, rhh.Hash64(uint64(moved)))
+			x.setPos(ms, i)
+		}
+		if last <= s.smallCap/2 {
+			a.index = nil
+		}
+	} else if i = a.find(dst); i < 0 {
 		return false
 	}
 	s.own(a)
-	if seg := int(a.seg); i < seg {
-		copy(a.edges[i:], a.edges[i+1:seg])
-		a.seg--
-		i = seg - 1
-		s.segEdges.Add(^uint64(0))
-	} else if a.index != nil {
-		a.index.Delete(uint64(dst))
-	}
-	last := len(a.edges) - 1
-	if i != last {
-		a.edges[i] = a.edges[last]
-		if a.index != nil {
-			a.index.Put(uint64(a.edges[i].Nbr), uint32(i))
-		}
-	}
+	a.edges[i] = a.edges[last]
 	a.edges = a.edges[:last]
 	s.edges--
 	return true
@@ -380,24 +289,22 @@ func (s *Store) EdgeWeight(slot Slot, nbr VertexID) (Weight, bool) {
 }
 
 // Neighbors calls fn for every out-neighbour of the vertex at slot, in
-// array order: the sorted prefix, then the tail. Iteration stops early if
-// fn returns false. fn must not mutate the store.
+// array order. Iteration stops early if fn returns false. fn must not
+// mutate the store.
 func (s *Store) Neighbors(slot Slot, fn func(nbr VertexID, w Weight) bool) {
 	a := &s.adj[slot]
 	for i := range a.edges {
 		if !fn(a.edges[i].Nbr, a.edges[i].W) {
-			s.countScan(a, i+1)
 			return
 		}
 	}
-	s.countScan(a, len(a.edges))
 }
 
 // NeighborsBefore is Neighbors restricted to edges inserted before snapshot
 // sequence seq. Previous-version snapshot propagation uses it so that state
 // belonging to a snapshot never traverses edges added after the marker.
-// Compaction and deletes move entries with their Seq intact, so the filter
-// is layout-independent.
+// Deletes move entries with their Seq intact, so the filter is
+// order-independent.
 func (s *Store) NeighborsBefore(slot Slot, seq uint32, fn func(nbr VertexID, w Weight) bool) {
 	a := &s.adj[slot]
 	for i := range a.edges {
@@ -405,34 +312,18 @@ func (s *Store) NeighborsBefore(slot Slot, seq uint32, fn func(nbr VertexID, w W
 			continue
 		}
 		if !fn(a.edges[i].Nbr, a.edges[i].W) {
-			s.countScan(a, i+1)
 			return
 		}
-	}
-	s.countScan(a, len(a.edges))
-}
-
-// countScan adds a walk over a's first n entries to the per-part scan
-// tallies behind the delta-hit-rate gauge, once per call.
-func (s *Store) countScan(a *adjacency, n int) {
-	seg := min(n, int(a.seg))
-	if seg > 0 {
-		s.segScans.Add(uint64(seg))
-	}
-	if n > seg {
-		s.deltaScans.Add(uint64(n - seg))
 	}
 }
 
 // Peek reads, and changes nothing, the memory a later AddEdge, DeleteEdge
 // or EdgeWeight of the edge from the vertex at slot to nbr touches first:
-// the slot's header, the prefix entry of segFind's first probe (the first
-// entry of a prefix it scans linearly), the tail index's home bucket for
-// nbr, and the array's last entry, where an append lands. The rank calls
-// it for the next few events of a drain before processing them, so their
-// cache misses overlap instead of following one another. The result is a
-// mix of the words read and means nothing; the caller keeps it only so
-// the loads are not dropped.
+// the slot's header, the index's home group for nbr, and the array's last
+// entry, where an append lands. The rank calls it for the next few events
+// of a drain before processing them, so their cache misses overlap instead
+// of following one another. The result is a mix of the words read and
+// means nothing; the caller keeps it only so the loads are not dropped.
 func (s *Store) Peek(slot Slot, nbr VertexID) uint64 {
 	a := &s.adj[slot]
 	n := len(a.edges)
@@ -440,22 +331,16 @@ func (s *Store) Peek(slot Slot, nbr VertexID) uint64 {
 		return 0
 	}
 	x := uint64(a.edges[n-1].Nbr)
-	if seg := int(a.seg); seg > linearCut {
-		// segFind's first probe: its bracket is the whole key range.
-		x ^= uint64(a.edges[interpolate(nbrKey(nbr), ^uint64(0), seg)].Nbr)
-	} else if seg > 0 {
-		x ^= uint64(a.edges[0].Nbr)
-	}
 	if a.index != nil {
-		x ^= a.index.Peek(uint64(nbr))
+		x ^= a.index.peek(nbr)
 	}
 	return x
 }
 
 // Share returns the vertex's edges as a header onto the store's own array,
 // for the serve plane to publish without copying. From then on the store
-// never writes below the header's length: a merge, delete or compaction
-// clones the array first. Readers must treat the result as read-only and
+// never writes below the header's length: a merge or delete clones the
+// array first. Readers must treat the result as read-only and
 // use only Nbr — a weight merged later is not reflected.
 func (s *Store) Share(slot Slot) []HalfEdge {
 	a := &s.adj[slot]
@@ -484,11 +369,44 @@ func (s *Store) ForEachVertex(fn func(slot Slot, id VertexID) bool) {
 	}
 }
 
+// StorageStats is the store's counter view, the storage block of the
+// engine's stats.
+type StorageStats struct {
+	// SegClones counts clones of shared arrays: the copies a merge or
+	// delete makes of an array the serve plane holds.
+	SegClones uint64 `json:"seg_clones"`
+}
+
+// Storage reads the store's counters; safe from any goroutine.
+func (s *Store) Storage() StorageStats { return StorageStats{SegClones: s.clones.Load()} }
+
+// Add sums o into st, totalling stores.
+func (st *StorageStats) Add(o StorageStats) { st.SegClones += o.SegClones }
+
+// CheckIndex reports the first vertex whose position index disagrees with
+// its edge array (see posIndex.check), or whose array outgrew smallCap
+// without one. Diagnostic: it walks every index.
+func (s *Store) CheckIndex() error {
+	for slot := range s.adj {
+		a := &s.adj[slot]
+		if a.index == nil {
+			if len(a.edges) > s.smallCap {
+				return fmt.Errorf("vertex %d: %d edges and no index", s.ids[slot], len(a.edges))
+			}
+			continue
+		}
+		if err := a.index.check(a.edges); err != nil {
+			return fmt.Errorf("vertex %d: %w", s.ids[slot], err)
+		}
+	}
+	return nil
+}
+
 // Stats summarizes the degree-aware layout of a shard.
 type Stats struct {
 	Vertices   int
 	Edges      uint64
-	Promoted   uint64 // tail hash indexes built (Promotions)
+	Promoted   uint64 // position indexes built (Promotions)
 	MaxDegree  int
 	Singletons int // vertices with degree 0
 }

@@ -171,28 +171,22 @@ func TestSelfLoop(t *testing.T) {
 }
 
 // TestPeekChangesNothing covers Store.Peek on every layout a slot can
-// have — empty, a short prefix, a prefix long enough to interpolate, an
-// indexed tail — for present and absent neighbours: the store reads the
-// same before and after.
+// have — empty, a short scanned array, an indexed one — for present and
+// absent neighbours: the store reads the same before and after.
 func TestPeekChangesNothing(t *testing.T) {
 	s := NewStore(4)
-	s.EnableHybrid(64)
 	s.EnsureVertex(0) // no edges
-	for i := VertexID(1); i <= 8; i++ {
-		s.AddEdge(1, i, Weight(i), 0) // short prefix once compacted
+	for i := VertexID(1); i <= 3; i++ {
+		s.AddEdge(1, i, Weight(i), 0) // scanned
 	}
 	for i := VertexID(1); i <= 40; i++ {
-		s.AddEdge(2, i*7, Weight(i), 0) // long prefix once compacted
-	}
-	s.CompactAll()
-	for i := VertexID(100); i <= 110; i++ {
-		s.AddEdge(2, i, 1, 0) // tail past smallCap: indexed
+		s.AddEdge(2, i*7, Weight(i), 0) // indexed
 	}
 	before := make([][]HalfEdge, s.NumVertices())
 	for slot := range before {
 		before[slot] = s.AdjEntries(Slot(slot))
 	}
-	hs, edges := s.Hybrid(), s.NumEdges()
+	st, edges := s.Storage(), s.NumEdges()
 	for slot := range before {
 		for _, nbr := range []VertexID{0, 1, 5, 7, 105, 280, 1 << 40, ^VertexID(0)} {
 			s.Peek(Slot(slot), nbr)
@@ -203,8 +197,8 @@ func TestPeekChangesNothing(t *testing.T) {
 			t.Fatalf("slot %d changed under Peek: %v, want %v", slot, got, before[slot])
 		}
 	}
-	if s.Hybrid() != hs || s.NumEdges() != edges {
-		t.Fatalf("counters changed under Peek: %+v, %d edges", s.Hybrid(), s.NumEdges())
+	if s.Storage() != st || s.NumEdges() != edges || s.CheckIndex() != nil {
+		t.Fatalf("store changed under Peek: %+v, %d edges, %v", s.Storage(), s.NumEdges(), s.CheckIndex())
 	}
 }
 

@@ -270,9 +270,9 @@ func Fig6(cfg Config) *Table {
 	return t
 }
 
-// Scaling runs the PR 8 rank-count scaling study: CON and live BFS over a
-// scale >= 20 RMAT stream, sweeping rank count against the storage
-// variants (hybrid on/off × auto-tune on/off). It is deliberately not part
+// Scaling runs the rank-count scaling study: CON and live BFS over a
+// scale >= 20 RMAT stream, sweeping rank count with auto-tune off and on.
+// It is deliberately not part
 // of `paperbench all` — at 2^20 vertices × 16 edge factor each cell
 // ingests ~16.8M topology events, so the full matrix takes minutes.
 // cfg.Quick drops to scale 12 for a shape-only smoke run.
@@ -288,24 +288,19 @@ func Scaling(cfg Config) *Table {
 	rc := rmat.Config{Scale: scale, EdgeFactor: cfg.EdgeFactor, Seed: 7}
 	edges := rmat.GenerateParallel(rc, 0)
 	variants := []struct {
-		name       string
-		noHybrid   bool
-		autoTune   bool
-		compactCap int
+		name     string
+		autoTune bool
 	}{
-		{"pure-dynamic", true, false, 0},
-		{"pure-dynamic+tune", true, true, 0},
-		{"hybrid cap16", false, false, 16},
-		{"hybrid cap128", false, false, 128},
-		{"hybrid+tune", false, true, 0},
+		{"default", false},
+		{"autotune", true},
 	}
-	header := []string{"Algo/Storage"}
+	header := []string{"Algo/Variant"}
 	for _, r := range cfg.Ranks {
 		header = append(header, fmt.Sprintf("%d ranks", r))
 	}
-	header = append(header, "compact@max", "scan@max")
+	header = append(header, "scan@max")
 	t := &Table{
-		Title:  fmt.Sprintf("Rank scaling, RMAT(%d) ef %d: hybrid and auto-tune A/B", scale, cfg.EdgeFactor),
+		Title:  fmt.Sprintf("Rank scaling, RMAT(%d) ef %d: auto-tune A/B", scale, cfg.EdgeFactor),
 		Header: header,
 	}
 	for _, algoName := range []string{"CON", "BFS"} {
@@ -317,14 +312,9 @@ func Scaling(cfg Config) *Table {
 		}
 		for _, v := range variants {
 			row := []string{algoName + "/" + v.name}
-			var lastCompactions uint64
 			var lastEngine *core.Engine
 			for _, ranks := range cfg.Ranks {
-				e := core.New(core.Options{
-					Ranks: ranks, Undirected: true,
-					NoHybrid: v.noHybrid, AutoTune: v.autoTune,
-					CompactCap: v.compactCap,
-				}, programs...)
+				e := core.New(core.Options{Ranks: ranks, Undirected: true, AutoTune: v.autoTune}, programs...)
 				for a, vs := range initMap {
 					for _, src := range vs {
 						e.InitVertex(a, src)
@@ -334,15 +324,12 @@ func Scaling(cfg Config) *Table {
 				if err != nil {
 					panic(err)
 				}
-				lastCompactions = e.EngineStats().Storage.Compactions
 				lastEngine = e
 				row = append(row, metrics.HumanRate(stats.EventRate()))
 			}
-			row = append(row, metrics.HumanCount(lastCompactions))
-			// Scan side of the locality trade: full-graph adjacency sweeps
-			// over the terminated engine (CON variants only — the topology
-			// is identical across algorithms). This is what the segments
-			// buy; ingest rate alone only shows what they cost.
+			// Scan side: full-graph adjacency sweeps over the terminated
+			// engine (CON variants only — the topology is identical across
+			// algorithms).
 			if algoName == "CON" {
 				row = append(row, metrics.HumanRate(scanRate(lastEngine)))
 			} else {

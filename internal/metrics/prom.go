@@ -98,7 +98,6 @@ func perPeer(get func(peer) any) func(stats) any {
 	}
 }
 
-func hybrid(s stats) bool   { return s.Storage.Hybrid }
 func autoTune(s stats) bool { return s.AutoTune }
 func hasPeers(s stats) bool { return len(s.Transport.Peers) > 0 }
 func serving(s stats) bool  { return s.Serve.Enabled }
@@ -162,18 +161,9 @@ var families = []family{
 		perRank(func(r core.RankEngineStats) any { return r.MailboxHWM }),
 		"Deepest the rank's inbound mailbox has ever been.", ""},
 
-	// Hybrid storage tier + auto-tune controller.
-	{"incregraph_compactions_total", "counter", hybrid, func(s stats) any { return s.Storage.Compactions },
-		"Hybrid-tier delta-to-segment merges completed.", ""},
-	{"incregraph_segment_edges", "gauge", hybrid, func(s stats) any { return s.Storage.SegmentEdges },
-		"Edges currently resident in compacted immutable segments.", ""},
-	{"incregraph_segment_clones_total", "counter", hybrid, func(s stats) any { return s.Storage.SegClones },
-		"Copy-on-write segment clones (weight merges and deletes on segment-resident edges).", ""},
-	{"incregraph_adjacency_scanned_total", "counter", hybrid, func(s stats) any {
-		return []sample{{`tier="segment"`, s.Storage.SegScanned}, {`tier="delta"`, s.Storage.DeltaScanned}}
-	}, "Adjacency entries iterated during neighbor walks, by storage tier.", ""},
-	{"incregraph_delta_hit_rate", "gauge", hybrid, func(s stats) any { return s.Storage.DeltaHitRate() },
-		"Fraction of adjacency-scan traffic served by the mutable delta tier (lower = better locality).", ""},
+	// Adjacency store + auto-tune controller.
+	{"incregraph_segment_clones_total", "counter", nil, func(s stats) any { return s.Storage.SegClones },
+		"Copy-on-write clones of adjacency arrays the read plane shares (weight merges and deletes).", ""},
 	{"incregraph_autotune_adjusts_total", "counter", autoTune, func(s stats) any { return s.TuneAdjusts },
 		"Auto-tune controller decisions that changed a knob.", ""},
 	{"incregraph_rank_effective_batch_size", "gauge", autoTune,

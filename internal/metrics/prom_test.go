@@ -65,8 +65,7 @@ func fixedStats() core.EngineStats {
 			PointReads: 500, BatchReads: 30, TopKReads: 7, NbhdReads: 3, ReadVertices: 1200,
 		},
 		Storage: core.StorageStats{
-			Hybrid: true, Compactions: 15, SegmentEdges: 900,
-			SegClones: 6, SegScanned: 4000, DeltaScanned: 1000,
+			SegClones: 6,
 		},
 		AutoTune:    true,
 		TuneAdjusts: 3,

@@ -231,8 +231,8 @@ func (pub *Publisher) Due() bool {
 
 // Touch marks slot as changed since the last publish. The rank calls it
 // on every live value write and whenever the slot gains or loses a
-// half-edge. A weight merge or a compaction needs none: the served header
-// keeps the old array, which holds the same neighbours. Changes made
+// half-edge. A weight merge needs none: the served header keeps the old
+// array, which holds the same neighbours. Changes made
 // before the first publish need no Touch either: the first two publishes
 // build fresh segments with a full copy.
 func (pub *Publisher) Touch(slot graph.Slot) {

@@ -41,9 +41,7 @@ func newPubWorld(ranks int) *pubWorld {
 	}
 	for r := 0; r < ranks; r++ {
 		w.pubs = append(w.pubs, w.plane.Publisher(r))
-		st := graph.NewStore(4)
-		st.EnableHybrid(4)
-		w.stores = append(w.stores, st)
+		w.stores = append(w.stores, graph.NewStore(4)) // small threshold: indexes come and go
 	}
 	return w
 }
@@ -83,13 +81,6 @@ func (w *pubWorld) deleteEdge(from, to graph.VertexID) {
 		w.pubs[r].Touch(slot)
 	}
 	w.events[r]++
-}
-
-// compact sorts every tail into its prefix, which needs no Touch.
-func (w *pubWorld) compact() {
-	for _, st := range w.stores {
-		st.CompactAll()
-	}
 }
 
 func (w *pubWorld) publishAll() {
@@ -289,7 +280,6 @@ func TestCopyOnWriteIsolation(t *testing.T) {
 	w.addEdge(1, 3, 9) // in-place append beyond published len
 	w.addEdge(1, 2, 1) // weight merge: clones the shared array
 	w.deleteEdge(1, 2)
-	w.compact()
 	slot := uint64(w.slot(0, 1))
 	if got := seg.adj[slot]; len(got) != 1 || got[0].Nbr != 2 || got[0].W != 7 {
 		t.Fatalf("published adjacency mutated: %+v", got)
@@ -387,7 +377,6 @@ func TestConcurrentReadersUnderChurn(t *testing.T) {
 					w.deleteEdge(v, graph.VertexID(rng.Intn(64)+1))
 				}
 			}
-			w.compact()
 			w.plane.Advance()
 			w.publishAll()
 		}
@@ -590,14 +579,13 @@ func TestLoadSeesRewrite(t *testing.T) {
 }
 
 // TestRewriteMatchesLiveState is a differential check of the dirty-slot
-// replay: random value writes, edge adds, weight merges, deletes,
-// compactions and new vertices, a publish after each burst, and pins held
+// replay: random value writes, edge adds, weight merges, deletes and new
+// vertices, a publish after each burst, and pins held
 // across publishes (which send the writer down the fresh-segment path and
 // keep the pinned spare lagging). After every publish the served segment
 // must equal the live state slot for slot: the values exactly, the
-// adjacency as a neighbour multiset — a weight merge or a compaction
-// leaves the served header on the old array, which holds the same
-// neighbours.
+// adjacency as a neighbour multiset — a weight merge leaves the served
+// header on the old array, which holds the same neighbours.
 func TestRewriteMatchesLiveState(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	w := newPubWorld(1)
@@ -610,7 +598,7 @@ func TestRewriteMatchesLiveState(t *testing.T) {
 			switch rng.Intn(5) {
 			case 0:
 				w.set(v, rng.Uint64())
-			case 1:
+			case 1, 4:
 				w.addEdge(v, graph.VertexID(rng.Intn(nv)+1), graph.Weight(rng.Intn(9)))
 			case 2, 3:
 				s, ok := st.SlotOf(v)
@@ -624,8 +612,6 @@ func TestRewriteMatchesLiveState(t *testing.T) {
 				} else {
 					w.deleteEdge(v, nbr)
 				}
-			case 4:
-				st.CompactNext()
 			}
 		}
 		w.plane.Advance()

@@ -98,12 +98,6 @@ type Config struct {
 	// actually observed being processed.
 	SampleEvery int
 	LineageKeep int
-	// CompactCap is the hybrid tier's compaction threshold (0 selects 4 —
-	// far below the engine default, so the small simulated worlds actually
-	// queue compactions for the scheduler to own). The hybrid tier itself
-	// is always on in simulation; compaction timing is a scheduler action
-	// (actCompact) differentially checked by SimDriver.CompactOne.
-	CompactCap int
 	// LoopbackNodes splits the rank space over this many simulated
 	// processes connected by the deterministic loopback transport: every
 	// cross-"process" batch round-trips through the real wire codec
@@ -148,9 +142,6 @@ func (c Config) withDefaults() Config {
 	if c.LoopbackNodes > 1 {
 		c.Snapshots = 0
 	}
-	if c.CompactCap <= 0 {
-		c.CompactCap = 4
-	}
 	return c
 }
 
@@ -182,10 +173,6 @@ type Result struct {
 	// Config.Serve is off) — the vacuity guards for the serve checker.
 	ServeReads     int
 	ServePublishes int
-	// Compactions counts scheduler-driven hybrid-tier compactions, each
-	// differentially checked (the vacuity guard for the compaction
-	// checker — a sweep where this stays 0 exercised nothing).
-	Compactions int
 	// Deletes counts the edge deletions the scheduler streamed (the
 	// vacuity guard for the churn oracle — zero on add-only runs).
 	Deletes int
@@ -217,7 +204,6 @@ const (
 	actCkpt                      // checkpoint round-trip at a paused quiescent cut
 	actServeEpoch                // advance the read plane's epoch (bounded budget)
 	actServePub                  // rank publishes its due serve segment
-	actCompact                   // rank compacts one queued hybrid-tier vertex
 	actDelete                    // stream one churn event (delete or re-add)
 )
 
@@ -230,6 +216,11 @@ type action struct {
 // Run executes one simulated run and returns its deterministic Result. An
 // engine panic (an invariants-build assertion, or a plain bug) ends the run
 // with a "panic:" violation instead of taking the test binary down.
+// simSmallCap is the degree past which a simulated vertex's adjacency is
+// indexed: far below the engine default, so the small simulated worlds
+// build, grow and drop position indexes between scheduler steps.
+const simSmallCap = 4
+
 func Run(cfg Config) (res Result) {
 	cfg = cfg.withDefaults()
 	sp := specFor(cfg.Algo)
@@ -254,7 +245,7 @@ func Run(cfg Config) (res Result) {
 		SampleEvery:  cfg.SampleEvery,
 		LineageKeep:  cfg.LineageKeep,
 		Serve:        cfg.Serve,
-		CompactCap:   cfg.CompactCap,
+		SmallCap:     simSmallCap,
 	}
 	if cfg.LoopbackNodes > 1 {
 		opts.Transport = core.NewLoopbackTransport(cfg.LoopbackNodes)
@@ -382,9 +373,6 @@ func Run(cfg Config) (res Result) {
 			if d.ServePublishDue(r) {
 				acts = append(acts, action{kind: actServePub, rank: r})
 			}
-			if d.CompactPending(r) > 0 {
-				acts = append(acts, action{kind: actCompact, rank: r})
-			}
 		}
 		return acts
 	}
@@ -403,6 +391,7 @@ func Run(cfg Config) (res Result) {
 		chk.fullOracle = fullOracle
 	}
 	stepLimit := 1000*len(w.edges) + 10000
+	wasIdle := false
 	for {
 		if curSnap != nil && curSnap.Ready() {
 			if fullOracle == nil {
@@ -498,14 +487,17 @@ func Run(cfg Config) (res Result) {
 				chk.serveFloor[act.rank] = floorOracle
 			}
 			res.ServePublishes++
-		case actCompact:
-			if ok, err := d.CompactOne(act.rank); err != nil {
-				chk.violatef("%v", err)
-			} else if ok {
-				res.Compactions++
-			}
 		}
 		chk.afterStep()
+		// Each quiescent cut the run reaches checks every store's
+		// position indexes against its arrays (invariants builds only).
+		if idle := d.Idle(); idle != wasIdle {
+			if wasIdle = idle; idle {
+				if err := d.CheckStores(); err != nil {
+					chk.violatef("%v", err)
+				}
+			}
+		}
 		if srng.Intn(16) == 0 {
 			v := graph.VertexID(srng.Intn(span))
 			chk.observeQuery(v, e.QueryLocal(0, v))
