@@ -92,30 +92,24 @@ func newPosIndex(edges []HalfEdge) *posIndex {
 // rebuild refills the table from edges, sized by groupsFor and wide if
 // a position reaches narrowLimit. Tombstones vanish.
 func (x *posIndex) rebuild(edges []HalfEdge) {
-	n := len(edges)
+	n, ng := len(edges), groupsFor(len(edges))
 	if n > narrowLimit {
-		x.narrow, x.wide = nil, fill[uint32](edges, groupsFor(n))
+		x.narrow, x.wide = nil, make([]group[uint32], ng)
 	} else {
-		x.narrow, x.wide = fill[uint16](edges, groupsFor(n)), nil
+		x.narrow, x.wide = make([]group[uint16], ng), nil
 	}
-	x.live, x.used = n, n
-}
-
-func fill[P uint16 | uint32](edges []HalfEdge, n int) []group[P] {
-	gs := make([]group[P], n)
-	for i := range gs {
-		gs[i].ctrl = allEmpty
+	for g := range ng {
+		*x.word(g) = allEmpty
 	}
 	for p := range edges {
 		h := rhh.Hash64(uint64(edges[p].Nbr))
-		for g := home(h, n); ; g = next(g, n) {
-			if m := matchEmpty(gs[g].ctrl); m != 0 {
-				setSlot(&gs[g], slotOf(m), h&0x7f, p)
-				break
-			}
+		g := home(h, ng)
+		for matchEmpty(*x.word(g)) == 0 {
+			g = next(g, ng)
 		}
+		x.set(g*groupSlots+slotOf(matchEmpty(*x.word(g))), h&0x7f, p)
 	}
-	return gs
+	x.live, x.used = n, n
 }
 
 func next(g, n int) int {
@@ -123,13 +117,6 @@ func next(g, n int) int {
 		return 0
 	}
 	return g
-}
-
-// setSlot makes slot i of gr full with control byte b and position p.
-func setSlot[P uint16 | uint32](gr *group[P], i int, b uint64, p int) {
-	sh := uint(i) * 8
-	gr.ctrl = gr.ctrl&^(0xff<<sh) | b<<sh
-	gr.pos[i] = P(p)
 }
 
 // probe looks nbr (hash h) up: slot is its global slot index (group*8 +
@@ -165,6 +152,25 @@ func (x *posIndex) lookup(edges []HalfEdge, nbr VertexID, h uint64) (slot, free 
 	return probe(x.narrow, edges, nbr, h)
 }
 
+// word returns group g's control word.
+func (x *posIndex) word(g int) *uint64 {
+	if x.wide != nil {
+		return &x.wide[g].ctrl
+	}
+	return &x.narrow[g].ctrl
+}
+
+// ctrl returns slot's control byte.
+func (x *posIndex) ctrl(slot int) uint64 {
+	return *x.word(slot / groupSlots) >> (uint(slot%groupSlots) * 8) & 0xff
+}
+
+// setCtrl writes slot's control byte.
+func (x *posIndex) setCtrl(slot int, b uint64) {
+	c, sh := x.word(slot/groupSlots), uint(slot%groupSlots)*8
+	*c = *c&^(0xff<<sh) | b<<sh
+}
+
 // pos returns the position a full slot holds.
 func (x *posIndex) pos(slot int) int {
 	if x.wide != nil {
@@ -183,6 +189,12 @@ func (x *posIndex) setPos(slot, p int) {
 	}
 }
 
+// set makes slot full with tag h2 and position p.
+func (x *posIndex) set(slot int, h2 uint64, p int) {
+	x.setCtrl(slot, h2)
+	x.setPos(slot, p)
+}
+
 // insert records that nbr (hash h), absent, now sits at position p, the
 // array's last, in free, the slot lookup returned. When that would take
 // the table past 7/8 full, or p past narrowLimit, it rebuilds from edges
@@ -193,11 +205,7 @@ func (x *posIndex) insert(edges []HalfEdge, free int, h uint64, p int) {
 		x.rebuild(edges)
 		return
 	}
-	if x.wide != nil {
-		setSlot(&x.wide[free/groupSlots], free%groupSlots, h&0x7f, p)
-	} else {
-		setSlot(&x.narrow[free/groupSlots], free%groupSlots, h&0x7f, p)
-	}
+	x.set(free, h&0x7f, p)
 	x.live++
 	if !reuse {
 		x.used++
@@ -208,29 +216,13 @@ func (x *posIndex) insert(edges []HalfEdge, free int, h uint64, p int) {
 // every probe that reached it, so no entry lies past it on a probe path
 // and the slot can go back to empty; otherwise it becomes a tombstone.
 func (x *posIndex) remove(slot int) {
-	g, sh := slot/groupSlots, uint(slot%groupSlots)*8
-	var c *uint64
-	if x.wide != nil {
-		c = &x.wide[g].ctrl
-	} else {
-		c = &x.narrow[g].ctrl
-	}
 	b := uint64(ctrlDeleted)
-	if matchEmpty(*c) != 0 {
+	if matchEmpty(*x.word(slot / groupSlots)) != 0 {
 		b = ctrlEmpty
 		x.used--
 	}
-	*c = *c&^(0xff<<sh) | b<<sh
+	x.setCtrl(slot, b)
 	x.live--
-}
-
-// ctrl returns slot's control byte.
-func (x *posIndex) ctrl(slot int) uint64 {
-	g, sh := slot/groupSlots, uint(slot%groupSlots)*8
-	if x.wide != nil {
-		return x.wide[g].ctrl >> sh & 0xff
-	}
-	return x.narrow[g].ctrl >> sh & 0xff
 }
 
 // slots is the table's slot count.
@@ -238,11 +230,7 @@ func (x *posIndex) slots() int { return groupSlots * (len(x.narrow) + len(x.wide
 
 // peek reads nbr's home group, where its lookup starts.
 func (x *posIndex) peek(nbr VertexID) uint64 {
-	h := rhh.Hash64(uint64(nbr))
-	if x.wide != nil {
-		return x.wide[home(h, len(x.wide))].ctrl
-	}
-	return x.narrow[home(h, len(x.narrow))].ctrl
+	return *x.word(home(rhh.Hash64(uint64(nbr)), x.slots()/groupSlots))
 }
 
 // check reports the first disagreement between the table and edges: every

@@ -391,7 +391,6 @@ func Run(cfg Config) (res Result) {
 		chk.fullOracle = fullOracle
 	}
 	stepLimit := 1000*len(w.edges) + 10000
-	wasIdle := false
 	for {
 		if curSnap != nil && curSnap.Ready() {
 			if fullOracle == nil {
@@ -489,13 +488,12 @@ func Run(cfg Config) (res Result) {
 			res.ServePublishes++
 		}
 		chk.afterStep()
-		// Each quiescent cut the run reaches checks every store's
-		// position indexes against its arrays (invariants builds only).
-		if idle := d.Idle(); idle != wasIdle {
-			if wasIdle = idle; idle {
-				if err := d.CheckStores(); err != nil {
-					chk.violatef("%v", err)
-				}
+		// At each quiescent cut every store's position indexes must agree
+		// with its arrays (checked in invariants builds only).
+		idle := d.Idle()
+		if idle {
+			if err := d.CheckStores(); err != nil {
+				chk.violatef("%v", err)
 			}
 		}
 		if srng.Intn(16) == 0 {
@@ -503,7 +501,7 @@ func Run(cfg Config) (res Result) {
 			chk.observeQuery(v, e.QueryLocal(0, v))
 		}
 		if cfg.Serve {
-			if d.Idle() {
+			if idle {
 				quietEdges, quietInits = len(pulled), len(initsDone)
 			}
 			if srng.Intn(8) == 0 {
