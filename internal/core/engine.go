@@ -165,7 +165,8 @@ type Engine struct {
 	// quiescent iff every slot is zero.
 	inflight [4]atomic.Int64
 	// snapSeq is the current snapshot sequence; bumping it is the marker
-	// of §III-D.
+	// of §III-D. A snapshot is published in activeSnap before its marker
+	// is bumped here (SnapshotAsync).
 	snapSeq atomic.Uint32
 	// activeSnap is the single in-flight snapshot, if any.
 	activeSnap atomic.Pointer[Snapshot]
@@ -221,6 +222,9 @@ type Engine struct {
 	// any local neighbour whose offer reproduces the doomed lane, without
 	// checking its generation or walking its witness chain.
 	simUncertified bool
+	// simSnapPublished (tests only) runs inside SnapshotAsync after the
+	// snapshot is published and before the marker is bumped.
+	simSnapPublished func()
 
 	// snapRequests counts SnapshotAsync calls (EngineStats.SnapshotsTaken).
 	snapRequests atomic.Uint64

@@ -205,7 +205,7 @@ func (c *Ctx) UpdateNbrs(val uint64) {
 		return true
 	}
 	if c.view == viewPrev {
-		c.r.store.NeighborsBefore(c.slot, c.r.snapMarker, emit)
+		c.r.store.NeighborsBefore(c.slot, emit)
 		return
 	}
 	c.r.store.Neighbors(c.slot, emit)
@@ -226,7 +226,7 @@ func (c *Ctx) UpdateNbr(nbr graph.VertexID, val uint64) {
 // that need custom propagation patterns.
 func (c *Ctx) Neighbors(fn func(nbr graph.VertexID, w graph.Weight) bool) {
 	if c.view == viewPrev {
-		c.r.store.NeighborsBefore(c.slot, c.r.snapMarker, fn)
+		c.r.store.NeighborsBefore(c.slot, fn)
 		return
 	}
 	c.r.store.Neighbors(c.slot, fn)

@@ -72,7 +72,6 @@ type rank struct {
 
 	// Snapshot-epoch state.
 	snapSeen    uint32 // marker of the last snapshot locally begun
-	snapMarker  uint32 // == snapSeen while a snapshot is active
 	snapCopyLen int    // shard size when the local copy was taken
 	contributed bool
 
@@ -658,6 +657,10 @@ func (r *rank) process(ev *Event) {
 		// once a snapshot is active (old events would double-apply via
 		// the copy; new events must not leak into it).
 		r.ensureSnapBegun()
+	}
+	if invariants && ev.Seq > r.snapSeen {
+		panic(fmt.Sprintf("invariant: rank %d processed an event of sequence %d without beginning that snapshot (last begun %d)",
+			r.id, ev.Seq, r.snapSeen))
 	}
 	switch ev.Kind {
 	case KindAdd:

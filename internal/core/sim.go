@@ -167,10 +167,7 @@ func (d *SimDriver) SnapshotChoresPending(rank int) bool {
 	if r.snapSeen < snap.marker {
 		return true
 	}
-	if r.contributed {
-		return false
-	}
-	return d.e.inflight[(snap.marker-1)&3].Load() == 0
+	return !r.contributed && snap.drained()
 }
 
 // SnapshotChores advances the rank's part of the active snapshot (local
@@ -286,7 +283,7 @@ func (d *SimDriver) ServePublish(rank int) error {
 				rank, id, len(served), len(live))
 		}
 		for i := range live {
-			if served[i] != live[i].Nbr {
+			if served[i] != live[i].Nbr() {
 				return fmt.Errorf("serve adjacency rank %d vertex %d: served %v, store %v",
 					rank, id, served, live)
 			}
@@ -314,7 +311,7 @@ func (d *SimDriver) CheckStores() error {
 
 func sortedAdj(s *graph.Store, slot graph.Slot) []graph.HalfEdge {
 	out := s.AdjEntries(slot)
-	sort.Slice(out, func(i, j int) bool { return out[i].Nbr < out[j].Nbr })
+	sort.Slice(out, func(i, j int) bool { return out[i].Nbr() < out[j].Nbr() })
 	return out
 }
 

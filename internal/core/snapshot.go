@@ -67,8 +67,17 @@ func (e *Engine) SnapshotAsync(algo int) *Snapshot {
 		return s
 	}
 	s.pending.Store(int32(len(e.ranks)))
-	s.marker = e.snapSeq.Add(1)
+	// Publish, then bump. No event carries the new marker before every
+	// rank can see the snapshot, so a rank always takes its copy
+	// (ensureSnapBegun) before it processes such an event. Between the two
+	// steps events may still be labelled with the old sequence, so ranks
+	// contribute only once the bump is visible (snapshotChores).
+	s.marker = e.snapSeq.Load() + 1
 	e.activeSnap.Store(s)
+	if e.simSnapPublished != nil {
+		e.simSnapPublished()
+	}
+	e.snapSeq.Store(s.marker)
 	// Nudge every rank: idle ranks must copy their shard and, if the old
 	// version is already drained, contribute right away.
 	e.wakeAll()
@@ -137,6 +146,14 @@ func (s *Snapshot) AsMap() map[graph.VertexID]uint64 {
 	return m
 }
 
+// drained reports that the previous version has fully drained: the marker
+// is bumped, so no event is labelled below it any more, and none labelled
+// below it is in flight.
+func (s *Snapshot) drained() bool {
+	e := s.eng
+	return e.snapSeq.Load() >= s.marker && e.inflight[(s.marker-1)&3].Load() == 0
+}
+
 // addPart receives one rank's shard of the previous-version state; the
 // last contribution finalizes the snapshot.
 func (s *Snapshot) addPart(part []VertexValue) {
@@ -169,7 +186,8 @@ func (s *Snapshot) finalizeDirect() {
 }
 
 // ensureSnapBegun takes the rank-local previous-version copy the first
-// time the rank observes an active snapshot's marker. It must run before
+// time the rank observes an active snapshot's marker, and has the store
+// hide the edges added past the marker from then on. It must run before
 // the rank applies any event while a snapshot is active: old events are
 // then double-applied through the dual-run, and new events are kept out
 // of the copy.
@@ -179,8 +197,8 @@ func (r *rank) ensureSnapBegun() {
 		return
 	}
 	r.snapSeen = snap.marker
-	r.snapMarker = snap.marker
 	r.contributed = false
+	r.store.BeginSnapshot(snap.marker)
 	src := r.values[snap.Algo]
 	dst := make([]uint64, len(src))
 	copy(dst, src)
@@ -189,8 +207,9 @@ func (r *rank) ensureSnapBegun() {
 }
 
 // snapshotChores advances the rank's part of an active snapshot: local
-// copy on first sight of the marker, contribution once the previous
-// version has drained.
+// copy on first sight of the marker, contribution once the marker is
+// bumped and the previous version has drained. After the contribution no
+// previous-version event is left, so the store's hidden set is freed.
 func (r *rank) snapshotChores() {
 	snap := r.eng.activeSnap.Load()
 	if snap == nil {
@@ -200,10 +219,11 @@ func (r *rank) snapshotChores() {
 	if r.contributed || r.snapSeen != snap.marker {
 		return
 	}
-	if r.eng.inflight[(snap.marker-1)&3].Load() != 0 {
+	if !snap.drained() {
 		return
 	}
 	r.contributed = true
+	r.store.EndSnapshot()
 	r.counters.snapshotParts.Add(1)
 	prev := r.prevValues[snap.Algo]
 	part := make([]VertexValue, 0, len(prev))

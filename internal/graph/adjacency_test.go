@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -8,11 +9,11 @@ import (
 	"testing/quick"
 )
 
-// sortedEntries returns the vertex's full (Nbr, W, Seq) set sorted by Nbr,
-// for comparisons that do not depend on array order.
+// sortedEntries returns the vertex's (Nbr, W) entries sorted by Nbr, for
+// comparisons that do not depend on array order.
 func sortedEntries(s *Store, slot Slot) []HalfEdge {
 	out := s.AdjEntries(slot)
-	sort.Slice(out, func(i, j int) bool { return out[i].Nbr < out[j].Nbr })
+	sort.Slice(out, func(i, j int) bool { return out[i].Nbr() < out[j].Nbr() })
 	return out
 }
 
@@ -21,37 +22,72 @@ type heldHeader struct {
 	hdr, copy []HalfEdge
 }
 
+// oracleMarker is the snapshot marker the oracle's store runs under while
+// a snapshot is active: edges added with seq 2 or 3 are hidden.
+const oracleMarker = 2
+
+// modelEdge is the model's view of one edge: its weight, and whether the
+// active snapshot hides it.
+type modelEdge struct {
+	w      Weight
+	hidden bool
+}
+
 // adjOracle drives a store and a map model of it through the same
-// operations and compares them: every vertex's edge set with weights and
-// seq tags, point lookups, seq-filtered walks, the edge count, the index
-// against its array (CheckIndex), and every header Share returned against
-// the copy taken when it was handed out.
+// operations and compares them: every vertex's edge set with weights,
+// point lookups, the edges NeighborsBefore hides, the edge count, the
+// index against its array (CheckIndex), and every header Share returned
+// against the copy taken when it was handed out. A snapshot with marker
+// oracleMarker is active from the start until the ops toggle it.
 type adjOracle struct {
 	t      testing.TB
 	s      *Store
-	model  map[VertexID]map[VertexID]HalfEdge
+	model  map[VertexID]map[VertexID]modelEdge
+	active bool
 	shared []heldHeader
 }
 
 func newAdjOracle(t testing.TB, smallCap int) *adjOracle {
-	return &adjOracle{t: t, s: NewStore(smallCap), model: map[VertexID]map[VertexID]HalfEdge{}}
+	o := &adjOracle{t: t, s: NewStore(smallCap), model: map[VertexID]map[VertexID]modelEdge{}}
+	o.toggleSnapshot()
+	return o
 }
 
 func (o *adjOracle) add(src, dst VertexID, w Weight, seq uint32) {
 	o.t.Helper()
 	_, _, isNew := o.s.AddEdge(src, dst, w, seq)
 	if o.model[src] == nil {
-		o.model[src] = map[VertexID]HalfEdge{}
+		o.model[src] = map[VertexID]modelEdge{}
 	}
 	old, existed := o.model[src][dst]
 	if isNew == existed {
 		o.t.Fatalf("AddEdge(%d,%d): isNew=%v, model has it: %v", src, dst, isNew, existed)
 	}
 	if existed {
-		old.W, old.Seq = min(old.W, w), min(old.Seq, seq) // WeightMin
+		// WeightMin; a pre-marker duplicate puts the edge back in the
+		// previous version.
+		old.w = min(old.w, w)
+		old.hidden = old.hidden && seq >= oracleMarker
 		o.model[src][dst] = old
 	} else {
-		o.model[src][dst] = HalfEdge{Nbr: dst, W: w, Seq: seq}
+		o.model[src][dst] = modelEdge{w, o.active && seq >= oracleMarker}
+	}
+}
+
+// toggleSnapshot ends the active snapshot, or begins one: either way no
+// edge is hidden afterwards.
+func (o *adjOracle) toggleSnapshot() {
+	if o.active {
+		o.s.EndSnapshot()
+	} else {
+		o.s.BeginSnapshot(oracleMarker)
+	}
+	o.active = !o.active
+	for _, nbrs := range o.model {
+		for nbr, e := range nbrs {
+			e.hidden = false
+			nbrs[nbr] = e
+		}
 	}
 }
 
@@ -70,7 +106,7 @@ func (o *adjOracle) nbrAt(src VertexID, k int) (VertexID, bool) {
 	if !ok || o.s.Degree(slot) == 0 {
 		return 0, false
 	}
-	return o.s.adj[slot].edges[k%o.s.Degree(slot)].Nbr, true
+	return o.s.adj[slot].edges[k%o.s.Degree(slot)].Nbr(), true
 }
 
 func (o *adjOracle) share(src VertexID) {
@@ -117,30 +153,29 @@ func (o *adjOracle) verifyVertex(src VertexID) {
 		o.t.Fatalf("vertex %d: %d edges and no index", src, len(a.edges))
 	}
 	want := make([]HalfEdge, 0, len(o.model[src]))
-	for _, e := range o.model[src] {
-		want = append(want, e)
+	visible := map[VertexID]Weight{}
+	for nbr, e := range o.model[src] {
+		want = append(want, MakeHalfEdge(nbr, e.w))
+		if !e.hidden {
+			visible[nbr] = e.w
+		}
 	}
-	sort.Slice(want, func(i, j int) bool { return want[i].Nbr < want[j].Nbr })
+	sort.Slice(want, func(i, j int) bool { return want[i].Nbr() < want[j].Nbr() })
 	if got := sortedEntries(o.s, slot); !slices.Equal(got, want) {
 		o.t.Fatalf("vertex %d: store %v, model %v", src, got, want)
 	}
 	for _, e := range want {
-		if w, ok := o.s.EdgeWeight(slot, e.Nbr); !ok || w != e.W {
-			o.t.Fatalf("EdgeWeight(%d,%d) = %d,%v, want %d", src, e.Nbr, w, ok, e.W)
+		if w, ok := o.s.EdgeWeight(slot, e.Nbr()); !ok || w != e.W {
+			o.t.Fatalf("EdgeWeight(%d,%d) = %d,%v, want %d", src, e.Nbr(), w, ok, e.W)
 		}
 	}
 	if o.s.HasEdge(src, 1<<40) {
 		o.t.Fatalf("vertex %d: absent neighbour found", src)
 	}
-	before, n := 0, 0
-	o.s.NeighborsBefore(slot, 2, func(VertexID, Weight) bool { before++; return true })
-	for _, e := range want {
-		if e.Seq < 2 {
-			n++
-		}
-	}
-	if before != n {
-		o.t.Fatalf("vertex %d: NeighborsBefore(2) walked %d, want %d", src, before, n)
+	walked := map[VertexID]Weight{}
+	o.s.NeighborsBefore(slot, func(nbr VertexID, w Weight) bool { walked[nbr] = w; return true })
+	if !maps.Equal(walked, visible) {
+		o.t.Fatalf("vertex %d: NeighborsBefore walked %v, want %v", src, walked, visible)
 	}
 }
 
@@ -148,8 +183,10 @@ func (o *adjOracle) verifyVertex(src VertexID) {
 // argument bytes — and applies up to 512 of them to a store whose
 // threshold is smallCap. Sources come from four vertices, so degrees cross
 // the threshold; bursts add or delete many edges at once, so degrees also
-// shrink back through it. The touched vertex is compared with the model
-// after every operation, the whole store every 32 and at the end.
+// shrink back through it. Adds carry seqs 0 to 3, so about half land past
+// the snapshot marker, and the snapshot ends and begins again now and
+// then. The touched vertex is compared with the model after every
+// operation, the whole store every 32 and at the end.
 func runAdjacency(t testing.TB, smallCap int, ops []byte) {
 	o := newAdjOracle(t, smallCap)
 	ops = ops[:min(len(ops), 4*512)]
@@ -160,7 +197,7 @@ func runAdjacency(t testing.TB, smallCap int, ops []byte) {
 		switch kind {
 		case 0, 1, 2, 3, 4, 5: // a new neighbour, or a duplicate by chance
 			o.add(src, VertexID(a|b<<8&0x300), w, seq)
-		case 6, 7: // a re-add of a stored neighbour: a weight/seq merge
+		case 6, 7: // a re-add of a stored neighbour: a weight merge, maybe a reveal
 			if nbr, ok := o.nbrAt(src, a); ok {
 				o.add(src, nbr, w, seq)
 			}
@@ -170,8 +207,10 @@ func runAdjacency(t testing.TB, smallCap int, ops []byte) {
 			}
 		case 11: // a delete of an absent one
 			o.del(src, VertexID(1<<20+a))
-		case 12, 13:
+		case 12:
 			o.share(src)
+		case 13:
+			o.toggleSnapshot()
 		case 14: // a burst of distinct new neighbours
 			for i := range 8 + a%32 {
 				o.add(src, VertexID(1<<12+b<<8+i), w, seq)
@@ -182,8 +221,8 @@ func runAdjacency(t testing.TB, smallCap int, ops []byte) {
 				break
 			}
 			for _, e := range o.s.AdjEntries(slot) {
-				if e.Nbr%2 == VertexID(a%2) {
-					o.del(src, e.Nbr)
+				if e.Nbr()%2 == VertexID(a%2) {
+					o.del(src, e.Nbr())
 				}
 			}
 		}
@@ -196,9 +235,9 @@ func runAdjacency(t testing.TB, smallCap int, ops []byte) {
 }
 
 // FuzzAdjacency checks the adjacency layout — arrival-order arrays, the
-// position index past smallCap, deletes that move the last entry, and
-// Share's copy-on-write — against a map model, over operation sequences
-// the fuzzer shapes.
+// position index past smallCap, deletes that move the last entry, Share's
+// copy-on-write, and the edges an active snapshot hides — against a map
+// model, over operation sequences the fuzzer shapes.
 func FuzzAdjacency(f *testing.F) {
 	rng := rand.New(rand.NewSource(38))
 	for seed := range 17 {
@@ -286,9 +325,10 @@ func TestIndexFollowsDegree(t *testing.T) {
 }
 
 // TestSegmentCopyOnWrite pins the aliasing contract the serve plane relies
-// on: a header taken with Share before a weight merge, a seq merge or a
-// delete keeps observing the old content, while the store reflects the
-// new; an append writes past the shared length without a clone.
+// on: a header taken with Share before a weight merge or a delete keeps
+// observing the old content, while the store reflects the new; a
+// duplicate that changes no weight and an append write nothing below the
+// shared length, so neither clones.
 func TestSegmentCopyOnWrite(t *testing.T) {
 	s := NewStore(1) // indexed from the second edge
 	s.AddEdge(1, 2, 9, 5)
@@ -301,21 +341,20 @@ func TestSegmentCopyOnWrite(t *testing.T) {
 	if w, _ := s.EdgeWeight(slot, 2); w != 4 {
 		t.Fatalf("merged weight = %d, want 4", w)
 	}
-	if before[0] != (HalfEdge{2, 9, 5}) {
+	if before[0] != MakeHalfEdge(2, 9) {
 		t.Fatalf("shared array mutated in place: %+v", before)
 	}
-	// Seq lowering alone must also clone.
+	// A duplicate that keeps the weight writes nothing.
 	snap := s.Share(slot)
 	s.AddEdge(1, 3, 7, 2)
-	if snap[1].Seq != 5 {
-		t.Fatalf("shared array seq mutated in place: %+v", snap)
+	if got := s.Storage().SegClones; got != 1 {
+		t.Fatalf("SegClones after an unchanged duplicate = %d, want 1", got)
 	}
-	// A delete must clone too.
-	snap = s.Share(slot)
+	// A delete must clone.
 	if !s.DeleteEdge(1, 2) {
 		t.Fatal("DeleteEdge(1,2) reported absent")
 	}
-	if len(snap) != 2 || snap[0].Nbr != 2 || snap[1].Nbr != 3 {
+	if len(snap) != 2 || snap[0].Nbr() != 2 || snap[1].Nbr() != 3 {
 		t.Fatalf("shared array rewritten by a delete: %+v", snap)
 	}
 	if s.Degree(slot) != 1 {
@@ -324,11 +363,11 @@ func TestSegmentCopyOnWrite(t *testing.T) {
 	// An append writes past the shared length, in place.
 	snap = s.Share(slot)
 	s.AddEdge(1, 1, 3, 7)
-	if len(snap) != 1 || snap[0].Nbr != 3 {
+	if len(snap) != 1 || snap[0].Nbr() != 3 {
 		t.Fatalf("shared array rewritten by an append: %+v", snap)
 	}
-	if got := s.Storage().SegClones; got != 3 {
-		t.Fatalf("SegClones = %d, want 3", got)
+	if got := s.Storage().SegClones; got != 2 {
+		t.Fatalf("SegClones = %d, want 2", got)
 	}
 }
 

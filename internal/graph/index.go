@@ -102,7 +102,7 @@ func (x *posIndex) rebuild(edges []HalfEdge) {
 		*x.word(g) = allEmpty
 	}
 	for p := range edges {
-		h := rhh.Hash64(uint64(edges[p].Nbr))
+		h := rhh.Hash64(uint64(edges[p].Nbr()))
 		g := home(h, ng)
 		for matchEmpty(*x.word(g)) == 0 {
 			g = next(g, ng)
@@ -129,7 +129,7 @@ func probe[P uint16 | uint32](gs []group[P], edges []HalfEdge, nbr VertexID, h u
 		gr := &gs[g]
 		for m := matchH2(gr.ctrl, h2); m != 0; m &= m - 1 {
 			i := slotOf(m)
-			if edges[gr.pos[i]].Nbr == nbr {
+			if edges[gr.pos[i]].Nbr() == nbr {
 				return g*groupSlots + i, -1
 			}
 		}
@@ -262,9 +262,9 @@ func (x *posIndex) check(edges []HalfEdge) error {
 			x.live, x.used, x.slots(), full, used)
 	}
 	for p := range edges {
-		slot, _ := x.lookup(edges, edges[p].Nbr, rhh.Hash64(uint64(edges[p].Nbr)))
+		slot, _ := x.lookup(edges, edges[p].Nbr(), rhh.Hash64(uint64(edges[p].Nbr())))
 		if slot < 0 || x.pos(slot) != p {
-			return fmt.Errorf("entry %d (nbr %d) indexed at slot %d", p, edges[p].Nbr, slot)
+			return fmt.Errorf("entry %d (nbr %d) indexed at slot %d", p, edges[p].Nbr(), slot)
 		}
 	}
 	return nil

@@ -106,10 +106,11 @@ func FuzzSegFind(f *testing.F) {
 		// A linear scan's answer for every present ID, taken once.
 		scan := make(map[VertexID]int, len(a.edges))
 		for i := range a.edges {
-			if want := arrival[a.edges[i].Nbr]; want != i {
-				t.Fatalf("ID %#x at position %d, arrived %d", a.edges[i].Nbr, i, want)
+			nbr := a.edges[i].Nbr()
+			if want := arrival[nbr]; want != i {
+				t.Fatalf("ID %#x at position %d, arrived %d", nbr, i, want)
 			}
-			scan[a.edges[i].Nbr] = i
+			scan[nbr] = i
 		}
 		if err := s.CheckIndex(); err != nil {
 			t.Fatal(err)

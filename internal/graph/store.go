@@ -25,7 +25,7 @@ const DefaultSmallCap = 128
 //
 // shared reports that Share handed the array out by reference. An append
 // writes at an index >= len, which no shared header can see, so it never
-// copies. Any other write below len — a weight or seq merge, a delete —
+// copies. Any other write below len — a weight merge, a delete —
 // first replaces a shared array with a private clone (own). A fresh array
 // (a clone or a growth reallocation) is private. The index is the store's
 // own and never shared.
@@ -44,7 +44,7 @@ func (a *adjacency) find(nbr VertexID) int {
 		return -1
 	}
 	for i := range a.edges {
-		if a.edges[i].Nbr == nbr {
+		if a.edges[i].Nbr() == nbr {
 			return i
 		}
 	}
@@ -80,6 +80,12 @@ type Store struct {
 	edges    uint64        // directed half-edge count stored in this shard
 	smallCap int
 	policy   WeightPolicy
+
+	// marker is the active snapshot's marker (BeginSnapshot), 0 when none;
+	// hidden holds, per source slot, the edges added at or past it, which
+	// the previous version must not see (NeighborsBefore).
+	marker uint32
+	hidden map[Slot]map[VertexID]struct{}
 
 	promotions uint64 // position indexes built (instrumentation)
 	// clones counts clones of shared arrays (own). The store is
@@ -160,18 +166,21 @@ func (s *Store) EnsureVertex(v VertexID) (Slot, bool) {
 	return slot, true
 }
 
-// AddEdge inserts the directed edge src->dst with weight w, tagging it with
-// the snapshot sequence seq. The source vertex is created if absent; the
-// destination is NOT — in the distributed model the destination vertex
+// AddEdge inserts the directed edge src->dst with weight w, carried by an
+// event of snapshot sequence seq. The source vertex is created if absent;
+// the destination is NOT — in the distributed model the destination vertex
 // lives in its owner's shard, and appears here only as a neighbour ID
 // inside src's adjacency. If the edge already exists its weight merges per
 // the store's WeightPolicy (default: keep the minimum — the paper's SSSP
-// "edge updates limited only to reducing edge weight", §II-B) and the
-// stored Seq is lowered to the smaller of the two: a parallel edge ingested
-// before a snapshot marker belongs to the previous version even when a
-// post-marker duplicate raced ahead of it, and previous-version propagation
-// (NeighborsBefore) must be able to traverse it. A merge that changes the
-// entry clones a shared array first; a new edge is appended in place.
+// "edge updates limited only to reducing edge weight", §II-B). A merge
+// that changes the entry clones a shared array first; a new edge is
+// appended in place.
+//
+// While a snapshot is active (BeginSnapshot), a new edge with seq at or
+// past its marker is hidden from NeighborsBefore, and a duplicate with seq
+// below it reveals the edge again: a parallel edge ingested before the
+// marker belongs to the previous version even when a post-marker
+// duplicate raced ahead of it. Outside a snapshot seq is not read.
 // Returns the source slot, whether the source vertex was created, and
 // whether the adjacency entry is new.
 func (s *Store) AddEdge(src, dst VertexID, w Weight, seq uint32) (srcSlot Slot, srcCreated, isNew bool) {
@@ -190,12 +199,12 @@ func (s *Store) AddEdge(src, dst VertexID, w Weight, seq uint32) (srcSlot Slot, 
 		}
 	}
 	if i >= 0 {
-		e := &a.edges[i]
-		merged := s.mergeWeight(e.W, w)
-		mseq := min(seq, e.Seq)
-		if merged != e.W || mseq != e.Seq {
+		if merged := s.mergeWeight(a.edges[i].W, w); merged != a.edges[i].W {
 			s.own(a)
-			a.edges[i].W, a.edges[i].Seq = merged, mseq
+			a.edges[i].W = merged
+		}
+		if seq < s.marker {
+			s.reveal(srcSlot, dst)
 		}
 		return srcSlot, srcCreated, false
 	}
@@ -211,7 +220,7 @@ func (s *Store) AddEdge(src, dst VertexID, w Weight, seq uint32) (srcSlot Slot, 
 		copy(grown, a.edges)
 		a.edges, a.shared = grown, false
 	}
-	a.edges = append(a.edges, HalfEdge{Nbr: dst, W: w, Seq: seq})
+	a.edges = append(a.edges, MakeHalfEdge(dst, w))
 	switch {
 	case a.index != nil:
 		a.index.insert(a.edges, free, h, len(a.edges)-1)
@@ -220,7 +229,50 @@ func (s *Store) AddEdge(src, dst VertexID, w Weight, seq uint32) (srcSlot Slot, 
 		s.promotions++
 	}
 	s.edges++
+	if s.marker != 0 && seq >= s.marker {
+		s.hide(srcSlot, dst)
+	}
 	return srcSlot, srcCreated, true
+}
+
+// BeginSnapshot starts a snapshot with the given marker (> 0): from now
+// until EndSnapshot, AddEdge hides from NeighborsBefore every new edge
+// whose seq is at or past marker. The engine calls it when the rank takes
+// its previous-version copy; an edge stored before that belongs to the
+// previous version. A second Begin drops the first's set.
+func (s *Store) BeginSnapshot(marker uint32) {
+	s.marker, s.hidden = marker, nil
+}
+
+// EndSnapshot ends the active snapshot and frees its set. The engine calls
+// it once the rank has contributed, when no previous-version event is left.
+func (s *Store) EndSnapshot() {
+	s.marker, s.hidden = 0, nil
+}
+
+// hide records that the edge from the vertex at slot to nbr was added
+// after the marker.
+func (s *Store) hide(slot Slot, nbr VertexID) {
+	if s.hidden == nil {
+		s.hidden = map[Slot]map[VertexID]struct{}{}
+	}
+	set := s.hidden[slot]
+	if set == nil {
+		set = map[VertexID]struct{}{}
+		s.hidden[slot] = set
+	}
+	set[nbr] = struct{}{}
+}
+
+// reveal drops the edge from the vertex at slot to nbr from the hidden
+// set, if it is there.
+func (s *Store) reveal(slot Slot, nbr VertexID) {
+	if set := s.hidden[slot]; set != nil {
+		delete(set, nbr)
+		if len(set) == 0 {
+			delete(s.hidden, slot)
+		}
+	}
 }
 
 // own makes a's array private before a write below its length: a shared
@@ -253,7 +305,7 @@ func (s *Store) DeleteEdge(src, dst VertexID) bool {
 		i = x.pos(slot)
 		x.remove(slot)
 		if i != last {
-			moved := a.edges[last].Nbr
+			moved := a.edges[last].Nbr()
 			ms, _ := x.lookup(a.edges, moved, rhh.Hash64(uint64(moved)))
 			x.setPos(ms, i)
 		}
@@ -267,6 +319,9 @@ func (s *Store) DeleteEdge(src, dst VertexID) bool {
 	a.edges[i] = a.edges[last]
 	a.edges = a.edges[:last]
 	s.edges--
+	if len(s.hidden) != 0 {
+		s.reveal(srcSlot, dst)
+	}
 	return true
 }
 
@@ -294,24 +349,30 @@ func (s *Store) EdgeWeight(slot Slot, nbr VertexID) (Weight, bool) {
 func (s *Store) Neighbors(slot Slot, fn func(nbr VertexID, w Weight) bool) {
 	a := &s.adj[slot]
 	for i := range a.edges {
-		if !fn(a.edges[i].Nbr, a.edges[i].W) {
+		if !fn(a.edges[i].Nbr(), a.edges[i].W) {
 			return
 		}
 	}
 }
 
-// NeighborsBefore is Neighbors restricted to edges inserted before snapshot
-// sequence seq. Previous-version snapshot propagation uses it so that state
-// belonging to a snapshot never traverses edges added after the marker.
-// Deletes move entries with their Seq intact, so the filter is
-// order-independent.
-func (s *Store) NeighborsBefore(slot Slot, seq uint32, fn func(nbr VertexID, w Weight) bool) {
+// NeighborsBefore is Neighbors without the edges the active snapshot hides
+// (BeginSnapshot): those added after its marker. Previous-version snapshot
+// propagation uses it so that state belonging to a snapshot never
+// traverses such an edge. With nothing hidden at the vertex it is
+// Neighbors.
+func (s *Store) NeighborsBefore(slot Slot, fn func(nbr VertexID, w Weight) bool) {
+	set := s.hidden[slot]
+	if len(set) == 0 {
+		s.Neighbors(slot, fn)
+		return
+	}
 	a := &s.adj[slot]
 	for i := range a.edges {
-		if a.edges[i].Seq >= seq {
+		nbr := a.edges[i].Nbr()
+		if _, hid := set[nbr]; hid {
 			continue
 		}
-		if !fn(a.edges[i].Nbr, a.edges[i].W) {
+		if !fn(nbr, a.edges[i].W) {
 			return
 		}
 	}
@@ -330,7 +391,7 @@ func (s *Store) Peek(slot Slot, nbr VertexID) uint64 {
 	if n == 0 {
 		return 0
 	}
-	x := uint64(a.edges[n-1].Nbr)
+	x := uint64(a.edges[n-1].Nbr())
 	if a.index != nil {
 		x ^= a.index.peek(nbr)
 	}
@@ -352,9 +413,9 @@ func (s *Store) Share(slot Slot) []HalfEdge {
 	return a.edges[:n:n]
 }
 
-// AdjEntries returns a copy of every half-edge of the vertex at slot as
-// full (Nbr, W, Seq) triples. Diagnostic accessor for tests and the sim
-// driver's checks; allocates per call.
+// AdjEntries returns a copy of every half-edge of the vertex at slot.
+// Diagnostic accessor for tests and the sim driver's checks; allocates per
+// call.
 func (s *Store) AdjEntries(slot Slot) []HalfEdge {
 	return append([]HalfEdge(nil), s.adj[slot].edges...)
 }

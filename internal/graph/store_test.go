@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEnsureVertex(t *testing.T) {
@@ -81,24 +82,29 @@ func TestAddEdgeDuplicateLowersWeight(t *testing.T) {
 	}
 }
 
-// TestAddEdgeDuplicateLowersSeq: a duplicate insertion with an earlier
-// snapshot sequence must lower the stored stamp — a parallel edge ingested
-// before a marker belongs to the previous version even when a post-marker
-// duplicate raced ahead, and NeighborsBefore must be able to traverse it.
+// TestAddEdgeDuplicateLowersSeq: a duplicate insertion with a sequence
+// below the active snapshot's marker must reveal an edge a post-marker
+// insertion hid — a parallel edge ingested before a marker belongs to the
+// previous version even when a post-marker duplicate raced ahead, and
+// NeighborsBefore must be able to traverse it.
 func TestAddEdgeDuplicateLowersSeq(t *testing.T) {
 	for _, promote := range []bool{false, true} {
-		s := NewStore(0)
+		s := NewStore(16)
+		s.BeginSnapshot(1)
 		if promote {
-			// Force the Robin Hood representation for vertex 1.
+			// Give vertex 1 a position index.
 			for n := VertexID(10); n < 30; n++ {
 				s.AddEdge(1, n, 1, 2)
 			}
 		}
 		s.AddEdge(1, 2, 5, 1) // post-marker duplicate arrives first
-		s.AddEdge(1, 2, 5, 0) // pre-marker original
 		slot, _ := s.SlotOf(1)
+		if s.NeighborsBefore(slot, func(nbr VertexID, w Weight) bool { return nbr != 2 }); len(s.hidden[slot]) == 0 {
+			t.Fatalf("promote=%v: post-marker edge not hidden", promote)
+		}
+		s.AddEdge(1, 2, 5, 0) // pre-marker original
 		seen := false
-		s.NeighborsBefore(slot, 1, func(nbr VertexID, w Weight) bool {
+		s.NeighborsBefore(slot, func(nbr VertexID, w Weight) bool {
 			if nbr == 2 {
 				seen = true
 			}
@@ -107,10 +113,10 @@ func TestAddEdgeDuplicateLowersSeq(t *testing.T) {
 		if !seen {
 			t.Fatalf("promote=%v: pre-marker duplicate left edge stamped post-marker", promote)
 		}
-		// A later duplicate must never raise the stamp back.
+		// A later duplicate must never hide it again.
 		s.AddEdge(1, 2, 5, 3)
 		seen = false
-		s.NeighborsBefore(slot, 1, func(nbr VertexID, w Weight) bool {
+		s.NeighborsBefore(slot, func(nbr VertexID, w Weight) bool {
 			if nbr == 2 {
 				seen = true
 			}
@@ -262,36 +268,60 @@ func TestNeighborsSmallAndLarge(t *testing.T) {
 	}
 }
 
+// TestNeighborsBefore: while a snapshot is active, NeighborsBefore skips
+// the edges added at or past its marker and only those; a delete forgets
+// a hidden edge, so a pre-marker re-add is visible; ending the snapshot
+// frees the set, and a snapshot begun later hides nothing stored before.
 func TestNeighborsBefore(t *testing.T) {
 	for _, smallCap := range []int{2, 64} {
 		s := NewStore(smallCap)
-		for i := VertexID(1); i <= 5; i++ {
+		s.AddEdge(0, 1, 1, 0) // stored before the snapshot begins
+		s.BeginSnapshot(1)
+		for i := VertexID(2); i <= 5; i++ {
 			s.AddEdge(0, i, 1, 0) // epoch 0
 		}
-		for i := VertexID(6); i <= 12; i++ {
+		for i := VertexID(6); i <= 13; i++ {
 			s.AddEdge(0, i, 1, 1) // epoch 1
 		}
+		s.DeleteEdge(0, 13)
+		s.AddEdge(0, 13, 1, 0) // deleted, then re-added before the marker
+		s.AddEdge(0, 14, 1, 1)
+		s.DeleteEdge(0, 14) // a hidden edge deleted for good
 		slot, _ := s.SlotOf(0)
 		var old []VertexID
-		s.NeighborsBefore(slot, 1, func(nbr VertexID, _ Weight) bool {
+		s.NeighborsBefore(slot, func(nbr VertexID, _ Weight) bool {
 			old = append(old, nbr)
 			return true
 		})
 		sort.Slice(old, func(i, j int) bool { return old[i] < old[j] })
-		if len(old) != 5 {
-			t.Fatalf("smallCap=%d: NeighborsBefore saw %d edges, want 5", smallCap, len(old))
+		if !slices.Equal(old, []VertexID{1, 2, 3, 4, 5, 13}) {
+			t.Fatalf("smallCap=%d: old edge set %v", smallCap, old)
 		}
-		for i, v := range old {
-			if v != VertexID(i+1) {
-				t.Fatalf("smallCap=%d: old edge set %v", smallCap, old)
-			}
+		if len(s.hidden[slot]) != 7 {
+			t.Fatalf("smallCap=%d: %d edges hidden, want 7", smallCap, len(s.hidden[slot]))
 		}
-		// seq 2 sees everything.
+		// Ending the snapshot frees the set; a new one sees everything.
+		s.EndSnapshot()
+		if s.hidden != nil || s.marker != 0 {
+			t.Fatalf("smallCap=%d: EndSnapshot kept marker %d, %d hidden", smallCap, s.marker, len(s.hidden))
+		}
+		s.BeginSnapshot(2)
 		count := 0
-		s.NeighborsBefore(slot, 2, func(VertexID, Weight) bool { count++; return true })
-		if count != 12 {
-			t.Fatalf("NeighborsBefore(2) = %d edges, want 12", count)
+		s.NeighborsBefore(slot, func(VertexID, Weight) bool { count++; return true })
+		if count != 13 {
+			t.Fatalf("smallCap=%d: NeighborsBefore under a later snapshot = %d edges, want 13", smallCap, count)
 		}
+	}
+}
+
+// TestHalfEdgeSize pins the adjacency entry at 12 bytes: a 64-bit
+// neighbour field would pad it to 16.
+func TestHalfEdgeSize(t *testing.T) {
+	if n := unsafe.Sizeof(HalfEdge{}); n != 12 {
+		t.Fatalf("HalfEdge is %d bytes, want 12", n)
+	}
+	if e := MakeHalfEdge(1<<40|7, 3); e.Nbr() != 1<<40|7 || e.W != 3 {
+		t.Fatalf("MakeHalfEdge round trip: %+v", e)
 	}
 }
 

@@ -42,12 +42,21 @@ type EdgeEvent struct {
 	Delete bool
 }
 
-// HalfEdge is one adjacency entry: the neighbour, the edge weight, and the
-// snapshot sequence number current when the edge was inserted. Versioned
-// global-state collection (§III-D) uses Seq to hide edges added after a
-// snapshot marker from the previous-version state.
+// HalfEdge is one adjacency entry: the neighbour and the edge weight, in
+// 12 bytes. The neighbour is kept as two 32-bit halves so the entry has
+// 4-byte alignment; a VertexID field would pad it to 16. Snapshot
+// versioning (§III-D) is not stored per entry: the store keeps the edges a
+// snapshot must hide in a side set while that snapshot is active
+// (Store.BeginSnapshot).
 type HalfEdge struct {
-	Nbr VertexID
-	W   Weight
-	Seq uint32
+	lo, hi uint32
+	W      Weight
 }
+
+// MakeHalfEdge returns the entry for an edge to nbr with weight w.
+func MakeHalfEdge(nbr VertexID, w Weight) HalfEdge {
+	return HalfEdge{lo: uint32(nbr), hi: uint32(nbr >> 32), W: w}
+}
+
+// Nbr returns the entry's neighbour.
+func (e HalfEdge) Nbr() VertexID { return VertexID(e.hi)<<32 | VertexID(e.lo) }

@@ -262,7 +262,7 @@ func (p *Plane) Neighbors(v graph.VertexID) []graph.VertexID {
 	}
 	out := make([]graph.VertexID, len(seg.adj[slot]))
 	for i, he := range seg.adj[slot] {
-		out[i] = he.Nbr
+		out[i] = he.Nbr()
 	}
 	return out
 }
@@ -312,11 +312,12 @@ func (p *Plane) Neighborhood(algo int, root graph.VertexID, depth, limit int) ([
 			continue
 		}
 		for _, he := range seg.adj[slot] {
-			if visited[he.Nbr] {
+			nbr := he.Nbr()
+			if visited[nbr] {
 				continue
 			}
-			visited[he.Nbr] = true
-			queue = append(queue, qent{he.Nbr, cur.d + 1})
+			visited[nbr] = true
+			queue = append(queue, qent{nbr, cur.d + 1})
 		}
 	}
 	return out, epoch

@@ -281,7 +281,7 @@ func TestCopyOnWriteIsolation(t *testing.T) {
 	w.addEdge(1, 2, 1) // weight merge: clones the shared array
 	w.deleteEdge(1, 2)
 	slot := uint64(w.slot(0, 1))
-	if got := seg.adj[slot]; len(got) != 1 || got[0].Nbr != 2 || got[0].W != 7 {
+	if got := seg.adj[slot]; len(got) != 1 || got[0].Nbr() != 2 || got[0].W != 7 {
 		t.Fatalf("published adjacency mutated: %+v", got)
 	}
 
@@ -606,7 +606,7 @@ func TestRewriteMatchesLiveState(t *testing.T) {
 					continue
 				}
 				edges := st.AdjEntries(s)
-				nbr := edges[rng.Intn(len(edges))].Nbr
+				nbr := edges[rng.Intn(len(edges))].Nbr()
 				if rng.Intn(2) == 0 {
 					w.addEdge(v, nbr, graph.Weight(rng.Intn(9)))
 				} else {
@@ -664,7 +664,7 @@ func TestRewriteMatchesLiveState(t *testing.T) {
 func nbrs(edges []graph.HalfEdge) []graph.VertexID {
 	out := make([]graph.VertexID, len(edges))
 	for i, e := range edges {
-		out[i] = e.Nbr
+		out[i] = e.Nbr()
 	}
 	slices.Sort(out)
 	return out
