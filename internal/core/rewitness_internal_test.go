@@ -22,11 +22,14 @@ func (labelStub) OnAdd(c *Ctx, _ graph.VertexID, _ graph.Weight) {
 }
 
 func (s labelStub) OnReverseAdd(c *Ctx, nbr graph.VertexID, nbrVal uint64, w graph.Weight) {
-	s.OnAdd(c, nbr, w)
 	s.OnUpdate(c, nbr, nbrVal, w)
 }
 
-func (labelStub) OnUpdate(c *Ctx, from graph.VertexID, fromVal uint64, _ graph.Weight) {
+// OnUpdate first seeds a vertex that has no label yet, as OnAdd does: a
+// vertex's previous-version state starts unlabelled when the vertex was
+// created after the snapshot marker.
+func (s labelStub) OnUpdate(c *Ctx, from graph.VertexID, fromVal uint64, w graph.Weight) {
+	s.OnAdd(c, from, w)
 	switch cur := c.Value(); {
 	case fromVal != Unset && fromVal < cur:
 		c.SetValue(fromVal)
