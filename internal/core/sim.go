@@ -293,8 +293,10 @@ func (d *SimDriver) ServePublish(rank int) error {
 }
 
 // CheckStores reports the first rank whose adjacency store disagrees with
-// itself: an indexed vertex with an entry not indexed at its position, or
-// an index whose live count is not the degree (graph.Store.CheckIndex).
+// itself: an indexed vertex with an entry not indexed at its position, an
+// index whose live count is not the degree, or a snapshot's hidden-edge
+// bitmap that disagrees with its vertex's count or marks past its array
+// (graph.Store.CheckIndex).
 // The check walks every store, so it runs only in invariants builds; the
 // scheduler calls it at globally quiescent cuts.
 func (d *SimDriver) CheckStores() error {

@@ -36,9 +36,10 @@ type modelEdge struct {
 // adjOracle drives a store and a map model of it through the same
 // operations and compares them: every vertex's edge set with weights,
 // point lookups, the edges NeighborsBefore hides, the edge count, the
-// index against its array (CheckIndex), and every header Share returned
-// against the copy taken when it was handed out. A snapshot with marker
-// oracleMarker is active from the start until the ops toggle it.
+// index and the hidden set against the arrays (CheckIndex), and every
+// header Share returned against the copy taken when it was handed out. A
+// snapshot with marker oracleMarker is active from the start until the ops
+// toggle it.
 type adjOracle struct {
 	t      testing.TB
 	s      *Store

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"incregraph/internal/rhh"
@@ -29,10 +30,15 @@ const DefaultSmallCap = 128
 // first replaces a shared array with a private clone (own). A fresh array
 // (a clone or a growth reallocation) is private. The index is the store's
 // own and never shared.
+//
+// hidden counts the positions the store's hidden bitmap for this vertex
+// marks (Store.hidden); it sits in what would otherwise be the header's
+// padding.
 type adjacency struct {
 	edges  []HalfEdge
 	index  *posIndex // nil until the array outgrows smallCap
 	shared bool
+	hidden uint32
 }
 
 // find returns the position of nbr in edges, or -1.
@@ -82,10 +88,12 @@ type Store struct {
 	policy   WeightPolicy
 
 	// marker is the active snapshot's marker (BeginSnapshot), 0 when none;
-	// hidden holds, per source slot, the edges added at or past it, which
-	// the previous version must not see (NeighborsBefore).
+	// hidden marks the edges added at or past it, which the previous
+	// version must not see (NeighborsBefore): for each vertex that has
+	// had one, a bitmap over positions in its edge array. Each header
+	// counts its vertex's marks, so a vertex with none pays no lookup.
 	marker uint32
-	hidden map[Slot]map[VertexID]struct{}
+	hidden map[Slot][]uint64
 
 	promotions uint64 // position indexes built (instrumentation)
 	// clones counts clones of shared arrays (own). The store is
@@ -204,7 +212,7 @@ func (s *Store) AddEdge(src, dst VertexID, w Weight, seq uint32) (srcSlot Slot, 
 			a.edges[i].W = merged
 		}
 		if seq < s.marker {
-			s.reveal(srcSlot, dst)
+			s.reveal(srcSlot, i)
 		}
 		return srcSlot, srcCreated, false
 	}
@@ -230,7 +238,7 @@ func (s *Store) AddEdge(src, dst VertexID, w Weight, seq uint32) (srcSlot Slot, 
 	}
 	s.edges++
 	if s.marker != 0 && seq >= s.marker {
-		s.hide(srcSlot, dst)
+		s.hide(srcSlot, len(a.edges)-1)
 	}
 	return srcSlot, srcCreated, true
 }
@@ -241,38 +249,59 @@ func (s *Store) AddEdge(src, dst VertexID, w Weight, seq uint32) (srcSlot Slot, 
 // its previous-version copy; an edge stored before that belongs to the
 // previous version. A second Begin drops the first's set.
 func (s *Store) BeginSnapshot(marker uint32) {
-	s.marker, s.hidden = marker, nil
+	s.forgetHidden()
+	s.marker = marker
 }
 
 // EndSnapshot ends the active snapshot and frees its set. The engine calls
 // it once the rank has contributed, when no previous-version event is left.
 func (s *Store) EndSnapshot() {
-	s.marker, s.hidden = 0, nil
+	s.forgetHidden()
+	s.marker = 0
 }
 
-// hide records that the edge from the vertex at slot to nbr was added
-// after the marker.
-func (s *Store) hide(slot Slot, nbr VertexID) {
+// hide marks the unmarked entry at position pos of the vertex at slot as
+// added after the marker.
+func (s *Store) hide(slot Slot, pos int) {
 	if s.hidden == nil {
-		s.hidden = map[Slot]map[VertexID]struct{}{}
+		s.hidden = map[Slot][]uint64{}
 	}
 	set := s.hidden[slot]
-	if set == nil {
-		set = map[VertexID]struct{}{}
+	if w := pos / 64; w >= len(set) {
+		set = append(set, make([]uint64, w+1-len(set))...)
 		s.hidden[slot] = set
 	}
-	set[nbr] = struct{}{}
+	set[pos/64] |= 1 << (pos % 64)
+	s.adj[slot].hidden++
 }
 
-// reveal drops the edge from the vertex at slot to nbr from the hidden
-// set, if it is there.
-func (s *Store) reveal(slot Slot, nbr VertexID) {
-	if set := s.hidden[slot]; set != nil {
-		delete(set, nbr)
-		if len(set) == 0 {
-			delete(s.hidden, slot)
-		}
+// reveal unmarks the entry at position pos of the vertex at slot,
+// reporting whether it was marked.
+func (s *Store) reveal(slot Slot, pos int) bool {
+	a := &s.adj[slot]
+	if a.hidden == 0 {
+		return false
 	}
+	set := s.hidden[slot]
+	if !isHidden(set, pos) {
+		return false
+	}
+	set[pos/64] &^= 1 << (pos % 64)
+	a.hidden--
+	return true
+}
+
+// isHidden reports whether the bitmap set marks position pos.
+func isHidden(set []uint64, pos int) bool {
+	return pos/64 < len(set) && set[pos/64]&(1<<(pos%64)) != 0
+}
+
+// forgetHidden unmarks every entry and frees the bitmaps.
+func (s *Store) forgetHidden() {
+	for slot := range s.hidden {
+		s.adj[slot].hidden = 0
+	}
+	s.hidden = nil
 }
 
 // own makes a's array private before a write below its length: a shared
@@ -319,8 +348,13 @@ func (s *Store) DeleteEdge(src, dst VertexID) bool {
 	a.edges[i] = a.edges[last]
 	a.edges = a.edges[:last]
 	s.edges--
-	if len(s.hidden) != 0 {
-		s.reveal(srcSlot, dst)
+	// The mark goes with the entry: the deleted one's is dropped, the
+	// moved one's follows it to i.
+	if a.hidden != 0 {
+		s.reveal(srcSlot, i)
+		if i != last && s.reveal(srcSlot, last) {
+			s.hide(srcSlot, i)
+		}
 	}
 	return true
 }
@@ -361,18 +395,17 @@ func (s *Store) Neighbors(slot Slot, fn func(nbr VertexID, w Weight) bool) {
 // traverses such an edge. With nothing hidden at the vertex it is
 // Neighbors.
 func (s *Store) NeighborsBefore(slot Slot, fn func(nbr VertexID, w Weight) bool) {
-	set := s.hidden[slot]
-	if len(set) == 0 {
+	a := &s.adj[slot]
+	if a.hidden == 0 {
 		s.Neighbors(slot, fn)
 		return
 	}
-	a := &s.adj[slot]
+	set := s.hidden[slot]
 	for i := range a.edges {
-		nbr := a.edges[i].Nbr()
-		if _, hid := set[nbr]; hid {
+		if isHidden(set, i) {
 			continue
 		}
-		if !fn(nbr, a.edges[i].W) {
+		if !fn(a.edges[i].Nbr(), a.edges[i].W) {
 			return
 		}
 	}
@@ -445,11 +478,24 @@ func (s *Store) Storage() StorageStats { return StorageStats{SegClones: s.clones
 func (st *StorageStats) Add(o StorageStats) { st.SegClones += o.SegClones }
 
 // CheckIndex reports the first vertex whose position index disagrees with
-// its edge array (see posIndex.check), or whose array outgrew smallCap
-// without one. Diagnostic: it walks every index.
+// its edge array (see posIndex.check), whose array outgrew smallCap
+// without one, or whose hidden count disagrees with its bitmap or whose
+// bitmap marks a position past its array. Diagnostic: it walks every
+// index and bitmap.
 func (s *Store) CheckIndex() error {
 	for slot := range s.adj {
 		a := &s.adj[slot]
+		n, last := 0, -1
+		for w, x := range s.hidden[Slot(slot)] {
+			if x != 0 {
+				last = w*64 + 63 - bits.LeadingZeros64(x)
+			}
+			n += bits.OnesCount64(x)
+		}
+		if n != int(a.hidden) || last >= len(a.edges) {
+			return fmt.Errorf("vertex %d: counts %d hidden of %d edges, its bitmap marks %d up to position %d",
+				s.ids[slot], a.hidden, len(a.edges), n, last)
+		}
 		if a.index == nil {
 			if len(a.edges) > s.smallCap {
 				return fmt.Errorf("vertex %d: %d edges and no index", s.ids[slot], len(a.edges))

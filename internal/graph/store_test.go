@@ -99,11 +99,17 @@ func TestAddEdgeDuplicateLowersSeq(t *testing.T) {
 		}
 		s.AddEdge(1, 2, 5, 1) // post-marker duplicate arrives first
 		slot, _ := s.SlotOf(1)
-		if s.NeighborsBefore(slot, func(nbr VertexID, w Weight) bool { return nbr != 2 }); len(s.hidden[slot]) == 0 {
+		seen := false
+		s.NeighborsBefore(slot, func(nbr VertexID, w Weight) bool {
+			if nbr == 2 {
+				seen = true
+			}
+			return true
+		})
+		if seen {
 			t.Fatalf("promote=%v: post-marker edge not hidden", promote)
 		}
 		s.AddEdge(1, 2, 5, 0) // pre-marker original
-		seen := false
 		s.NeighborsBefore(slot, func(nbr VertexID, w Weight) bool {
 			if nbr == 2 {
 				seen = true
@@ -297,13 +303,14 @@ func TestNeighborsBefore(t *testing.T) {
 		if !slices.Equal(old, []VertexID{1, 2, 3, 4, 5, 13}) {
 			t.Fatalf("smallCap=%d: old edge set %v", smallCap, old)
 		}
-		if len(s.hidden[slot]) != 7 {
-			t.Fatalf("smallCap=%d: %d edges hidden, want 7", smallCap, len(s.hidden[slot]))
+		if err := s.CheckIndex(); err != nil || s.adj[slot].hidden != 7 {
+			t.Fatalf("smallCap=%d: %d edges hidden, want 7 (%v)", smallCap, s.adj[slot].hidden, err)
 		}
 		// Ending the snapshot frees the set; a new one sees everything.
 		s.EndSnapshot()
-		if s.hidden != nil || s.marker != 0 {
-			t.Fatalf("smallCap=%d: EndSnapshot kept marker %d, %d hidden", smallCap, s.marker, len(s.hidden))
+		if s.hidden != nil || s.marker != 0 || s.adj[slot].hidden != 0 {
+			t.Fatalf("smallCap=%d: EndSnapshot kept marker %d, %d hidden, vertex counts %d",
+				smallCap, s.marker, len(s.hidden), s.adj[slot].hidden)
 		}
 		s.BeginSnapshot(2)
 		count := 0
@@ -311,17 +318,30 @@ func TestNeighborsBefore(t *testing.T) {
 		if count != 13 {
 			t.Fatalf("smallCap=%d: NeighborsBefore under a later snapshot = %d edges, want 13", smallCap, count)
 		}
+		// A Begin with no End between drops the first snapshot's set too.
+		s.AddEdge(0, 20, 1, 2)
+		s.BeginSnapshot(3)
+		count = 0
+		s.NeighborsBefore(slot, func(VertexID, Weight) bool { count++; return true })
+		if count != 14 || s.hidden != nil || s.adj[slot].hidden != 0 {
+			t.Fatalf("smallCap=%d: after a second Begin %d edges visible, %d hidden, vertex counts %d, want 14, 0, 0",
+				smallCap, count, len(s.hidden), s.adj[slot].hidden)
+		}
 	}
 }
 
-// TestHalfEdgeSize pins the adjacency entry at 12 bytes: a 64-bit
-// neighbour field would pad it to 16.
+// TestHalfEdgeSize pins the adjacency entry at 12 bytes (a 64-bit
+// neighbour field would pad it to 16) and the vertex header at 40.
 func TestHalfEdgeSize(t *testing.T) {
 	if n := unsafe.Sizeof(HalfEdge{}); n != 12 {
 		t.Fatalf("HalfEdge is %d bytes, want 12", n)
 	}
 	if e := MakeHalfEdge(1<<40|7, 3); e.Nbr() != 1<<40|7 || e.W != 3 {
 		t.Fatalf("MakeHalfEdge round trip: %+v", e)
+	}
+	// The vertex header's hidden count fits in what was padding.
+	if n := unsafe.Sizeof(adjacency{}); n != 40 {
+		t.Fatalf("adjacency header is %d bytes, want 40", n)
 	}
 }
 
