@@ -406,14 +406,16 @@ func (g *Graph) CollectMap(algo int) map[VertexID]uint64 { return g.eng.CollectM
 func (g *Graph) Topology() Topology { return g.eng.Topology() }
 
 // Quiescent reports whether no event is buffered, queued, or being
-// processed anywhere in the engine. Events still sitting inside a live
-// stream are not covered — pair with Ingested to know a pushed workload
-// has fully drained.
+// processed anywhere in the engine: one sweep found the ranks' counts of
+// events finished equal to their counts of events created. Events still
+// sitting inside a live stream are not covered — pair with Ingested to
+// know a pushed workload has fully drained.
 func (g *Graph) Quiescent() bool { return g.eng.Quiescent() }
 
 // Ingested returns the number of topology events pulled from streams so
-// far. Ingested()==pushed && Quiescent() means every pushed event has been
-// fully processed.
+// far. Ingested()==pushed followed by Quiescent() means every pushed event
+// has been fully processed: a rank counts a pull only after counting its
+// event created, so the later sweep covers it.
 func (g *Graph) Ingested() uint64 { return g.eng.Ingested() }
 
 // Drain blocks until every event pushed so far to the given live streams

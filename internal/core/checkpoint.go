@@ -82,7 +82,7 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	flags |= uint32(e.opts.WeightPolicy) << 1
 	writeU32(flags)
 	// Run-metadata block.
-	writeU64(e.ingested.Load())
+	writeU64(e.Ingested())
 	pausedByte := byte(0)
 	if e.State() == StatePaused {
 		pausedByte = 1

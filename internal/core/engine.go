@@ -131,11 +131,10 @@ type Engine struct {
 	// protocol's live-edge guard requires the undirected reverse edge). A
 	// rank runs that guard only once it has removed an edge (rank.removedEdge).
 	witness []WitnessProgram
-	// genCounter mints witness generations (see nextGen). Like the
-	// in-flight ring it is a deliberate shared-atomic deviation from
-	// shared-nothing: a reset's generation must be strictly above every
-	// generation any in-flight event anywhere can carry, which a per-rank
-	// counter cannot guarantee. One uncontended CAS per *unsafe deletion*
+	// genCounter mints witness generations (see nextGen). It is a
+	// deliberate shared-atomic deviation from shared-nothing: a reset's
+	// generation must be strictly above every generation any in-flight
+	// event anywhere can carry, which a per-rank counter cannot guarantee. One uncontended CAS per *unsafe deletion*
 	// — never on the add/update hot path.
 	genCounter atomic.Uint32
 	triggers   []trigger
@@ -160,10 +159,11 @@ type Engine struct {
 	// the stall watchdog's dumps are retained here too.
 	flight *flightRec
 
-	// inflight counts unprocessed events per snapshot-sequence ring slot
-	// (ring size 4 > the 2 sequences that can coexist). The engine is
-	// quiescent iff every slot is zero.
-	inflight [4]atomic.Int64
+	// ext counts the external events (InitVertex, Signal, Resume's
+	// replay) under extMu; counts is ext followed by every rank's own
+	// block (rankCounters), the ledgers pending sums.
+	ext    eventCounts
+	counts []*eventCounts
 	// snapSeq is the current snapshot sequence; bumping it is the marker
 	// of §III-D. A snapshot is published in activeSnap before its marker
 	// is bumped here (SnapshotAsync).
@@ -173,7 +173,6 @@ type Engine struct {
 	snapMu     sync.Mutex
 
 	streamsLeft atomic.Int32
-	ingested    atomic.Uint64
 	done        chan struct{}
 	finishOnce  sync.Once
 	finished    atomic.Bool
@@ -192,12 +191,11 @@ type Engine struct {
 	extMu    sync.Mutex    // fences external emissions against a pause
 	deferred []Event       // external events held while paused; replayed on Resume
 
-	// Quiescence signalling: qCond is broadcast on every in-flight zero
-	// crossing, rank parking, and termination, so waiters (Pause,
-	// WaitDrained) park instead of spinning.
-	qMu      sync.Mutex
-	qCond    *sync.Cond
-	qWaiters atomic.Int32
+	// Quiescence signalling: qCond is broadcast when a rank's idle sweep
+	// finds nothing pending, on rank parking, and on termination, so
+	// waiters (Pause, WaitDrained) park instead of spinning.
+	qMu   sync.Mutex
+	qCond *sync.Cond
 
 	// loadedMeta carries the metadata block of the checkpoint this engine
 	// was built from (zero if built fresh).
@@ -222,6 +220,9 @@ type Engine struct {
 	// any local neighbour whose offer reproduces the doomed lane, without
 	// checking its generation or walking its witness chain.
 	simUncertified bool
+	// simLateCreate (mutation testing only) counts an emitted cross-rank
+	// event created only after the flush that hands it over (rank.emit).
+	simLateCreate bool
 	// simSnapPublished (tests only) runs inside SnapshotAsync after the
 	// snapshot is published and before the marker is bumped.
 	simSnapPublished func()
@@ -304,8 +305,10 @@ func New(opts Options, programs ...Program) *Engine {
 		e.srv = &serveStats{}
 	}
 	e.ranks = make([]*rank, opts.Ranks)
+	e.counts = []*eventCounts{&e.ext}
 	for i := range e.ranks {
 		e.ranks[i] = newRank(e, i)
+		e.counts = append(e.counts, &e.ranks[i].counters.eventCounts)
 		if e.plane != nil && e.tr.Local(i) {
 			e.ranks[i].pub = e.plane.Publisher(i)
 		}
@@ -333,32 +336,8 @@ func (e *Engine) Ranks() int { return e.opts.Ranks }
 // rank; missing ones idle). It returns immediately; use Wait to block
 // until every stream is exhausted and the engine is quiescent.
 func (e *Engine) Start(streams []stream.Stream) error {
-	if len(streams) > len(e.ranks) {
-		return fmt.Errorf("core: %d streams for %d ranks", len(streams), len(e.ranks))
-	}
-	if e.finished.Load() {
-		return fmt.Errorf("core: engine already stopped")
-	}
-	if e.started.Swap(true) {
-		return fmt.Errorf("core: engine already started")
-	}
-	// Count every local stream before the transport starts or any rank
-	// runs: a rank whose stream is empty finishes the engine as soon as it
-	// sees streamsLeft at zero with nothing in flight, and a TCP peer may
-	// probe StreamsDone as soon as the mesh is up.
-	for i, r := range e.ranks {
-		if !e.tr.Local(i) || i >= len(streams) || streams[i] == nil {
-			// No stream here. A rank a peer process owns is an inert local
-			// shard: no goroutine, a mailbox that only buffers if a bug
-			// ever routes to it, and Collect reads it as empty.
-			r.streamDone = true
-			continue
-		}
-		r.stream = streams[i]
-		if live, ok := r.stream.(stream.Live); ok {
-			live.SetNotify(r.inbox.poke)
-		}
-		e.streamsLeft.Add(1)
+	if err := e.claim(streams); err != nil {
+		return err
 	}
 	// Bring the update plane up next: a multi-process transport blocks
 	// here until the full mesh is connected, so by the time any rank loop
@@ -398,23 +377,114 @@ func (e *Engine) Start(streams []stream.Stream) error {
 	return nil
 }
 
+// claim makes a first start's checks and hands each local rank its stream
+// (Start and StartSim). It counts every stream before the transport starts
+// or any rank runs: a rank whose stream is empty finishes the engine as
+// soon as it sees streamsLeft at zero with nothing pending, and a TCP peer
+// may probe StreamsDone as soon as the mesh is up.
+func (e *Engine) claim(streams []stream.Stream) error {
+	if len(streams) > len(e.ranks) {
+		return fmt.Errorf("core: %d streams for %d ranks", len(streams), len(e.ranks))
+	}
+	if e.finished.Load() {
+		return fmt.Errorf("core: engine already stopped")
+	}
+	if e.started.Swap(true) {
+		return fmt.Errorf("core: engine already started")
+	}
+	for i, r := range e.ranks {
+		if !e.tr.Local(i) || i >= len(streams) || streams[i] == nil {
+			// No stream here. A rank a peer process owns is an inert local
+			// shard: no goroutine, a mailbox that only buffers if a bug
+			// ever routes to it, and Collect reads it as empty.
+			r.streamDone = true
+			continue
+		}
+		r.stream = streams[i]
+		if live, ok := r.stream.(stream.Live); ok {
+			live.SetNotify(r.inbox.poke)
+		}
+		e.streamsLeft.Add(1)
+	}
+	return nil
+}
+
 // Ingested returns the number of topology events pulled from streams so
-// far. Combined with Quiescent it gives a sound "everything pushed has
-// been fully processed" check for live streams: by the time an event is
-// counted here it is already tracked by the in-flight counters.
-func (e *Engine) Ingested() uint64 { return e.ingested.Load() }
+// far, summed over the ranks. Followed by Quiescent it gives a sound
+// "everything pushed has been fully processed" check for live streams: a
+// rank counts a pull only after its event is counted created.
+func (e *Engine) Ingested() uint64 {
+	var n uint64
+	for _, c := range e.counts {
+		n += c.pulled.Load()
+	}
+	return n
+}
 
 // Quiescent reports whether no event is currently buffered, queued, or
 // mid-processing. With idle live streams this is the moment a collected
 // global state equals the state after "a defined set of events have been
 // ingested and processed" (§II-C).
-func (e *Engine) Quiescent() bool {
-	for i := range e.inflight {
-		if e.inflight[i].Load() != 0 {
-			return false
+func (e *Engine) Quiescent() bool { return e.pending() == [4]int64{} }
+
+// eventCounts is one writer's monotone ledger per snapshot-sequence slot
+// (Seq&3; 4 > the 2 sequences that can coexist): events made visible to
+// the engine (created) and events finished or given up (done), plus a
+// rank's stream pulls.
+type eventCounts struct {
+	created, done [4]atomic.Uint64
+	pulled        atomic.Uint64
+}
+
+// label stamps ev with the current snapshot sequence and counts it created
+// in that slot. Counting before re-reading the sequence is what lets
+// Snapshot.drained trust a balanced slot: if a marker lands between the
+// two loads, the count is undone by a done in the old slot and the label
+// retried under the new sequence.
+func (c *eventCounts) label(ev *Event, seq *atomic.Uint32) {
+	for {
+		s := seq.Load()
+		c.created[s&3].Add(1)
+		if seq.Load() == s {
+			ev.Seq = s
+			return
+		}
+		c.done[s&3].Add(1)
+	}
+}
+
+// pending returns how many events of each slot were pending at one moment
+// during the call. It reads every done count (and the events the transport
+// shipped out) first and every created count (and the events it took in)
+// second. Counts only grow, and an event is counted created (or received)
+// before anyone can count it done (or sent), so with t the moment between
+// the two phases the first phase reads at most done(t), the second at
+// least created(t) ≥ done(t): a balanced slot had nothing pending at t.
+// This one function answers Quiescent, tryFinish, WaitDrained, the pause
+// barrier, Snapshot.drained and a TCP node's REPORT.
+func (e *Engine) pending() (p [4]int64) {
+	// Multi-process engines never bump the sequence, so the transport's
+	// events all belong to slot 0.
+	var done, created [4]uint64
+	done[0], _ = e.tr.wireEvents()
+	for _, c := range e.counts {
+		for i := range done {
+			done[i] += c.done[i].Load()
 		}
 	}
-	return true
+	_, created[0] = e.tr.wireEvents()
+	for _, c := range e.counts {
+		for i := range created {
+			created[i] += c.created[i].Load()
+		}
+	}
+	for i := range p {
+		p[i] = int64(created[i] - done[i])
+		if invariants && p[i] < 0 {
+			panic(fmt.Sprintf("invariant: slot %d reads %d done and only %d created", i, done[i], created[i]))
+		}
+	}
+	return p
 }
 
 // Wait blocks until the engine terminates — all streams exhausted and all
@@ -454,17 +524,14 @@ func (e *Engine) Signal(algo int, v graph.VertexID, val uint64) {
 	e.emitExternal(Event{Kind: KindSignal, Algo: uint8(algo), To: v, Val: val})
 }
 
-// emitExternal labels an event with the current snapshot sequence and
-// routes it. The increment-then-verify loop guarantees the event is
-// counted in the ring slot matching its label even when it races a
-// snapshot marker, so a snapshot can never be declared drained while an
-// event claiming the old version is still unprocessed.
+// emitExternal labels an event with the current snapshot sequence, counts
+// it created in the external block and routes it.
 //
 // Emission is fenced against the lifecycle: while a pause is in progress
 // or the engine is paused, the event is held in the deferred queue and
 // replayed on Resume (so a paused engine's state stays frozen); once a
 // stop is requested the event is discarded. The fence mutex guarantees a
-// pause observes either the fully-registered event (and waits for it to
+// pause observes either the fully-counted event (and waits for it to
 // drain) or none of it.
 func (e *Engine) emitExternal(ev Event) {
 	e.extMu.Lock()
@@ -476,16 +543,16 @@ func (e *Engine) emitExternal(ev Event) {
 		e.deferred = append(e.deferred, ev)
 		return
 	}
+	e.ext.label(&ev, &e.snapSeq)
 	owner := e.part.Owner(ev.To)
 	if !e.tr.Local(owner) {
-		// The owning rank lives in a peer process: ship the event
-		// unlabeled and let the owner stamp it with ITS snapshot sequence
-		// (sequences are process-local; distributed runs never bump them).
+		// The owning rank lives in a peer process. Sequences are
+		// process-local and distributed runs never bump them, so the event
+		// is counted in slot 0 here and its receiver counts it received.
 		// Before Start the transport buffers it until the mesh is up.
 		e.tr.SendExternal(ev)
 		return
 	}
-	e.labelSeq(&ev)
 	// The external lane is SPSC like every other: extMu (held here) is
 	// what serializes its producer side. pushExternal buffers into the
 	// lane's current chunk, so injection allocates nothing per event.
@@ -494,34 +561,20 @@ func (e *Engine) emitExternal(ev Event) {
 
 // injectExternal is the receiving half of Transport.SendExternal: a peer
 // process routed an engine-external event here because this process owns
-// the target vertex. It runs on a transport goroutine and mirrors
-// emitExternal's tail — extMu serializes it with local external producers
-// (the external mailbox lane stays SPSC) and fences it against a stop.
+// the target vertex. It runs on a transport goroutine after the transport
+// counted the event received, and mirrors emitExternal's tail — extMu
+// serializes it with local external producers (the external mailbox lane
+// stays SPSC) and fences it against a stop, where the dropped event counts
+// done.
 func (e *Engine) injectExternal(ev Event) {
 	e.extMu.Lock()
 	defer e.extMu.Unlock()
 	if e.stopReq.Load() || e.finished.Load() && e.started.Load() {
+		e.ext.done[0].Add(1)
+		e.wakeAll() // that done may have balanced a stopping node
 		return
 	}
-	e.labelSeq(&ev)
 	e.ranks[e.part.Owner(ev.To)].inbox.pushExternal(ev)
-}
-
-// labelSeq stamps ev with the current snapshot sequence and registers it
-// in the matching in-flight ring slot. The increment-then-verify loop is
-// the one place this race is solved (see emitExternal's contract): if a
-// snapshot marker lands between the load and the increment, the increment
-// is rolled back and retried under the new sequence.
-func (e *Engine) labelSeq(ev *Event) {
-	for {
-		s := e.snapSeq.Load()
-		e.inflight[s&3].Add(1)
-		if e.snapSeq.Load() == s {
-			ev.Seq = s
-			return
-		}
-		e.inflight[s&3].Add(-1)
-	}
 }
 
 // nextGen mints a globally fresh witness generation, strictly above every
@@ -557,25 +610,15 @@ func (e *Engine) observeGen(g uint32) {
 // tryFinish detects global termination: every stream exhausted (or a stop
 // requested) and no event buffered, queued, or mid-processing anywhere.
 // A pause in progress wins over natural termination — ranks park at the
-// barrier instead, and termination is re-detected after Resume. Callable
-// from any rank; closes done exactly once.
+// barrier instead, and termination is re-detected after Resume. Once local
+// quiescence holds, the transport decides whether that is global
+// termination: inproc always; TCP only after the Mattern counter protocol
+// agrees (the call also kicks the coordinator's detector, and a follower
+// returns true only once TERMINATE arrived). Callable from any rank;
+// closes done exactly once.
 func (e *Engine) tryFinish() bool {
-	if e.pauseReq.Load() {
-		return false
-	}
-	if e.streamsLeft.Load() != 0 && !e.stopReq.Load() {
-		return false
-	}
-	for i := range e.inflight {
-		if e.inflight[i].Load() != 0 {
-			return false
-		}
-	}
-	// Local quiescence established; the transport decides whether that is
-	// global termination. inproc: always. TCP: only after the Mattern
-	// counter protocol agrees (the call also kicks the coordinator's
-	// detector, and a follower returns true only once TERMINATE arrived).
-	if !e.tr.readyToFinish() {
+	if e.pauseReq.Load() || e.streamsLeft.Load() != 0 && !e.stopReq.Load() ||
+		!e.Quiescent() || !e.tr.readyToFinish() {
 		return false
 	}
 	e.finish()

@@ -46,8 +46,8 @@ func TestCoalesceOutboundBuffer(t *testing.T) {
 	if got := r.counters.combinedAway.Load(); got != 1 {
 		t.Fatalf("combinedAway = %d, want 1", got)
 	}
-	if got := e.inflight[0].Load(); got != 1 {
-		t.Fatalf("inflight = %d, want 1 (merged event never registered)", got)
+	if got := r.counters.created[0].Load(); got != 1 {
+		t.Fatalf("created = %d, want 1 (merged event never counted)", got)
 	}
 
 	// A differing weight must not merge (the candidate value depends on it).
@@ -99,26 +99,29 @@ func TestCoalesceSelfRing(t *testing.T) {
 	}
 }
 
-// TestLabelSeqRegression pins the one shared implementation of the
-// increment-then-verify seq-labeling loop: the event must always be
-// registered in the in-flight ring slot matching its label, even when the
-// load races a snapshot-marker bump.
+// TestLabelSeqRegression pins the one implementation of the
+// count-then-verify seq-labeling loop, on a rank's own counts: the event
+// must always be counted pending in the slot matching its label, even when
+// the load races a snapshot-marker bump, and no count may ever fall.
 func TestLabelSeqRegression(t *testing.T) {
 	e := New(Options{Ranks: 1}, stubProg{})
+	c := &e.ranks[0].counters.eventCounts
 	var ev Event
-	e.labelSeq(&ev)
-	if ev.Seq != 0 || e.inflight[0].Load() != 1 {
-		t.Fatalf("seq=%d inflight[0]=%d, want 0/1", ev.Seq, e.inflight[0].Load())
+	c.label(&ev, &e.snapSeq)
+	if ev.Seq != 0 || e.pending() != [4]int64{1, 0, 0, 0} {
+		t.Fatalf("seq=%d pending=%v, want 0 and [1 0 0 0]", ev.Seq, e.pending())
 	}
 	e.snapSeq.Store(3)
-	e.labelSeq(&ev)
-	if ev.Seq != 3 || e.inflight[3].Load() != 1 {
-		t.Fatalf("seq=%d inflight[3]=%d, want 3/1", ev.Seq, e.inflight[3].Load())
+	c.label(&ev, &e.snapSeq)
+	if ev.Seq != 3 || e.pending() != [4]int64{1, 0, 0, 1} {
+		t.Fatalf("seq=%d pending=%v, want 3 and [1 0 0 1]", ev.Seq, e.pending())
 	}
 
 	// Concurrent marker bumps: whatever sequence each label observes, the
-	// matching ring slot must account for it exactly.
+	// matching slot must count it pending exactly, and a retried label
+	// leaves a matched created and done in the slot it gave up.
 	e2 := New(Options{Ranks: 1}, stubProg{})
+	c2 := &e2.ranks[0].counters.eventCounts
 	const events = 20000
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -131,14 +134,20 @@ func TestLabelSeqRegression(t *testing.T) {
 	var labeled [4]int64
 	for i := 0; i < events; i++ {
 		var ev Event
-		e2.labelSeq(&ev)
+		c2.label(&ev, &e2.snapSeq)
 		labeled[ev.Seq&3]++
 	}
 	wg.Wait()
+	if got := e2.pending(); got != labeled {
+		t.Fatalf("pending %v, labeled %v", got, labeled)
+	}
+	var created, done uint64
 	for s := range labeled {
-		if got := e2.inflight[s].Load(); got != labeled[s] {
-			t.Fatalf("slot %d: inflight %d, labeled %d", s, got, labeled[s])
-		}
+		created += c2.created[s].Load()
+		done += c2.done[s].Load()
+	}
+	if created-events != done {
+		t.Fatalf("%d labels retried, but %d were counted done", created-events, done)
 	}
 }
 

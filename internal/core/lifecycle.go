@@ -126,7 +126,7 @@ func (e *Engine) Pause() error {
 	}
 	e.newGate()
 	// Fence external emissions: any emit that already holds extMu finishes
-	// its in-flight registration first (so a rank cannot park over it);
+	// counting its event first (so a rank cannot park over it);
 	// everything after the flag is deferred until Resume.
 	e.extMu.Lock()
 	e.pauseReq.Store(true)
@@ -223,8 +223,8 @@ func (e *Engine) Stop(ctx context.Context) error {
 // ingested from streams and the engine is quiescent — the moment every
 // pushed event and all of its recursive cascades are fully processed. It
 // is the condition-signalled replacement for busy-wait draining: waiters
-// park on a condition variable and are woken by the in-flight counters'
-// zero crossings. It returns early if the engine terminates.
+// park on a condition variable and are woken by the rank whose idle sweep
+// finds nothing pending. It returns early if the engine terminates.
 //
 // pushed is re-evaluated on every wakeup, so it may track a moving target
 // (e.g. a live stream's Pushed counter). On a paused engine WaitDrained
@@ -234,16 +234,14 @@ func (e *Engine) WaitDrained(pushed func() uint64) {
 		if e.finished.Load() {
 			return true
 		}
-		return e.ingested.Load() >= pushed() && e.Quiescent()
+		return e.Ingested() >= pushed() && e.Quiescent()
 	})
 }
 
 // awaitQuiesce parks until pred holds. pred is evaluated under qMu and
-// must be fast; every potential-quiescence transition (in-flight zero
-// crossing, rank parking, termination) broadcasts qCond.
+// must be fast; every potential-quiescence transition (an idle sweep that
+// finds nothing pending, rank parking, termination) broadcasts qCond.
 func (e *Engine) awaitQuiesce(pred func() bool) {
-	e.qWaiters.Add(1)
-	defer e.qWaiters.Add(-1)
 	e.qMu.Lock()
 	defer e.qMu.Unlock()
 	for !pred() {
@@ -252,12 +250,8 @@ func (e *Engine) awaitQuiesce(pred func() bool) {
 }
 
 // signalQuiesce wakes awaitQuiesce waiters after a state transition that
-// may have satisfied their predicate. The waiter count keeps the hot path
-// (every in-flight zero crossing) lock-free when nobody is waiting.
+// may have satisfied their predicate.
 func (e *Engine) signalQuiesce() {
-	if e.qWaiters.Load() == 0 {
-		return
-	}
 	e.qMu.Lock()
 	e.qCond.Broadcast()
 	e.qMu.Unlock()

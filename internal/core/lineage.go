@@ -38,7 +38,7 @@ import (
 //
 // Every process records its share of a lineage in a FRAGMENT: the nodes
 // its ranks emitted, its pending count (the lineage's events still live on
-// that process, like a per-cascade in-flight ring), and its cumulative
+// that process, like a per-cascade termination count), and its cumulative
 // per-channel counters of traced events shipped and received. The origin
 // is no exception; its fragment lives in the lineage's slot, every other
 // process's in a map keyed by (lineage, process). Whenever a fragment's
@@ -142,7 +142,7 @@ type Lineage struct {
 	ID uint32 `json:"id"`
 	// StartUnixNanos is the wall-clock stream-pull instant; Latency is the
 	// time from that pull to cascade quiescence — the last descendant
-	// retired from the in-flight ring.
+	// processed.
 	StartUnixNanos int64         `json:"start_unix_nanos"`
 	Latency        time.Duration `json:"latency_nanos"`
 	// Truncated marks a cascade that outgrew maxLineageNodes: the recorded

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // loopbackTransport simulates a multi-process cluster inside one process:
@@ -21,15 +20,15 @@ import (
 // deterministic test plane for cross-rank lineage stitching; it is not a
 // performance configuration.
 //
-// The in-flight ring needs no handover (unlike TCP): sender and receiver
-// share the ring, so the decrement-at-enqueue / increment-at-receive pair
-// would cancel exactly. Lineage fragments for all fake processes coexist
-// in the one traceTable, keyed by (id, proc); a fragment ships its report
-// by a synchronous handleReport call (fragment → origin slot → table is
-// the legal lock chain; the origin's own fragment reports without
-// shipping).
+// It extends the in-process transport and keeps its termination answers
+// and cluster view: sender and receiver ranks share one engine, so no
+// transport count is needed (unlike TCP). Lineage fragments for all fake
+// processes coexist in the one traceTable, keyed by (id, proc); a fragment
+// ships its report by a synchronous handleReport call (fragment → origin
+// slot → table is the legal lock chain; the origin's own fragment reports
+// without shipping).
 type loopbackTransport struct {
-	e        *Engine
+	inprocTransport
 	procs    int
 	ranksPer int
 	// seq numbers the fake wire frames (cheap parity with the TCP codec's
@@ -48,11 +47,8 @@ func NewLoopbackTransport(procs int) Transport {
 	return &loopbackTransport{procs: procs}
 }
 
-func (t *loopbackTransport) Kind() string   { return "loopback" }
-func (t *loopbackTransport) Local(int) bool { return true }
-func (t *loopbackTransport) procOf(g int) int {
-	return g / t.ranksPer
-}
+func (t *loopbackTransport) Kind() string     { return "loopback" }
+func (t *loopbackTransport) procOf(g int) int { return g / t.ranksPer }
 
 func (t *loopbackTransport) bind(e *Engine) error {
 	if t.procs < 1 {
@@ -76,12 +72,10 @@ func (t *loopbackTransport) start() error {
 	return nil
 }
 
-func (t *loopbackTransport) stop() {}
-
 func (t *loopbackTransport) Send(from, dest int, batch []Event) {
 	sp, dp := t.procOf(from), t.procOf(dest)
 	if sp == dp {
-		t.e.ranks[dest].inbox.push(from, batch)
+		t.inprocTransport.Send(from, dest, batch)
 		return
 	}
 	// Cross-"process" path: a genuine codec round trip, so whatever the
@@ -108,15 +102,6 @@ func (t *loopbackTransport) Send(from, dest int, batch []Event) {
 	t.e.ranks[dest].inbox.push(from, f.Events)
 }
 
-// SendExternal is unreachable: every rank is local, so emitExternal always
-// takes the direct pushExternal path.
-func (t *loopbackTransport) SendExternal(Event) {
-	panic("core: loopback transport has no remote ranks")
-}
-
-// readyToFinish: all ranks are local, so local quiescence is global.
-func (t *loopbackTransport) readyToFinish() bool { return true }
-
 func (t *loopbackTransport) transportStats() TransportStats {
 	return TransportStats{Kind: t.Kind(), Nodes: t.procs, Peers: []PeerTransportStats{{
 		Node:       0,
@@ -125,9 +110,4 @@ func (t *loopbackTransport) transportStats() TransportStats {
 		SentFrames: t.frames.Load(),
 		RecvFrames: t.frames.Load(),
 	}}}
-}
-
-// clusterStats: the process is (simulating) the whole cluster.
-func (t *loopbackTransport) clusterStats(time.Duration) []NodeEngineStats {
-	return []NodeEngineStats{{Node: 0, Stats: t.e.EngineStats()}}
 }

@@ -143,17 +143,19 @@ func (l *lane) drainInto(out []Event) []Event {
 	}
 }
 
-// pending counts the published-but-undrained events in the lane. Consumer
-// side only (it walks the chunk list from head without consuming).
-func (l *lane) pending() int {
-	n := 0
+// pending adds the published-but-undrained events in the lane to n, per
+// snapshot-sequence slot. Consumer side only (it walks the chunk list from
+// head without consuming).
+func (l *lane) pending(n *[4]int) {
 	c := l.head
 	read := l.read
 	for {
-		n += int(c.n.Load()) - read
+		for i := range c.buf[read:c.n.Load()] {
+			n[c.buf[read+i].Seq&3]++
+		}
 		next := c.next.Load()
 		if next == nil {
-			return n
+			return
 		}
 		c = next
 		read = 0
@@ -266,9 +268,6 @@ func (m *mailbox) drain() []Event {
 	m.queued.Add(-int64(len(out)))
 	return out
 }
-
-// lanePending counts the undrained events in one lane. Consumer side only.
-func (m *mailbox) lanePending(i int) int { return m.lanes[i].pending() }
 
 // drainLane collects every published event from a single lane (the sim
 // driver's per-lane stepping granularity; the concurrent loop always drains

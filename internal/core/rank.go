@@ -78,10 +78,12 @@ type rank struct {
 	qmu     sync.Mutex
 	queries []queryReq
 
-	// pendingDec batches in-flight decrements per ring slot for one
-	// processed batch; applied after the whole batch (and thus after all
-	// child emissions), so the counters can never falsely reach zero.
-	pendingDec [4]int64
+	// pendingDone counts one batch's finished events per slot; publishDone
+	// adds them to counters.done after the whole batch, and so after every
+	// child they emitted was counted created. worked records that the rank
+	// pulled or processed since its last idle sweep (idleSweep).
+	pendingDone [4]uint64
+	worked      bool
 
 	// counters is the rank's always-on instrumentation block (written only
 	// by this rank, read by EngineStats from anywhere).
@@ -215,15 +217,13 @@ func (r *rank) loop() {
 				r.inbox.recycle(batch)
 			}
 			r.drainSelf()
-			r.applyDecrements()
+			r.publishDone()
 			r.flushAll()
+			r.worked = true
 			continue
 		}
-		if pulled {
-			continue
-		}
-
-		if !r.eng.opts.IngestFirst && r.pullBurst() {
+		if pulled || !r.eng.opts.IngestFirst && r.pullBurst() {
+			r.worked = true
 			continue
 		}
 
@@ -231,9 +231,13 @@ func (r *rank) loop() {
 		// park or declare termination.
 		r.flushAll()
 		r.snapshotChores()
+		if r.worked {
+			r.worked = false
+			r.idleSweep()
+		}
 		// A requested pause parks the rank once the whole engine is
 		// quiescent: external emissions are fenced, so the remaining
-		// in-flight work is finite and this point is always reached.
+		// pending work is finite and this point is always reached.
 		if r.eng.pauseReq.Load() && r.eng.Quiescent() {
 			r.park()
 			continue
@@ -324,7 +328,7 @@ func (r *rank) pullStream() bool {
 }
 
 // nextTopoEvent pulls one topology event from the rank's stream and turns
-// it into a labeled, in-flight-registered engine event, without delivering
+// it into a labeled engine event counted created, without delivering
 // it (pullStream delivers; the sim driver delivers under its own schedule).
 func (r *rank) nextTopoEvent() (Event, bool) {
 	if r.streamDone || r.eng.ingestHalted() {
@@ -357,22 +361,22 @@ func (r *rank) nextTopoEvent() (Event, bool) {
 	// Route to the owner of the edge source (§III-C: the directed edge is
 	// co-located with its source vertex). The event is labeled with the
 	// current snapshot sequence via the same guarded loop as external
-	// emissions.
+	// emissions, on the rank's own counts.
 	out := Event{Kind: kind, Algo: NoAlgo, To: ev.Src, From: ev.Dst, W: ev.W}
-	r.eng.labelSeq(&out)
+	r.counters.label(&out, &r.eng.snapSeq)
 	// A Stop that landed after the ingestHalted check above may already
-	// have read every in-flight counter as zero and finished the engine,
-	// with this event pulled but not yet registered. Drop it (the stopped
-	// state is the prefix ingested before it) rather than process it after
+	// have found nothing pending and finished the engine, with this event
+	// pulled but not yet counted. Drop it (the stopped state is the prefix
+	// ingested before it), counting it done, rather than process it after
 	// termination.
 	if r.eng.stopReq.Load() {
-		r.eng.inflight[out.Seq&3].Add(-1)
+		r.counters.done[out.Seq&3].Add(1)
 		return Event{}, false
 	}
-	// Counted only after the in-flight increment: once Ingested() reports
-	// n, all n events are either in flight or fully processed, so
-	// Ingested()==pushed && Quiescent() is a sound "drained" check.
-	r.eng.ingested.Add(1)
+	// Counted only after the created count: once Ingested() reports n, a
+	// later sweep sees all n events, so Ingested()==pushed && Quiescent()
+	// is a sound "drained" check.
+	r.counters.pulled.Add(1)
 	// Cascade sampling: every SampleEvery-th ingest opens a lineage whose
 	// Trace tags the event and, transitively, its whole cascade. The
 	// unsampled path pays exactly this countdown.
@@ -388,14 +392,15 @@ func (r *rank) nextTopoEvent() (Event, bool) {
 // emit routes a callback-generated event; the child inherits its parent's
 // snapshot sequence (§III-D), which the caller already set. A combinable
 // UPDATE first tries to merge into a same-key UPDATE still sitting in the
-// destination's buffer — a merged event is dropped before the in-flight
-// increment, so the ring counters stay exact with no extra bookkeeping.
-// Otherwise the in-flight increment happens before the parent's (batched)
-// decrement, so the ring counter cannot falsely reach zero.
+// destination's buffer — a merged event is dropped before it is counted
+// created, so the counts stay exact with no extra bookkeeping. Otherwise
+// it is counted created before any other rank can see it and before its
+// parent is counted done (publishDone).
 func (r *rank) emit(ev Event) {
 	r.counters.cascadeEmits.Add(1)
 	dest := r.eng.part.Owner(ev.To)
-	if ev.Kind == KindUpdate && r.coal.combinable(ev.Algo) {
+	combinable := ev.Kind == KindUpdate && r.coal.combinable(ev.Algo)
+	if combinable {
 		if merged, into := r.coal.combineInto(r, dest, &ev); merged {
 			r.counters.combinedAway.Add(1)
 			// The merged event joins its lineage as a leaf (never delivered,
@@ -405,23 +410,20 @@ func (r *rank) emit(ev Event) {
 			}
 			return
 		}
-		// The child's trace must be opened before the in-flight increment,
-		// mirroring the ring discipline: its lineage pending count is up
-		// before the parent's retire can run.
-		if r.curTrace != 0 {
-			ev.Trace = r.eng.traces.child(r.curTrace, &ev, r.id, r.proc)
-		}
-		r.eng.inflight[ev.Seq&3].Add(1)
-		if pos := r.deliver(dest, ev); pos >= 0 {
-			r.coal.remember(dest, &ev, pos)
-		}
-		return
 	}
+	// The child's trace must be opened before it is counted, mirroring the
+	// counting order: its lineage pending count is up before the parent's
+	// retire can run. The late-create mutation (mutation testing only)
+	// leaves a cross-rank event uncounted until flush counts it.
 	if r.curTrace != 0 {
 		ev.Trace = r.eng.traces.child(r.curTrace, &ev, r.id, r.proc)
 	}
-	r.eng.inflight[ev.Seq&3].Add(1)
-	r.deliver(dest, ev)
+	if dest == r.id || !r.eng.simLateCreate {
+		r.counters.created[ev.Seq&3].Add(1)
+	}
+	if pos := r.deliver(dest, ev); pos >= 0 && combinable {
+		r.coal.remember(dest, &ev, pos)
+	}
 }
 
 // deliver appends ev to its destination buffer: the self-delivery ring for
@@ -556,9 +558,13 @@ func (r *rank) flush(dest int) {
 	r.counters.flushesTo[dest].Add(1)
 	// The transport seam: inproc pushes straight onto dest's SPSC mailbox
 	// lane (the pre-seam hot path, branch-predicted through the interface);
-	// TCP encodes the batch as one EVENTS frame and hands the events'
-	// in-flight registrations over to the receiving node.
+	// TCP encodes the batch as one EVENTS frame and counts it sent.
 	r.eng.tr.Send(r.id, dest, r.out[dest])
+	if r.eng.simLateCreate {
+		for i := range r.out[dest] {
+			r.counters.created[r.out[dest][i].Seq&3].Add(1)
+		}
+	}
 	r.out[dest] = r.out[dest][:0]
 }
 
@@ -568,23 +574,35 @@ func (r *rank) flushAll() {
 	}
 }
 
-func (r *rank) applyDecrements() {
-	for i := range r.pendingDec {
-		if n := r.pendingDec[i]; n != 0 {
-			r.pendingDec[i] = 0
-			if r.eng.inflight[i].Add(-n) == 0 {
-				// A version may just have drained: snapshots, idle ranks
-				// awaiting termination or the pause barrier, and quiescence
-				// waiters all need to know.
-				if snap := r.eng.activeSnap.Load(); snap != nil && uint32(i) == (snap.marker-1)&3 {
-					r.eng.wakeAll()
-				} else if r.eng.streamsLeft.Load() == 0 || r.eng.ingestHalted() {
-					r.eng.wakeAll()
-				}
-				r.eng.signalQuiesce()
+// publishDone adds the batch's finished events to the rank's done counts.
+// Finishing an active snapshot's previous-version events may drain that
+// version: the ranks still owing their contribution then wake.
+func (r *rank) publishDone() {
+	for i, n := range r.pendingDone {
+		if n != 0 {
+			r.pendingDone[i] = 0
+			r.counters.done[i].Add(n)
+			if snap := r.eng.activeSnap.Load(); snap != nil && uint32(i) == (snap.marker-1)&3 && snap.drained() {
+				r.eng.wakeAll()
 			}
 		}
 	}
+}
+
+// idleSweep is the wake duty of a rank that goes idle after doing work.
+// The last rank to count an event done or sent reaches it with nothing
+// after, so its sweep sees the balance: it wakes the Drain and Pause
+// waiters and, with the streams done or halted, the idle ranks awaiting
+// termination or the pause barrier.
+func (r *rank) idleSweep() {
+	e := r.eng
+	if !e.Quiescent() {
+		return
+	}
+	if e.streamsLeft.Load() == 0 || e.ingestHalted() {
+		e.wakeAll()
+	}
+	e.signalQuiesce()
 }
 
 // growValues extends every state array to cover a newly created slot, in a
@@ -637,8 +655,8 @@ func grownSlice[T any](s []T, n int) []T {
 	return grown
 }
 
-// process dispatches one event. The in-flight decrement is batched in
-// pendingDec and applied by the caller after the whole batch. The per-kind
+// process dispatches one event. Its done count is batched in pendingDone
+// and published by the caller after the whole batch. The per-kind
 // counter add is the hot path's entire instrumentation cost: one
 // uncontended atomic add on a rank-owned cache line.
 func (r *rank) process(ev *Event) {
@@ -682,7 +700,7 @@ func (r *rank) process(ev *Event) {
 	case KindInvalidate:
 		r.handleInvalidate(ev)
 	}
-	r.pendingDec[ev.Seq&3]++
+	r.pendingDone[ev.Seq&3]++
 	// Retire strictly after the dispatch emitted (and trace-registered) all
 	// children: the lineage pending count can only reach zero at true
 	// cascade quiescence, at which point retire finalizes the lineage and

@@ -31,14 +31,8 @@ type SimDriver struct {
 // goroutines via Start. The engine reports StateRunning; drive it with the
 // micro-step methods and declare termination with Finish.
 func (e *Engine) StartSim(streams []stream.Stream) (*SimDriver, error) {
-	if len(streams) > len(e.ranks) {
-		return nil, fmt.Errorf("core: %d streams for %d ranks", len(streams), len(e.ranks))
-	}
-	if e.finished.Load() {
-		return nil, fmt.Errorf("core: engine already stopped")
-	}
-	if e.started.Swap(true) {
-		return nil, fmt.Errorf("core: engine already started")
+	if err := e.claim(streams); err != nil {
+		return nil, err
 	}
 	switch e.tr.(type) {
 	case *inprocTransport:
@@ -56,16 +50,7 @@ func (e *Engine) StartSim(streams []stream.Stream) (*SimDriver, error) {
 	}
 	e.simManual = true
 	e.state.Store(int32(StateRunning))
-	e.streamsLeft.Store(int32(len(e.ranks)))
 	e.startNanos.Store(time.Now().UnixNano())
-	for i, r := range e.ranks {
-		if i < len(streams) && streams[i] != nil {
-			r.stream = streams[i]
-		} else {
-			r.streamDone = true
-			e.streamsLeft.Add(-1)
-		}
-	}
 	return &SimDriver{e: e}, nil
 }
 
@@ -99,7 +84,9 @@ func (d *SimDriver) PullStream(rank int) (ev Event, ok bool) {
 // LanePending counts the undrained events in one lane of the rank's
 // mailbox.
 func (d *SimDriver) LanePending(rank, lane int) int {
-	return d.e.ranks[rank].inbox.lanePending(lane)
+	var n [4]int
+	d.e.ranks[rank].inbox.lanes[lane].pending(&n)
+	return n[0] + n[1] + n[2] + n[3]
 }
 
 // DrainLane drains one mailbox lane of the rank and processes every event
@@ -123,7 +110,7 @@ func (d *SimDriver) DrainLane(rank, lane int, fn func(ev Event)) int {
 			fn(batch[i])
 		}
 		r.process(&batch[i])
-		r.applyDecrements()
+		r.publishDone()
 	}
 	return len(batch)
 }
@@ -142,7 +129,7 @@ func (d *SimDriver) StepSelf(rank int, fn func(ev Event)) bool {
 	if !r.drainSelfOne(fn) {
 		return false
 	}
-	r.applyDecrements()
+	r.publishDone()
 	return true
 }
 
@@ -174,31 +161,33 @@ func (d *SimDriver) SnapshotChoresPending(rank int) bool {
 // copy, then contribution once the previous version drains).
 func (d *SimDriver) SnapshotChores(rank int) { d.e.ranks[rank].snapshotChores() }
 
-// InflightSlot reads one slot of the in-flight ring.
-func (d *SimDriver) InflightSlot(i int) int64 { return d.e.inflight[i&3].Load() }
-
-// InflightTotal sums the in-flight ring.
-func (d *SimDriver) InflightTotal() int64 {
-	var n int64
-	for i := range d.e.inflight {
-		n += d.e.inflight[i].Load()
+// SlotCounts sums one snapshot-sequence slot's created and done counts
+// over every rank and the external block.
+func (d *SimDriver) SlotCounts(slot int) (created, done uint64) {
+	for _, c := range d.e.counts {
+		created += c.created[slot&3].Load()
+		done += c.done[slot&3].Load()
 	}
-	return n
+	return created, done
 }
 
-// BufferedEvents counts every event currently sitting in a mailbox lane,
-// an outbound buffer, or a self ring. Between micro-steps this must equal
-// InflightTotal — the in-flight-ring conservation invariant.
-func (d *SimDriver) BufferedEvents() int {
-	n := 0
+// Buffered counts, per slot (Seq&3), the events sitting in a mailbox lane,
+// an outbound buffer, or a self ring. Between micro-steps each slot's
+// created minus done must equal its count here — the conservation
+// invariant.
+func (d *SimDriver) Buffered() (n [4]int) {
 	for _, r := range d.e.ranks {
-		for lane := 0; lane < len(r.inbox.lanes); lane++ {
-			n += r.inbox.lanePending(lane)
+		for i := range r.inbox.lanes {
+			r.inbox.lanes[i].pending(&n)
 		}
 		for dest := range r.out {
-			n += len(r.out[dest])
+			for _, ev := range r.out[dest] {
+				n[ev.Seq&3]++
+			}
 		}
-		n += len(r.self) - r.selfHead
+		for _, ev := range r.self[r.selfHead:] {
+			n[ev.Seq&3]++
+		}
 	}
 	return n
 }
@@ -213,7 +202,7 @@ func (d *SimDriver) SnapshotActive() bool { return d.e.activeSnap.Load() != nil 
 // Idle reports that no event is buffered or in flight anywhere: the
 // engine is at a globally quiescent cut.
 func (d *SimDriver) Idle() bool {
-	return d.BufferedEvents() == 0 && d.e.Quiescent()
+	return d.Buffered() == [4]int{} && d.e.Quiescent()
 }
 
 // Finish declares natural termination: every stream exhausted, everything
@@ -224,8 +213,8 @@ func (d *SimDriver) Finish() error {
 		return fmt.Errorf("core: Finish with %d streams unexhausted", d.e.streamsLeft.Load())
 	}
 	if !d.Idle() {
-		return fmt.Errorf("core: Finish with %d events buffered, %d in flight",
-			d.BufferedEvents(), d.InflightTotal())
+		return fmt.Errorf("core: Finish with %v events buffered, %v pending",
+			d.Buffered(), d.e.pending())
 	}
 	if d.SnapshotActive() {
 		return fmt.Errorf("core: Finish with a snapshot still collecting")
@@ -352,6 +341,13 @@ func (d *SimDriver) SetSkipInvalidate(skip bool) {
 // support this admits.
 func (d *SimDriver) SetUncertifiedRewitness(on bool) {
 	d.e.simUncertified = on
+}
+
+// SetLateCreate (mutation testing) counts an emitted cross-rank event
+// created only after the flush that hands it to its destination, so it
+// sits buffered uncounted. The conservation check must catch it.
+func (d *SimDriver) SetLateCreate(on bool) {
+	d.e.simLateCreate = on
 }
 
 // SetCombine replaces program algo's Combine hook (mutation testing: a

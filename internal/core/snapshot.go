@@ -148,10 +148,12 @@ func (s *Snapshot) AsMap() map[graph.VertexID]uint64 {
 
 // drained reports that the previous version has fully drained: the marker
 // is bumped, so no event is labelled below it any more, and none labelled
-// below it is in flight.
+// below it is pending. A label that read the old sequence and verified it
+// did so before the bump, so its created count is visible to the sweep
+// that follows the marker load here (eventCounts.label).
 func (s *Snapshot) drained() bool {
 	e := s.eng
-	return e.snapSeq.Load() >= s.marker && e.inflight[(s.marker-1)&3].Load() == 0
+	return e.snapSeq.Load() >= s.marker && e.pending()[(s.marker-1)&3] == 0
 }
 
 // addPart receives one rank's shard of the previous-version state; the

@@ -26,6 +26,9 @@ const numKinds = int(KindInvalidate) + 1
 type rankCounters struct {
 	_ [64]byte // padding: isolate from the previous rank's block
 
+	// eventCounts is the rank's share of the termination count: events it
+	// created (pulls and emits) and finished, and its stream pulls.
+	eventCounts
 	// events counts processed events by kind.
 	events [numKinds]atomic.Uint64
 	// cascadeEmits counts events generated by program callbacks and the
@@ -186,9 +189,9 @@ type EngineStats struct {
 	// doomed witness lane: each doomed lane re-pointed at a certified
 	// parent on the same rank, or already held its own seed.
 	Rewitnessed uint64
-	// InFlight is the current depth of the in-flight ring: events buffered,
-	// queued, or mid-processing right now. Together with IngestLag it is
-	// the engine's lag gauge.
+	// InFlight is the events buffered, queued, or mid-processing right now
+	// (created minus done, with a TCP node's received minus sent events).
+	// Together with IngestLag it is the engine's lag gauge.
 	InFlight int64
 	// QueriesServed and SnapshotParts total control-plane work;
 	// SnapshotsTaken counts SnapshotAsync requests.
@@ -316,7 +319,7 @@ func (e *Engine) EngineStats() EngineStats {
 	s := EngineStats{
 		State:          e.State(),
 		Ranks:          e.opts.Ranks,
-		Ingested:       e.ingested.Load(),
+		Ingested:       e.Ingested(),
 		SnapshotsTaken: e.snapRequests.Load(),
 		Transport:      e.tr.transportStats(),
 		Flight:         e.flight.stats(),
@@ -354,11 +357,8 @@ func (e *Engine) EngineStats() EngineStats {
 		s.Latency.QueryTopK = e.srv.topk.snapshot()
 		s.Latency.QueryNbhd = e.srv.nbhd.snapshot()
 	}
-	for i := range e.inflight {
-		s.InFlight += e.inflight[i].Load()
-	}
-	if s.InFlight < 0 {
-		s.InFlight = 0
+	for _, n := range e.pending() {
+		s.InFlight += n
 	}
 	s.AutoTune = e.opts.AutoTune
 	for i, r := range e.ranks {

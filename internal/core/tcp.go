@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,19 +34,18 @@ import (
 // dials every node j in (0, i) so the mesh completes. start blocks until
 // this node holds a live connection to every peer.
 //
-// Termination is Mattern's four-counter scheme generalizing the shared
-// in-flight ring: each node keeps cumulative sent(i→j) / recv(i←j) event
-// counters per channel. An event's in-flight registration is handed over
-// at the channel boundary — decremented on the sender when the frame is
-// enqueued, incremented on the receiver before the mailbox push — so each
-// node's ring counts exactly its local load. The coordinator probes the
-// world when it is locally quiet: a round succeeds when every node reports
-// itself quiescent with all streams exhausted and sent(i→j) == recv(j←i)
-// for every pair; two successive rounds with identical counter matrices
-// prove no event was in flight between them, and the coordinator
-// broadcasts TERMINATE. Monotone coalescing needs no special handling:
-// merged UPDATEs die before the in-flight increment and before any Send,
-// so neither side ever counts them.
+// Termination is Mattern's four-counter scheme over the ranks' own counts:
+// each node keeps cumulative sent(i→j) / recv(i←j) event counters per
+// channel, counted after the frame is enqueued and before the receiver's
+// mailbox push. A node is locally quiescent when its ranks' created plus
+// received events equal their done plus sent ones (Engine.pending). The
+// coordinator probes the world when it is locally quiet: a round succeeds
+// when every node reports itself quiescent with all streams exhausted and
+// sent(i→j) == recv(j←i) for every pair; two successive rounds with
+// identical counter matrices prove no event was in flight between them,
+// and the coordinator broadcasts TERMINATE. Monotone coalescing needs no
+// special handling: merged UPDATEs die before they are counted created and
+// before any Send, so neither side ever counts them.
 //
 // Failure model: dial-time retry with backoff, but no transparent mid-run
 // reconnect — a dropped peer connection after start surfaces as
@@ -281,7 +281,7 @@ func (q *frameQueue) push(ft frameType, payload []byte, stampSeq bool) {
 	}
 	if stampSeq {
 		q.nextSeq++
-		putU64(payload[:8], q.nextSeq)
+		binary.LittleEndian.PutUint64(payload[:8], q.nextSeq)
 	}
 	q.frames = append(q.frames, wireFrameMsg{ft: ft, payload: payload, stampSeq: stampSeq})
 	q.mu.Unlock()
@@ -410,9 +410,8 @@ func (t *TCPTransport) bind(e *Engine) error {
 // Send implements the data path. A destination on this node is the same
 // direct SPSC mailbox push as inproc (intra-node traffic never touches a
 // socket); a remote destination becomes one EVENTS frame on the peer's
-// queue, and the batch's in-flight registrations are released locally —
-// the receiver re-registers them before its mailbox push, completing the
-// handover the termination counters account for.
+// queue, counted sent once enqueued: from then on the receiving node
+// accounts for it.
 func (t *TCPTransport) Send(from, dest int, batch []Event) {
 	if t.Local(dest) {
 		t.e.ranks[dest].inbox.push(from, batch)
@@ -435,25 +434,17 @@ func (t *TCPTransport) Send(from, dest int, batch []Event) {
 		}
 	}
 	p.noteSendRTT(p.sentEvents.Add(uint64(len(batch))))
-	t.releaseInflight(batch)
 }
 
-// releaseInflight hands a shipped batch's in-flight registrations over to
-// the receiving node, mirroring rank.applyDecrements' zero-crossing duties
-// (minus the snapshot branch — snapshots never run distributed).
-func (t *TCPTransport) releaseInflight(batch []Event) {
-	var dec [4]int64
-	for i := range batch {
-		dec[batch[i].Seq&3]++
-	}
-	for i, n := range dec {
-		if n != 0 && t.e.inflight[i].Add(-n) == 0 {
-			if t.e.streamsLeft.Load() == 0 || t.e.ingestHalted() {
-				t.e.wakeAll()
-			}
-			t.e.signalQuiesce()
+// wireEvents sums every channel's shipped and received events.
+func (t *TCPTransport) wireEvents() (sent, recv uint64) {
+	for _, p := range t.peers {
+		if p != nil {
+			sent += p.sentEvents.Load()
+			recv += p.recvEvents.Load()
 		}
 	}
+	return sent, recv
 }
 
 // SendExternal ships an engine-external event to the node owning its
@@ -471,13 +462,7 @@ func (t *TCPTransport) SendExternal(ev Event) {
 }
 
 func (t *TCPTransport) sendExt(ev Event) {
-	owner := t.e.part.Owner(ev.To)
-	node := owner / t.cfg.RanksPerNode
-	if node == t.cfg.Node {
-		t.e.injectExternal(ev)
-		return
-	}
-	p := t.peers[node]
+	p := t.peers[t.e.part.Owner(ev.To)/t.cfg.RanksPerNode]
 	payload := appendEventsPayload(make([]byte, 0, 20+eventWireSize),
 		0, extWireRank, extWireRank, []Event{ev})
 	p.q.push(frameExt, payload, true)
@@ -803,49 +788,36 @@ func (t *TCPTransport) readLoop(p *tcpPeer, conn net.Conn) {
 // wire is validated before it touches engine state.
 func (t *TCPTransport) handleFrame(p *tcpPeer, ft frameType, payload []byte) error {
 	switch ft {
-	case frameEvents:
+	case frameEvents, frameExt:
 		f, err := parseEventsPayload(payload)
 		if err != nil {
 			return err
 		}
-		if err := t.checkEventsFrame(p, &f, false); err != nil {
+		if err := t.checkEventsFrame(p, &f, ft == frameExt); err != nil {
 			return err
 		}
 		// Account traced arrivals BEFORE the mailbox push, so a lineage's
 		// pending increment strictly precedes any possible retire of the
-		// event (mirroring the in-flight handover below).
-		if t.e.traces != nil {
-			for i := range f.Events {
-				if f.Events[i].Trace != 0 {
-					t.e.traces.wireRecv(f.Events[i].Trace, t.cfg.Node, p.node)
-				}
-			}
-		}
-		// Complete the in-flight handover BEFORE the mailbox push: once the
-		// receive counter (read by probe reports on this same goroutine) can
-		// account these events as arrived, the ring already counts them as
-		// local load, so a quiescent-and-counters-matched report is safe.
+		// event (mirroring the receive count below).
 		for i := range f.Events {
-			t.e.inflight[f.Events[i].Seq&3].Add(1)
+			if t.e.traces != nil && f.Events[i].Trace != 0 {
+				t.e.traces.wireRecv(f.Events[i].Trace, t.cfg.Node, p.node)
+			}
 			t.e.observeGen(f.Events[i].Gen)
 		}
-		t.e.ranks[f.Dest].inbox.push(int(f.From), f.Events)
+		// Count the receive BEFORE the mailbox push: a rank may count these
+		// events done as soon as they are pushed, and the node's balance
+		// must never read more done than received. The sender counted an
+		// EXT frame's events created; each is routed under extMu like a
+		// local InitVertex/Signal.
 		p.recvEvents.Add(uint64(len(f.Events)))
-		p.q.push(frameAck, appendU64Payload(nil, p.recvEvents.Load()), false)
-	case frameExt:
-		f, err := parseEventsPayload(payload)
-		if err != nil {
-			return err
+		if ft == frameExt {
+			for i := range f.Events {
+				t.e.injectExternal(f.Events[i])
+			}
+		} else {
+			t.e.ranks[f.Dest].inbox.push(int(f.From), f.Events)
 		}
-		if err := t.checkEventsFrame(p, &f, true); err != nil {
-			return err
-		}
-		for i := range f.Events {
-			// injectExternal labels, registers, and routes under extMu,
-			// exactly like a local InitVertex/Signal.
-			t.e.injectExternal(f.Events[i])
-		}
-		p.recvEvents.Add(uint64(len(f.Events)))
 		p.q.push(frameAck, appendU64Payload(nil, p.recvEvents.Load()), false)
 	case frameProbe:
 		id, err := parseU64Payload(payload)
@@ -1522,17 +1494,4 @@ func (t *TCPTransport) stallDump(idle time.Duration, suspect int) string {
 			fe.Peer, fe.Kind, fe.Detail, fe.A, fe.B)
 	}
 	return b.String()
-}
-
-// putU64 writes v little-endian into b[:8] (the frame-sequence stamp).
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }

@@ -14,19 +14,17 @@ import "time"
 //     remote rank encodes a length-prefixed EVENTS frame onto the one TCP
 //     connection for that node pair (preserving per-sender FIFO), and
 //     global termination is decided by a Mattern-style four-counter
-//     protocol instead of the shared in-flight ring.
+//     protocol over every node's local balance.
 //
-// The seam's contract with the in-flight ring: an event's in-flight
-// registration (labelSeq / rank.emit) always happens on the node that
-// created it, and Send transfers that registration to the receiving node —
-// inproc trivially (same counters), TCP by decrementing locally at frame
-// enqueue and incrementing on the receiver before the mailbox push. Each
-// node's ring therefore counts exactly the events buffered or
-// mid-processing on that node, which is the "locally quiescent" input to
-// the distributed termination decision. Coalescing needs no special case:
-// a merged UPDATE is dropped before its in-flight increment and before any
-// Send, so it never appears in either the ring or the per-channel
-// sent/received counters.
+// The seam's contract with termination: ranks count the events they
+// create and finish (Engine.pending), and a transport counts only the
+// events it ships out of and into this process (wireEvents) — TCP at
+// frame enqueue and before the receiver's mailbox push; inproc and
+// loopback ship nothing out of the process. A node is balanced when its
+// created plus received events equal its done plus sent ones, which is
+// the "locally quiescent" input to the distributed termination decision.
+// Coalescing needs no special case: a merged UPDATE is dropped before it
+// is counted created and before any Send.
 
 // Transport is the engine's update plane. Exported methods are the data
 // path; the unexported ones are the engine-lifecycle hooks (both shipped
@@ -64,12 +62,16 @@ type Transport interface {
 	// loopback transport simulates several procs inside one process.
 	procOf(g int) int
 	// readyToFinish gates tryFinish: with every local stream exhausted and
-	// the local in-flight ring at zero, may this node declare global
+	// nothing pending locally, may this node declare global
 	// termination? inproc: always (local quiescence is global). TCP
 	// followers: only once the coordinator's TERMINATE arrived (or a local
 	// Stop forces shutdown); the TCP coordinator kicks its detector and
 	// waits for the counter protocol to decide.
 	readyToFinish() bool
+	// wireEvents returns the events this process shipped to and took from
+	// peer processes (0, 0 when it ships none). pending reads sent with
+	// the done counts and recv with the created ones.
+	wireEvents() (sent, recv uint64)
 	// transportStats snapshots the transport's live counters.
 	transportStats() TransportStats
 	// clusterStats federates EngineStats across the job: a multi-process
@@ -154,17 +156,18 @@ func (t *inprocTransport) bind(e *Engine) error {
 	t.e = e
 	return nil
 }
-func (t *inprocTransport) start() error { return nil }
-func (t *inprocTransport) stop()        {}
+func (t *inprocTransport) start() error                    { return nil }
+func (t *inprocTransport) stop()                           {}
+func (t *inprocTransport) wireEvents() (sent, recv uint64) { return 0, 0 }
 
 func (t *inprocTransport) Send(from, dest int, batch []Event) {
 	t.e.ranks[dest].inbox.push(from, batch)
 }
 
-// SendExternal is unreachable for inproc: every rank is local, so
-// emitExternal always takes the direct pushExternal path.
+// SendExternal is unreachable for inproc (and loopback): every rank is
+// local, so emitExternal always takes the direct pushExternal path.
 func (t *inprocTransport) SendExternal(Event) {
-	panic("core: inproc transport has no remote ranks")
+	panic("core: an in-process transport has no remote ranks")
 }
 
 // readyToFinish: every rank is local, so local quiescence (which tryFinish

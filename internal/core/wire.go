@@ -384,8 +384,8 @@ func parseRosterPayload(b []byte) (rosterFrame, error) {
 type reportFrame struct {
 	Probe uint64
 	Node  uint32
-	// Quiescent: the node's in-flight ring is zero (nothing buffered,
-	// queued, or mid-processing locally). StreamsDone: every local
+	// Quiescent: the node's counts balance (nothing buffered, queued, or
+	// mid-processing locally; Engine.pending). StreamsDone: every local
 	// ingestion stream is exhausted.
 	Quiescent   bool
 	StreamsDone bool

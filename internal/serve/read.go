@@ -52,6 +52,9 @@ func (p *Plane) Get(algo int, v graph.VertexID) (Value, uint64) {
 	}
 	for {
 		seg, gen := p.load(owner)
+		if p.readHook != nil {
+			p.readHook()
+		}
 		val, epoch := segGet(seg, algo, v)
 		if seg.same(gen) {
 			return val, epoch

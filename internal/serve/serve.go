@@ -64,6 +64,12 @@ type Plane struct {
 	copied    atomic.Uint64
 
 	segs []rankSlot
+
+	// readHook (tests only) runs inside a point read between its loads:
+	// in load between the segment pointer and its generation, and in Get
+	// between load and the value reads. Nil in production, it costs one
+	// predictable branch at each place.
+	readHook func()
 }
 
 // rankSlot is one rank's publication slot, padded so concurrent readers
@@ -114,6 +120,9 @@ func (p *Plane) load(rank int) (seg *Segment, gen uint64) {
 		seg = slot.seg.Load()
 		if seg == nil {
 			return nil, 0
+		}
+		if p.readHook != nil {
+			p.readHook()
 		}
 		gen = seg.gen.Load()
 		if gen&1 == 0 && slot.seg.Load() == seg {

@@ -578,6 +578,41 @@ func TestLoadSeesRewrite(t *testing.T) {
 	}
 }
 
+// TestGetRetriesRewrittenSegment rewrites the reader's segment in the
+// middle of a point read: three publishes, so the segment the read began
+// on is rewritten and is the spare again. The read must then retry and
+// return what is served now. The first case lands between load's pointer
+// and generation loads, which only load's served-segment re-check
+// catches; the second lands after load returned, which only Get's
+// generation check catches.
+func TestGetRetriesRewrittenSegment(t *testing.T) {
+	for _, at := range []int{1, 2} {
+		w := newPubWorld(1)
+		w.set(1, 1)
+		w.publishAll()
+		w.set(1, 2)
+		w.plane.Advance()
+		w.publishAll() // two segments: the next publishes rewrite in place
+		calls := 0
+		w.plane.readHook = func() {
+			if calls++; calls != at {
+				return
+			}
+			for _, val := range []uint64{10, 20, 30} {
+				w.set(1, val)
+				w.plane.Advance()
+				w.publishAll()
+			}
+		}
+		val, epoch := w.plane.Get(0, 1)
+		w.plane.readHook = nil
+		if want := w.plane.epoch.Load(); val.Val != 30 || epoch != want {
+			t.Errorf("rewrite at hook call %d: Get = %d at epoch %d, want 30 at epoch %d",
+				at, val.Val, epoch, want)
+		}
+	}
+}
+
 // TestRewriteMatchesLiveState is a differential check of the dirty-slot
 // replay: random value writes, edge adds, weight merges, deletes and new
 // vertices, a publish after each burst, and pins held

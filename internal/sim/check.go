@@ -78,6 +78,8 @@ type checker struct {
 	lastQuery map[graph.VertexID]uint64
 	processed int
 	merges    int
+	// counts[slot] is the created and done totals at the previous step.
+	counts [4][2]uint64
 	// traced[{lineage, node}] collects every processed event that carried
 	// that trace, for the post-run lineage exactness check.
 	traced map[[2]uint32][]core.Event
@@ -169,18 +171,24 @@ func (c *checker) onMerge(algo uint8, to graph.VertexID, old, offered, merged ui
 	}
 }
 
-// afterStep audits in-flight-ring conservation: no slot negative, and the
-// ring total exactly equal to the number of events sitting in mailbox
+// afterStep audits the termination counts per snapshot-sequence slot: no
+// count below its value at the previous step, and created minus done
+// exactly equal to the number of that slot's events sitting in mailbox
 // lanes, outbound buffers, and self rings. Every scheduler step ends at an
 // event boundary where this must hold exactly.
 func (c *checker) afterStep() {
-	for i := 0; i < 4; i++ {
-		if n := c.d.InflightSlot(i); n < 0 {
-			c.violatef("conservation: in-flight ring slot %d is negative (%d)", i, n)
+	buf := c.d.Buffered()
+	for i := range buf {
+		created, done := c.d.SlotCounts(i)
+		if prev := c.counts[i]; created < prev[0] || done < prev[1] {
+			c.violatef("conservation: slot %d counts fell from %d created, %d done to %d, %d",
+				i, prev[0], prev[1], created, done)
 		}
-	}
-	if got, want := c.d.InflightTotal(), int64(c.d.BufferedEvents()); got != want {
-		c.violatef("conservation: in-flight ring counts %d but %d events are buffered", got, want)
+		c.counts[i] = [2]uint64{created, done}
+		if got := int64(created - done); got != int64(buf[i]) {
+			c.violatef("conservation: slot %d counts %d created, %d done, but %d events are buffered",
+				i, created, done, buf[i])
+		}
 	}
 }
 

@@ -8,7 +8,7 @@
 // that the concurrent engine cannot offer: exploring adversarial
 // schedules far outside what the Go scheduler produces, replaying any
 // failure from two integers, and checking internal invariants
-// (per-sender FIFO, monotone state descent, in-flight-ring conservation,
+// (per-sender FIFO, monotone state descent, termination-count conservation,
 // snapshot-version consistency) at every single step.
 //
 // The differential part compares the converged state of every run
@@ -56,6 +56,12 @@ const (
 	// post-delete differential oracle must catch it (requires
 	// Config.Deletes > 0 and a witness program).
 	MutateUncertifiedRewitness
+	// MutateLateCreate counts an emitted cross-rank event created only
+	// after the flush that hands it to its destination: a receiving rank
+	// could then count it done first, and a sweep find a pending event's
+	// slot balanced. The per-slot conservation check must catch the
+	// uncounted buffered event.
+	MutateLateCreate
 )
 
 // Config parameterizes one simulated run.
@@ -282,6 +288,8 @@ func Run(cfg Config) (res Result) {
 		d.SetSkipInvalidate(true)
 	case MutateUncertifiedRewitness:
 		d.SetUncertifiedRewitness(true)
+	case MutateLateCreate:
+		d.SetLateCreate(true)
 	}
 
 	// Query sampling space: every endpoint and source, plus one fresh ID.

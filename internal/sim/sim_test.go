@@ -268,6 +268,18 @@ func TestMutationSkipInvalidateCaught(t *testing.T) {
 	t.Logf("skip-invalidate mutation caught in %d of 25 seeds (%d deletes streamed)", matched, deletes)
 }
 
+// TestMutationLateCreateCaught proves the counting order is checked: an
+// engine that counts a cross-rank event created only at its flush leaves
+// it buffered and uncounted, which the per-slot conservation check must
+// catch on nearly every seed.
+func TestMutationLateCreateCaught(t *testing.T) {
+	failed, matched, _ := mutationCaught(t, MutateLateCreate, "conservation:", 25, nil)
+	if matched < 24 {
+		t.Fatalf("late-create mutation caught on only %d of 25 seeds (%d runs failed)", matched, failed)
+	}
+	t.Logf("late-create mutation caught in %d of 25 seeds", matched)
+}
+
 // labelPaths is a CC world built to strand labels: k disjoint paths of m
 // vertices, each laid out in ascending CCLabel order so its minimum sits at
 // one end and every non-final edge is a bridge to a labelled tail. The
