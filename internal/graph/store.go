@@ -78,12 +78,13 @@ const (
 // Store is one rank's shard of the dynamic graph: a vertex table mapping
 // sparse VertexIDs to dense slots, plus per-slot degree-aware adjacency.
 // It is not safe for concurrent use; each engine rank owns its Store
-// exclusively (shared-nothing).
+// exclusively (shared-nothing). The one exception is the vertex table,
+// which serve segments probe while the rank inserts (Table).
 type Store struct {
-	index    rhh.Map[Slot] // VertexID -> slot
-	ids      []VertexID    // slot -> VertexID
-	adj      []adjacency   // slot -> adjacency
-	edges    uint64        // directed half-edge count stored in this shard
+	table    *VertexTable // VertexID -> slot
+	ids      []VertexID   // slot -> VertexID
+	adj      []adjacency  // slot -> adjacency
+	edges    uint64       // directed half-edge count stored in this shard
 	smallCap int
 	policy   WeightPolicy
 
@@ -107,7 +108,7 @@ func NewStore(smallCap int) *Store {
 	if smallCap <= 0 {
 		smallCap = DefaultSmallCap
 	}
-	return &Store{smallCap: smallCap}
+	return &Store{table: newVertexTable(minVertexCells), smallCap: smallCap}
 }
 
 // SetWeightPolicy selects the duplicate-weight merge rule. Call before any
@@ -142,33 +143,35 @@ func (s *Store) NumEdges() uint64 { return s.edges }
 func (s *Store) Promotions() uint64 { return s.promotions }
 
 // SlotOf returns the dense slot for v, or (NoSlot, false) if absent.
-func (s *Store) SlotOf(v VertexID) (Slot, bool) {
-	slot, ok := s.index.Get(uint64(v))
-	if !ok {
-		return NoSlot, false
-	}
-	return slot, true
-}
+func (s *Store) SlotOf(v VertexID) (Slot, bool) { return s.table.Lookup(v) }
 
 // IDOf returns the VertexID stored at slot.
 func (s *Store) IDOf(slot Slot) VertexID { return s.ids[slot] }
 
-// IDs exposes the slot -> VertexID slice itself. The slice is append-only
-// — slot i's id is written once and never reassigned — which is exactly
-// the contract the MVCC read plane (internal/serve) relies on to share it
-// across published segments without copying: a reader bounded by an older
-// length never observes an index being written, and a growth reallocation
-// leaves the old array intact. Callers must not mutate it.
+// IDs exposes the slot -> VertexID slice itself, and Table the id -> slot
+// index; the MVCC read plane (internal/serve) shares both across
+// published segments without copying. The slice is append-only — slot
+// i's id is written once and never reassigned — so a reader bounded by an
+// older length never observes an index being written, and a growth
+// reallocation leaves the old array intact. Callers must not mutate it.
 func (s *Store) IDs() []VertexID { return s.ids }
 
+// Table returns the current vertex table. It holds an entry for every
+// vertex of the store; a reader bounds the slots it accepts by the length
+// of IDs taken at the same time, since the table gains entries as the
+// store grows and a growth replaces it with a fresh one (VertexTable).
+func (s *Store) Table() *VertexTable { return s.table }
+
 // EnsureVertex returns the slot for v, creating the vertex if needed.
-// The second result reports whether the vertex was newly created.
+// The second result reports whether the vertex was newly created. One
+// probe serves both the lookup and the insert.
 func (s *Store) EnsureVertex(v VertexID) (Slot, bool) {
-	slot := Slot(len(s.ids))
-	p, existed := s.index.GetOrPut(uint64(v), slot)
-	if existed {
-		return *p, false
+	i, slot1 := s.table.probe(v)
+	if slot1 != 0 {
+		return Slot(slot1 - 1), false
 	}
+	slot := Slot(len(s.ids))
+	s.table = s.table.insert(i, v, slot)
 	s.ids = append(s.ids, v)
 	s.adj = append(s.adj, adjacency{})
 	return slot, true
@@ -477,12 +480,16 @@ func (s *Store) Storage() StorageStats { return StorageStats{SegClones: s.clones
 // Add sums o into st, totalling stores.
 func (st *StorageStats) Add(o StorageStats) { st.SegClones += o.SegClones }
 
-// CheckIndex reports the first vertex whose position index disagrees with
-// its edge array (see posIndex.check), whose array outgrew smallCap
-// without one, or whose hidden count disagrees with its bitmap or whose
-// bitmap marks a position past its array. Diagnostic: it walks every
-// index and bitmap.
+// CheckIndex reports a vertex table that does not hold exactly the
+// store's vertices at their slots, or the first vertex whose position
+// index disagrees with its edge array (see posIndex.check), whose array
+// outgrew smallCap without one, or whose hidden count disagrees with its
+// bitmap or whose bitmap marks a position past its array. Diagnostic: it
+// walks the vertex table and every index and bitmap.
 func (s *Store) CheckIndex() error {
+	if err := s.table.check(s.ids); err != nil {
+		return err
+	}
 	for slot := range s.adj {
 		a := &s.adj[slot]
 		n, last := 0, -1
@@ -507,28 +514,4 @@ func (s *Store) CheckIndex() error {
 		}
 	}
 	return nil
-}
-
-// Stats summarizes the degree-aware layout of a shard.
-type Stats struct {
-	Vertices   int
-	Edges      uint64
-	Promoted   uint64 // position indexes built (Promotions)
-	MaxDegree  int
-	Singletons int // vertices with degree 0
-}
-
-// ComputeStats scans the shard and returns layout statistics.
-func (s *Store) ComputeStats() Stats {
-	st := Stats{Vertices: len(s.ids), Edges: s.edges, Promoted: s.promotions}
-	for i := range s.adj {
-		d := len(s.adj[i].edges)
-		if d > st.MaxDegree {
-			st.MaxDegree = d
-		}
-		if d == 0 {
-			st.Singletons++
-		}
-	}
-	return st
 }

@@ -391,23 +391,6 @@ func TestForEachVertex(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	s := NewStore(2)
-	s.EnsureVertex(100) // singleton
-	for i := VertexID(1); i <= 5; i++ {
-		s.AddEdge(0, i, 1, 0)
-	}
-	st := s.ComputeStats()
-	// Only explicitly-ensured vertices and edge sources materialize:
-	// vertex 100 (singleton) and vertex 0 (degree 5, promoted past cap 2).
-	if st.Vertices != 2 || st.Edges != 5 || st.MaxDegree != 5 || st.Promoted != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.Singletons != 1 {
-		t.Fatalf("singletons = %d", st.Singletons)
-	}
-}
-
 // Model check: random add/delete/query sequence against map-of-maps.
 func TestStoreModelCheck(t *testing.T) {
 	s := NewStore(3) // tiny cap exercises promotions heavily

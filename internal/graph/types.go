@@ -3,9 +3,10 @@
 //
 // The store reproduces the design of DegAwareRHH (Iwabuchi et al., "Towards
 // a distributed large-scale dynamic graph data store", GABB 2016), the
-// structure the paper's prototype incorporates (§III-B): open-addressing
-// Robin Hood hash tables for high-degree vertices, and a separate compact
-// representation for low-degree vertices. Graph evolution is edge-centric
+// structure the paper's prototype incorporates (§III-B): a hash table from
+// vertex id to slot, hash-indexed adjacency for high-degree vertices, and
+// a compact representation for low-degree vertices. The tables are not
+// Robin Hood tables (VertexTable, posIndex). Graph evolution is edge-centric
 // (§II): edges appear between already-established vertices, so the store is
 // optimized for one-edge-at-a-time insertion with no a-priori knowledge of
 // the final topology.

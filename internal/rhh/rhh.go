@@ -1,15 +1,17 @@
-// Package rhh implements an open-addressing hash map with Robin Hood
-// hashing and backward-shift deletion, keyed by uint64.
+// Package rhh holds Hash64, the 64-bit mixer every hash in the engine
+// uses (the partitioner's owner function, the store's vertex table and
+// position indexes, CC labels), and Map, an open-addressing hash map with
+// Robin Hood hashing and backward-shift deletion, keyed by uint64.
 //
-// It is the storage primitive behind the dynamic graph store
-// (internal/graph), mirroring the role Robin Hood hashing plays in
-// DegAwareRHH (Iwabuchi et al., GABB 2016), the data structure the paper
-// builds its prototype on. Robin Hood hashing bounds the variance of probe
-// distances, which keeps lookups cache-friendly even at high load factors —
-// the property DegAwareRHH relies on for locality on high-degree vertices.
+// Map mirrors the role Robin Hood hashing plays in DegAwareRHH (Iwabuchi
+// et al., GABB 2016), the data structure the paper builds its prototype
+// on: it bounds the variance of probe distances. The engine no longer
+// stores anything in it: the store's vertex table (graph.VertexTable) is
+// insert-only linear probing, which the serve plane's readers can probe
+// while the rank inserts. Only the benchmark's rhh probe still measures
+// Map.
 //
-// The map is NOT safe for concurrent use; in the engine every rank owns its
-// shard exclusively, so no synchronization is required (shared-nothing).
+// The map is NOT safe for concurrent use.
 package rhh
 
 import "math/bits"
@@ -110,74 +112,6 @@ func (m *Map[V]) Put(key uint64, val V) {
 	}
 }
 
-// GetOrPut returns a pointer to the existing value for key, or inserts val
-// and returns a pointer to the stored copy. existed reports which case
-// occurred. The pointer is invalidated by the next Put, Delete, or
-// GetOrPut. A single probe pass serves both the lookup and the insertion —
-// the hot path of dynamic edge insertion, where every add must first check
-// for a duplicate.
-func (m *Map[V]) GetOrPut(key uint64, val V) (p *V, existed bool) {
-	if len(m.buckets) == 0 || (m.n+1)*maxLoadDen > len(m.buckets)*maxLoadNum {
-		m.grow()
-	}
-	idx := Hash64(key) & m.mask
-	dist := int16(1)
-	for {
-		b := &m.buckets[idx]
-		if b.dist == 0 {
-			*b = bucket[V]{key: key, val: val, dist: dist}
-			m.n++
-			return &b.val, false
-		}
-		if b.key == key && b.dist == dist {
-			return &b.val, true
-		}
-		if b.dist < dist {
-			// Robin Hood displacement: our entry takes this slot; the
-			// displaced entry continues the probe with the normal Put
-			// loop (its key is distinct from every remaining candidate).
-			displaced := *b
-			*b = bucket[V]{key: key, val: val, dist: dist}
-			m.n++
-			p := &b.val
-			m.reinsert(displaced, idx)
-			return p, false
-		}
-		idx = (idx + 1) & m.mask
-		dist++
-		if dist > maxDist {
-			m.grow()
-			return m.GetOrPut(key, val)
-		}
-	}
-}
-
-// reinsert continues Robin Hood insertion for an entry displaced from
-// slot idx. Growth during reinsertion would invalidate caller pointers, so
-// pathological chains fall back to normal Put after a forced grow — the
-// load-factor guard in GetOrPut makes this practically unreachable.
-func (m *Map[V]) reinsert(cur bucket[V], idx uint64) {
-	for {
-		idx = (idx + 1) & m.mask
-		cur.dist++
-		if cur.dist > maxDist {
-			// Extremely unlikely; lose the displaced entry's O(1) path
-			// rather than corrupt the table.
-			m.n--
-			m.Put(cur.key, cur.val)
-			return
-		}
-		b := &m.buckets[idx]
-		if b.dist == 0 {
-			*b = cur
-			return
-		}
-		if b.dist < cur.dist {
-			*b, cur = cur, *b
-		}
-	}
-}
-
 // Get returns the value for key and whether it was present.
 func (m *Map[V]) Get(key uint64) (V, bool) {
 	var zero V
@@ -205,7 +139,7 @@ func (m *Map[V]) Get(key uint64) (V, bool) {
 
 // Peek loads key's home bucket and returns its stored key, changing
 // nothing. It is a read-ahead hint: touching the bucket some time before a
-// Get or GetOrPut of key lets the miss on it overlap other work. The
+// Get or Put of key lets the miss on it overlap other work. The
 // result means nothing; a caller keeps it only so the load is not dropped.
 func (m *Map[V]) Peek(key uint64) uint64 {
 	if len(m.buckets) == 0 {
@@ -236,12 +170,6 @@ func (m *Map[V]) Ptr(key uint64) *V {
 			return nil
 		}
 	}
-}
-
-// Contains reports whether key is present.
-func (m *Map[V]) Contains(key uint64) bool {
-	_, ok := m.Get(key)
-	return ok
 }
 
 // Delete removes key, reporting whether it was present. Removal uses
@@ -321,22 +249,6 @@ func (m *Map[V]) Reserve(n int) {
 			m.Put(old[i].key, old[i].val)
 		}
 	}
-}
-
-// MeanProbeDistance returns the average probe distance of live entries —
-// the quantity Robin Hood hashing minimizes the variance of. Useful in
-// tests and for instrumentation; returns 0 for an empty map.
-func (m *Map[V]) MeanProbeDistance() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	sum := 0
-	for i := range m.buckets {
-		if m.buckets[i].dist != 0 {
-			sum += int(m.buckets[i].dist)
-		}
-	}
-	return float64(sum) / float64(m.n)
 }
 
 // NextPow2 returns the smallest power of two >= n (and >= 1).

@@ -17,11 +17,11 @@ func TestEmptyMap(t *testing.T) {
 	if m.Delete(42) {
 		t.Fatal("Delete on empty map returned true")
 	}
-	if m.Contains(0) {
-		t.Fatal("Contains(0) on empty map")
+	if _, ok := m.Get(0); ok {
+		t.Fatal("Get(0) on empty map returned ok")
 	}
-	if m.MeanProbeDistance() != 0 {
-		t.Fatal("MeanProbeDistance on empty map should be 0")
+	if meanProbeDistance(&m) != 0 {
+		t.Fatal("mean probe distance of an empty map should be 0")
 	}
 }
 
@@ -62,7 +62,7 @@ func TestZeroKey(t *testing.T) {
 	if !m.Delete(0) {
 		t.Fatal("Delete(0) failed")
 	}
-	if m.Contains(0) {
+	if _, ok := m.Get(0); ok {
 		t.Fatal("key 0 still present after delete")
 	}
 }
@@ -195,12 +195,26 @@ func TestGrowthKeepsEntries(t *testing.T) {
 	}
 }
 
+// meanProbeDistance returns the average probe distance of m's live
+// entries — the quantity Robin Hood hashing minimizes the variance of —
+// or 0 for an empty map.
+func meanProbeDistance[V any](m *Map[V]) float64 {
+	if m.n == 0 {
+		return 0
+	}
+	sum := 0
+	for i := range m.buckets {
+		sum += int(m.buckets[i].dist)
+	}
+	return float64(sum) / float64(m.n)
+}
+
 func TestMeanProbeDistanceBounded(t *testing.T) {
 	var m Map[int]
 	for i := uint64(0); i < 100000; i++ {
 		m.Put(Hash64(i), int(i))
 	}
-	if d := m.MeanProbeDistance(); d > 4 {
+	if d := meanProbeDistance(&m); d > 4 {
 		t.Fatalf("mean probe distance %f too large — Robin Hood invariant broken?", d)
 	}
 }
@@ -289,92 +303,6 @@ func TestQuickPutDelete(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGetOrPutBasics(t *testing.T) {
-	var m Map[int]
-	p, existed := m.GetOrPut(5, 10)
-	if existed || p == nil || *p != 10 {
-		t.Fatalf("first GetOrPut = %v,%v", p, existed)
-	}
-	p2, existed2 := m.GetOrPut(5, 99)
-	if !existed2 || *p2 != 10 {
-		t.Fatalf("second GetOrPut = %d,%v — must return the existing value", *p2, existed2)
-	}
-	*p2 = 42
-	if v, _ := m.Get(5); v != 42 {
-		t.Fatalf("write through GetOrPut pointer lost: %d", v)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-}
-
-// GetOrPut must behave exactly like Get-then-Put under heavy collisions
-// and displacement.
-func TestGetOrPutModelCheck(t *testing.T) {
-	var m Map[uint64]
-	model := map[uint64]uint64{}
-	rng := rand.New(rand.NewSource(3))
-	for op := 0; op < 200000; op++ {
-		k := uint64(rng.Intn(700))
-		switch rng.Intn(3) {
-		case 0:
-			v := rng.Uint64()
-			p, existed := m.GetOrPut(k, v)
-			mv, mok := model[k]
-			if existed != mok {
-				t.Fatalf("op %d: existed=%v model=%v", op, existed, mok)
-			}
-			if existed && *p != mv {
-				t.Fatalf("op %d: existing value %d, model %d", op, *p, mv)
-			}
-			if !existed {
-				model[k] = v
-			}
-		case 1:
-			got, ok := m.Get(k)
-			want, wok := model[k]
-			if ok != wok || (ok && got != want) {
-				t.Fatalf("op %d: Get mismatch", op)
-			}
-		case 2:
-			if m.Delete(k) != (func() bool { _, ok := model[k]; return ok })() {
-				t.Fatalf("op %d: Delete mismatch", op)
-			}
-			delete(model, k)
-		}
-		if m.Len() != len(model) {
-			t.Fatalf("op %d: Len %d vs model %d", op, m.Len(), len(model))
-		}
-	}
-}
-
-func TestGetOrPutDisplacement(t *testing.T) {
-	// Force a dense table where insertion must displace existing entries,
-	// and verify the returned pointer addresses the new entry.
-	var m Map[uint64]
-	for i := uint64(0); i < 5000; i++ {
-		m.Put(i, i)
-	}
-	for i := uint64(5000); i < 6000; i++ {
-		p, existed := m.GetOrPut(i, i*3)
-		if existed {
-			t.Fatalf("key %d should be new", i)
-		}
-		if *p != i*3 {
-			t.Fatalf("pointer for %d holds %d", i, *p)
-		}
-	}
-	for i := uint64(0); i < 6000; i++ {
-		want := i
-		if i >= 5000 {
-			want = i * 3
-		}
-		if v, ok := m.Get(i); !ok || v != want {
-			t.Fatalf("Get(%d) = %d,%v want %d", i, v, ok, want)
-		}
 	}
 }
 

@@ -69,8 +69,8 @@ func segGet(seg *Segment, algo int, v graph.VertexID) (Value, uint64) {
 		return Value{Vertex: v}, 0
 	}
 	epoch := seg.epoch.Load()
-	slot, ok := seg.idx.Load().lookup(uint64(v))
-	if !ok || slot >= uint64(seg.n.Load()) {
+	slot, ok := seg.idx.Load().Lookup(v)
+	if !ok || int64(slot) >= seg.n.Load() {
 		return Value{Vertex: v}, epoch
 	}
 	var val uint64
@@ -259,8 +259,8 @@ func (p *Plane) Neighbors(v graph.VertexID) []graph.VertexID {
 	if seg == nil {
 		return nil
 	}
-	slot, ok := seg.idx.Load().lookup(uint64(v))
-	if !ok || slot >= uint64(seg.n.Load()) {
+	slot, ok := seg.idx.Load().Lookup(v)
+	if !ok || int64(slot) >= seg.n.Load() {
 		return nil
 	}
 	out := make([]graph.VertexID, len(seg.adj[slot]))
@@ -298,11 +298,11 @@ func (p *Plane) Neighborhood(algo int, root graph.VertexID, depth, limit int) ([
 		if p.local(owner) {
 			seg = segs[owner]
 		}
-		var slot uint64
+		var slot graph.Slot
 		ok := false
 		if seg != nil {
-			slot, ok = seg.idx.Load().lookup(uint64(cur.v))
-			ok = ok && slot < uint64(seg.n.Load())
+			slot, ok = seg.idx.Load().Lookup(cur.v)
+			ok = ok && int64(slot) < seg.n.Load()
 		}
 		if ok {
 			node.Found = true

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"incregraph/internal/graph"
-	"incregraph/internal/rhh"
 )
 
 // Segment is one rank's published view: the first n vertices of the
@@ -52,10 +51,12 @@ import (
 //     place and clones the array before any other write, so every index
 //     < len of a published header stays frozen. Readers use only Nbr: a
 //     later weight merge goes to a clone the header does not see.
-//   - idx is insert-only and shared across a publisher's segments; it may
-//     gain entries for slots >= n after publication, which the n bounds
-//     check in lookups rejects. A growth rebuild allocates a fresh table,
-//     so older segments keep their exact old index.
+//   - idx is the rank store's own vertex table (graph.Store.Table), shared
+//     with the store and every segment published since its last growth.
+//     The store keeps inserting into it, so it may hold entries for slots
+//     >= n, which the n bounds check in lookups rejects. A growth moves
+//     the store to a fresh table, so older segments keep their exact old
+//     index.
 //
 // A restamp (see Publisher.Publish) bumps epoch in place on the served
 // segment without a new generation: the content it stamps is unchanged.
@@ -69,7 +70,7 @@ type Segment struct {
 	gen   atomic.Uint64
 	epoch atomic.Uint64
 	n     atomic.Int64
-	idx   atomic.Pointer[table]
+	idx   atomic.Pointer[graph.VertexTable]
 	ids   []graph.VertexID
 	// vals cells that a point read may load during a rewrite go through
 	// atomic.LoadUint64/StoreUint64. The columns stay []uint64 so that a
@@ -93,76 +94,5 @@ const retired = math.MinInt64 / 2
 func (s *Segment) release() {
 	if s != nil {
 		s.pins.Add(-1)
-	}
-}
-
-// table is a single-writer, many-reader open-addressing hash index from
-// vertex id to slot. Insert-only: entries are never deleted or moved, so
-// a reader's linear probe terminates at the first never-written position.
-//
-// Publication order makes lookups race-free: the writer stores the key,
-// then the slot marker (both seq-cst atomics); segment publication
-// (atomic pointer store) happens after every insert the segment depends
-// on, so a reader that loaded the segment observes complete entries for
-// every slot < n. Entries mid-insert can only belong to slots >= n,
-// which the caller's bounds check rejects anyway.
-type table struct {
-	mask  uint64
-	used  int
-	keys  []atomic.Uint64 // vertex id (raw; validity gated by marks)
-	marks []atomic.Uint64 // slot+1; 0 = empty
-}
-
-// newTable returns a table with the given power-of-two capacity.
-func newTable(capacity int) *table {
-	return &table{
-		mask:  uint64(capacity - 1),
-		keys:  make([]atomic.Uint64, capacity),
-		marks: make([]atomic.Uint64, capacity),
-	}
-}
-
-// insert adds id -> slot and returns the table to use for subsequent
-// inserts (a freshly rebuilt, doubled table when load passes 3/4 —
-// rebuilding rather than growing in place is what lets old segments keep
-// their old index). Writer-only; ids are unique by construction (each
-// vertex is inserted exactly once, when its slot first appears).
-func (t *table) insert(id, slot uint64) *table {
-	if t.used >= len(t.keys)-len(t.keys)/4 {
-		bigger := newTable(len(t.keys) * 2)
-		for i := range t.marks {
-			if m := t.marks[i].Load(); m != 0 {
-				bigger.place(t.keys[i].Load(), m-1)
-			}
-		}
-		bigger.used = t.used
-		t = bigger
-	}
-	t.place(id, slot)
-	t.used++
-	return t
-}
-
-func (t *table) place(id, slot uint64) {
-	i := rhh.Hash64(id) & t.mask
-	for t.marks[i].Load() != 0 {
-		i = (i + 1) & t.mask
-	}
-	t.keys[i].Store(id)
-	t.marks[i].Store(slot + 1)
-}
-
-// lookup probes for id. Safe to call concurrently with the writer.
-func (t *table) lookup(id uint64) (uint64, bool) {
-	i := rhh.Hash64(id) & t.mask
-	for {
-		m := t.marks[i].Load()
-		if m == 0 {
-			return 0, false
-		}
-		if t.keys[i].Load() == id {
-			return m - 1, true
-		}
-		i = (i + 1) & t.mask
 	}
 }

@@ -20,9 +20,11 @@
 //     writer rewrote it meanwhile. Scans pin the segment, and the writer
 //     never rewrites a pinned one. The adjacency headers point at the
 //     rank store's edge arrays, which the store only appends to past a
-//     shared length and otherwise clones (graph.Store.Share), and the
-//     index only ever *gains* entries past the segment's bound (which
-//     the bounds check rejects).
+//     shared length and otherwise clones (graph.Store.Share). The id ->
+//     slot index is the store's own vertex table (graph.Store.Table),
+//     which only ever *gains* entries past the segment's bound (which
+//     the bounds check rejects) and is replaced, not rewritten, when it
+//     grows.
 //   - No locks anywhere on the read path, no barrier, no rank parking: a
 //     point read costs a few atomic loads, a hash probe and array
 //     indexing; a pinned spare costs the writer one fresh allocation
@@ -217,9 +219,6 @@ type Publisher struct {
 	p    *Plane
 	rank int
 
-	idx  *table // insert-only vertex-id -> slot index
-	idxN int    // ids[0:idxN] already inserted into idx
-
 	spare        *Segment // the segment served before the current one
 	dirty, stale []uint64 // slot bitmaps: changed since the current segment; spare vs current
 
@@ -229,7 +228,7 @@ type Publisher struct {
 // Publisher returns the single-writer handle for rank. Call once per
 // local rank.
 func (p *Plane) Publisher(rank int) *Publisher {
-	return &Publisher{p: p, rank: rank, idx: newTable(1024)}
+	return &Publisher{p: p, rank: rank}
 }
 
 // Due reports whether an epoch boundary passed since this rank last
@@ -258,8 +257,8 @@ func (pub *Publisher) growDirty(w int) {
 
 // Publish brings a segment up to date and swaps it in for this rank. From
 // store it shares the append-only vertex-id slice (slot i is ids[i]
-// forever) and each copied slot's edge array (Store.Share), copying
-// neither; vals are the rank's live per-algorithm value columns (copied),
+// forever), the current vertex table (Store.Table) and each copied slot's
+// edge array (Store.Share), copying none of them; vals are the rank's live per-algorithm value columns (copied),
 // and events the rank's total processed-event count, used as a mutation
 // clock: if it hasn't moved since the last publish, the served segment is
 // re-stamped with the current epoch instead.
@@ -288,10 +287,6 @@ func (pub *Publisher) Publish(store *graph.Store, vals [][]uint64, events uint64
 
 	ids := store.IDs()
 	n := len(ids)
-	for i := pub.idxN; i < n; i++ {
-		pub.idx = pub.idx.insert(uint64(ids[i]), uint64(i))
-	}
-	pub.idxN = n
 
 	var copied int
 	seg := pub.spare
@@ -329,7 +324,7 @@ func (pub *Publisher) Publish(store *graph.Store, vals [][]uint64, events uint64
 	clear(pub.dirty)
 	seg.ids = ids
 	seg.n.Store(int64(n))
-	seg.idx.Store(pub.idx)
+	seg.idx.Store(store.Table())
 	seg.epoch.Store(epoch)
 	if rewrite {
 		seg.gen.Add(1) // even again: the new content is complete

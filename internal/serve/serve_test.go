@@ -301,8 +301,8 @@ func TestIndexGrowthKeepsOldSegmentsValid(t *testing.T) {
 	old := w.plane.acquire(0)
 	defer old.release()
 
-	// Blow far past the initial 1024-capacity table so it rebuilds at
-	// least once; the old segment must keep resolving via its old index
+	// Grow the store's vertex table through several rebuilds; the old
+	// segment must keep resolving via the table it was published with
 	// and must not see the new vertices.
 	for v := graph.VertexID(2); v < 3000; v++ {
 		w.set(v, uint64(v))
